@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import boson, electron
+from . import boson, electron, family
 from .errors import ConvergenceError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
@@ -21,6 +22,37 @@ HALF_PI = math.pi / 2
 # golden-section interior-point ratios
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+class Particle(NamedTuple):
+    """A particle's public functions with the electron's signatures (the
+    boson's drop zeta).  Each is looked up on its module at every call, so
+    a wrapper or test double installed there sees the call."""
+
+    family: family.Family
+    profile: Callable      # (s, zeta, beta, cfg) -> (theta -> p_s)
+    q_local: Callable      # (s, zeta, beta, theta) -> phi_s/phi_0
+    q_halfplane: Callable  # (s, zeta, beta, cfg) -> q_s
+    fractions: Callable    # (zeta, beta, cfg) -> {s: q_s}
+    power: Callable        # (zeta, beta, cfg) -> PowerResult
+
+
+PARTICLES = {
+    "boson": Particle(
+        family.BOSON,
+        lambda s, zeta, beta, cfg: boson.density_profile_b(s, beta, cfg),
+        lambda s, zeta, beta, theta: boson.local_polarization_b(s, beta, theta),
+        lambda s, zeta, beta, cfg: boson.half_plane_fraction_b(s, beta, cfg),
+        lambda zeta, beta, cfg: boson.half_plane_fractions_b(beta, cfg),
+        lambda zeta, beta, cfg: boson.total_power_b(beta, cfg)),
+    "electron": Particle(
+        family.ELECTRON,
+        lambda *args: electron.density_profile_e(*args),
+        lambda *args: electron.local_polarization_e(*args),
+        lambda *args: electron.half_plane_fraction_e(*args),
+        lambda *args: electron.half_plane_fractions_e(*args),
+        lambda *args: electron.total_power_e(*args)),
+}
 
 
 @dataclass(frozen=True)
@@ -118,12 +150,9 @@ def _golden_max(f, a, b, tol=1e-10):
 
 
 def _density_profile(kind, s, zeta, beta, cfg):
-    if kind == "boson":
-        return boson.density_profile_b(s, beta, cfg)
-    if kind == "electron":
-        return electron.density_profile_e(s, zeta if zeta is not None else -1,
-                                          beta, cfg)
-    raise DomainError(f"kind must be 'boson' or 'electron', got {kind!r}")
+    if kind not in PARTICLES:
+        raise DomainError(f"kind must be 'boson' or 'electron', got {kind!r}")
+    return PARTICLES[kind].profile(s, -1 if zeta is None else zeta, beta, cfg)
 
 
 def max_angle(kind: str, s: int, zeta: int | None, beta: float,
@@ -153,14 +182,12 @@ def max_angle(kind: str, s: int, zeta: int | None, beta: float,
         a = grid[max(i - 1, 0)]
         b = grid[min(i + 1, len(grid) - 1)]
 
-    interior = 0.0 < best_t < HALF_PI
-    if not (interior and best_p > p_lo + 1e-12 and best_p > p_hi + 1e-12):
-        return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
-                              theta_max=None, p_max=None, exists=False)
-    theta = _golden_max(lambda t: float(profile(t)), a, b)
-    return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
-                          theta_max=theta, p_max=float(profile(theta)),
-                          exists=True)
+    exists = (0.0 < best_t < HALF_PI and best_p > p_lo + 1e-12
+              and best_p > p_hi + 1e-12)
+    theta = _golden_max(lambda t: float(profile(t)), a, b) if exists else None
+    return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta, theta_max=theta,
+                          p_max=float(profile(theta)) if exists else None,
+                          exists=exists)
 
 
 def asymptotic_max_angle(s: int, gamma: float) -> float:

@@ -1,36 +1,29 @@
 """Radiation of a spin-0 particle on the first excited level (n = nu = 1).
 
-Everything is parameterized by the deformation pair (xbar0, xbar):
+The deformation pair is
 
     xbar0(beta)       = (sqrt3 - sqrt(3 - 2 beta^2)) / (sqrt3 + sqrt(3 - 2 beta^2))
-    xbar(beta, theta) = same with beta^2 sin^2(theta)
+    xbar(beta, theta) = same with beta^2 sin^2(theta),   0 <= xbar <= xbar0 <= 2 - sqrt3.
 
-with 0 <= xbar <= xbar0 <= 2 - sqrt3.  Angular shapes:
-
-    phi_2 = 1 - xbar
-    phi_3 = (1 + xbar)^2 cos^2(theta) / (1 - xbar)
-    phi_g = phi_0/2 + g (1 + xbar) cos(theta),   phi_0 = phi_2 + phi_3.
-
-Total power (units Q0) is W_0 = (4 A(beta)/81) f(beta) with
-f(beta) = 3 (1 + xbar0)^2 f_0(xbar0) / 8; at beta = 1 the power is infinite
-while every normalized quantity stays finite.
+The shapes, densities, polarization fractions and power are those of the
+``family.BOSON`` record; at beta = 1 the power is infinite while every
+normalized quantity stays finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
-import numpy as np
-
-from .errors import DomainError
-from .integrals import f_b
-from .kinematics import power_prefactor, validate_s
+from .family import BOSON, SQRT3, PowerResult  # noqa: F401  (re-exported)
+from .integrals import f_b  # noqa: F401  (re-exported)
+from .kinematics import power_prefactor, validate_s  # noqa: F401  (re-exported)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
-SQRT3 = math.sqrt(3.0)
 XBAR0_MAX = 2.0 - SQRT3
+
+xbar0 = BOSON.x0
+shape_integral_b = BOSON.shape_integral
 
 
 @dataclass(frozen=True)
@@ -39,130 +32,43 @@ class BosonDeformation:
     xbar: float
 
 
-def _check_angles(beta, theta):
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    t = np.asarray(theta, dtype=float)
-    if np.any(t < 0.0) or np.any(t > math.pi):
-        raise DomainError(f"theta must lie in [0, pi], got {theta}")
-
-
-def _xbar_of(u):
-    # u = beta^2 * sin^2(theta) or beta^2
-    r = np.sqrt(3.0 - 2.0 * u)
-    return (SQRT3 - r) / (SQRT3 + r)
-
-
-def xbar0(beta: float) -> float:
-    return float(_xbar_of(beta * beta))
-
-
 def boson_deformation(beta: float, theta: float) -> BosonDeformation:
-    _check_angles(beta, theta)
-    s = math.sin(theta)
-    return BosonDeformation(xbar0=xbar0(beta), xbar=float(_xbar_of(beta * beta * s * s)))
-
-
-def _cos(theta):
-    # cos(float(pi/2)) is ~6e-17, not 0; snap so theta = pi/2 is exact
-    c = np.cos(theta)
-    return np.where(np.abs(c) < 1e-15, 0.0, c)
-
-
-def _phi(s, xbar, theta):
-    cos = _cos(theta)
-    phi2 = 1.0 - xbar
-    phi3 = (1.0 + xbar) ** 2 * cos * cos / (1.0 - xbar)
-    if s == 2:
-        return phi2
-    if s == 3:
-        return phi3
-    phi0 = phi2 + phi3
-    if s == 0:
-        return phi0
-    return 0.5 * phi0 + s * (1.0 + xbar) * cos
+    return BosonDeformation(*BOSON.deformation(beta, theta))
 
 
 def phi_b(s: int, beta: float, theta: float) -> float:
     """Polarization shape phi_s at (beta, theta)."""
-    validate_s(s)
-    _check_angles(beta, theta)
-    xb = _xbar_of(beta * beta * np.sin(theta) ** 2)
-    return float(_phi(s, xb, theta))
-
-
-def shape_integral_b(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """f(beta) = 3 (1 + xbar0)^2 f_0(xbar0) / 8; equals 1 at beta = 0."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    x0 = xbar0(beta)
-    return 3.0 * (1.0 + x0) ** 2 / 8.0 * f_b(0, x0, cfg)
-
-
-class PowerResult(NamedTuple):
-    power: float  # units Q0; infinite at beta = 1
-    shape: float  # the dimensionless factor f(beta)
+    return BOSON.phi(s, None, beta, theta)
 
 
 def total_power_b(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> PowerResult:
-    shape = shape_integral_b(beta, cfg)
-    return PowerResult(power=4.0 * power_prefactor(beta) / 81.0 * shape, shape=shape)
+    return BOSON.total_power(None, beta, cfg)
 
 
 def half_plane_fraction_b(s: int, beta: float,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Fraction q_s of the total power radiated into 0 <= theta <= pi/2.
+    """Fraction q_s of the total power radiated into 0 <= theta <= pi/2."""
+    return BOSON.half_plane_fraction(s, None, beta, cfg)
 
-    q_0 = 1, q_2 + q_3 = 1, q_g + q_{-g} = 1; the upper-half-plane power of
-    component s is W_0 * q_s / 2.  Lower-half-plane fractions follow by
-    q_2, q_3 unchanged and g <-> -g.
-    """
-    validate_s(s)
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    if s == 0:
-        return 1.0
-    x0 = xbar0(beta)
-    f0 = f_b(0, x0, cfg)
-    if s == 2:
-        return f_b(2, x0, cfg) / f0
-    if s == 3:
-        return 1.0 - f_b(2, x0, cfg) / f0
-    return 0.5 + s * f_b(1, x0, cfg) / f0
+
+def half_plane_fractions_b(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
+    return BOSON.half_plane_fractions(None, beta, cfg)
 
 
 def density_profile_b(s: int, beta: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> Callable:
-    """Vectorized theta -> p_s(beta; theta) with the normalization constant
-    computed once.  Finite for all beta in [0, 1]."""
-    validate_s(s)
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    x0 = xbar0(beta)
-    norm = (1.0 + x0) ** 2 * f_b(0, x0, cfg)
-    b2 = beta * beta
-
-    def profile(theta):
-        theta = np.asarray(theta, dtype=float)
-        xb = _xbar_of(b2 * np.sin(theta) ** 2)
-        return (1.0 + xb) ** 3 * np.exp(-xb) * _phi(s, xb, theta) / norm
-
-    return profile
+    """Vectorized theta -> p_s(beta; theta); finite for all beta in [0, 1]."""
+    return BOSON.density_profile(s, None, beta, cfg)
 
 
 def angular_density_b(s: int, beta: float, theta: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Angular distribution p_s(beta; theta); integrates to 1 over the
     sphere for s = 0 (measure sin(theta) d(theta))."""
-    _check_angles(beta, theta)
+    BOSON.check(beta, theta)
     return float(density_profile_b(s, beta, cfg)(theta))
 
 
 def local_polarization_b(s: int, beta: float, theta: float) -> float:
     """Pointwise polarization fraction phi_s/phi_0 at (beta, theta)."""
-    validate_s(s)
-    _check_angles(beta, theta)
-    xb = _xbar_of(beta * beta * np.sin(theta) ** 2)
-    if s == 0:
-        return 1.0
-    return float(_phi(s, xb, theta) / _phi(0, xb, theta))
+    return BOSON.local_polarization(s, None, beta, theta)

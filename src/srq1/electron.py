@@ -7,15 +7,10 @@ Deformation pair:
 
 The final state always has spin against the field, so zeta = +1 radiates
 through a spin flip and is suppressed by the factor d(+1; beta) = x0, while
-zeta = -1 has d = 1.  Shapes:
-
-    phi_2(-1) = phi_3(+1) = 1 - x0 x
-    phi_2(+1) = phi_3(-1) = (1 + x)^2 cos^2(theta) / (1 - x0 x)
-    phi_g = phi_0/2 + g (1 + x) cos(theta)        (zeta-independent)
-
-so the two linear components switch places under zeta -> -zeta.  Total
-power (units Q0) is W_0 = d(zeta) (A(beta)/6) f(beta) with
-f(beta) = 3 (1 + x0) f_0(x0) / 8.
+zeta = -1 has d = 1, and the two linear components switch places under
+zeta -> -zeta.  The shapes, densities, polarization fractions and power
+W_0 = d(zeta) (A(beta)/6) f(beta) are those of the ``family.ELECTRON``
+record.
 
 At beta = 1 the densities for theta != pi/2 are the closed-form limit
 profiles; at (beta = 1, theta = pi/2) the two iterated limits disagree by a
@@ -31,14 +26,22 @@ from typing import Callable
 
 import numpy as np
 
-from . import boson
-from .boson import PowerResult  # same (power, shape) result shape
-from .errors import AmbiguousLimitError, DomainError
-from .integrals import f_e
-from .kinematics import power_prefactor, validate_s
+from .family import ELECTRON, HALF_PI, PowerResult  # noqa: F401  (re-exported)
+from .integrals import f_e  # noqa: F401  (re-exported)
+from .kinematics import power_prefactor, validate_s  # noqa: F401  (re-exported)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _TWO_E_MINUS_3 = 2.0 * math.e - 3.0
+
+x0 = ELECTRON.x0
+spin_factor = ELECTRON.spin_factor
+phi_e = ELECTRON.phi
+shape_integral_e = ELECTRON.shape_integral
+total_power_e = ELECTRON.total_power
+half_plane_fraction_e = ELECTRON.half_plane_fraction
+half_plane_fractions_e = ELECTRON.half_plane_fractions
+local_polarization_e = ELECTRON.local_polarization
+is_double_limit_point = ELECTRON.at_double_limit
 
 
 @dataclass(frozen=True)
@@ -47,97 +50,8 @@ class ElectronDeformation:
     x: float
 
 
-def _check(beta, theta=None, zeta=None):
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    if theta is not None:
-        t = np.asarray(theta, dtype=float)
-        if np.any(t < 0.0) or np.any(t > math.pi):
-            raise DomainError(f"theta must lie in [0, pi], got {theta}")
-    if zeta is not None and zeta not in (1, -1):
-        raise DomainError(f"zeta must be +1 or -1, got {zeta}")
-
-
-def _x_of(u):
-    # u = beta^2 * sin^2(theta) or beta^2
-    r = np.sqrt(1.0 - u)
-    return (1.0 - r) / (1.0 + r)
-
-
-def x0(beta: float) -> float:
-    return float(_x_of(beta * beta))
-
-
 def electron_deformation(beta: float, theta: float) -> ElectronDeformation:
-    _check(beta, theta)
-    s = math.sin(theta)
-    return ElectronDeformation(x0=x0(beta), x=float(_x_of(beta * beta * s * s)))
-
-
-def spin_factor(zeta: int, beta: float) -> float:
-    """d(zeta; beta): spin-flip suppression x0 for zeta = +1, else 1."""
-    _check(beta, zeta=zeta)
-    return x0(beta) if zeta == 1 else 1.0
-
-
-def _phi(s, zeta, xv, x0v, theta):
-    cos = boson._cos(theta)
-    straight = 1.0 - x0v * xv
-    bent = (1.0 + xv) ** 2 * cos * cos / (1.0 - x0v * xv)
-    if s == 2:
-        return straight if zeta == -1 else bent
-    if s == 3:
-        return bent if zeta == -1 else straight
-    phi0 = straight + bent
-    if s == 0:
-        return phi0
-    return 0.5 * phi0 + s * (1.0 + xv) * cos
-
-
-def phi_e(s: int, zeta: int, beta: float, theta: float) -> float:
-    """Polarization shape phi_s(zeta; beta, theta).
-
-    Division hazard only at x0*x = 1, i.e. beta = 1 and theta = pi/2; use
-    the density/limit operations there.
-    """
-    validate_s(s)
-    _check(beta, theta, zeta)
-    x0v = x0(beta)
-    xv = float(_x_of(beta * beta * math.sin(theta) ** 2))
-    return float(_phi(s, zeta, xv, x0v, theta))
-
-
-def shape_integral_e(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """f(beta) = 3 (1 + x0) f_0(x0) / 8; equals 1 at beta = 0."""
-    _check(beta)
-    xv = x0(beta)
-    return 3.0 * (1.0 + xv) / 8.0 * f_e(0, xv, cfg)
-
-
-def total_power_e(zeta: int, beta: float,
-                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> PowerResult:
-    _check(beta, zeta=zeta)
-    shape = shape_integral_e(beta, cfg)
-    power = spin_factor(zeta, beta) * power_prefactor(beta) / 6.0 * shape
-    return PowerResult(power=power, shape=shape)
-
-
-def half_plane_fraction_e(s: int, zeta: int, beta: float,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Fraction q_s(zeta; beta) of the power radiated into the upper half
-    plane.  q_g is zeta-independent; q_2(zeta) = q_3(-zeta)."""
-    validate_s(s)
-    _check(beta, zeta=zeta)
-    if s == 0:
-        return 1.0
-    xv = x0(beta)
-    f0 = f_e(0, xv, cfg)
-    if s in (1, -1):
-        q1 = 0.5 + f_e(1, xv, cfg) / f0
-        return q1 if s == 1 else 1.0 - q1
-    q2_plain = f_e(2, xv, cfg) / f0
-    q2 = 0.5 * (1.0 + zeta - 2.0 * zeta * q2_plain)
-    return q2 if s == 2 else 1.0 - q2
+    return ElectronDeformation(*ELECTRON.deformation(beta, theta))
 
 
 def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
@@ -148,7 +62,7 @@ def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
     result is zeta-independent.
     """
     validate_s(s)
-    _check(0.0, theta, zeta)
+    ELECTRON.check(0.0, theta, zeta)
     c = math.cos(theta)
     if abs(c) < 1e-15:
         c = 0.0
@@ -157,9 +71,7 @@ def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
     base = big_theta / _TWO_E_MINUS_3
     if s == 0:
         return 2.0 * base
-    if s in (2, 3):
-        return base
-    if a == 0.0:
+    if s in (2, 3) or a == 0.0:
         return base
     return base * (1.0 + s * c / a)
 
@@ -170,51 +82,28 @@ def limit_shape(theta: float) -> float:
     return math.exp(2.0 * a / (1.0 + a)) / (1.0 + a) ** 3
 
 
-def is_double_limit_point(beta: float, theta: float) -> bool:
-    """True at (beta = 1, theta = pi/2), where the iterated limits of the
-    electron densities disagree by a factor 2."""
-    return beta == 1.0 and theta == math.pi / 2
-
-
 def density_profile_e(s: int, zeta: int, beta: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> Callable:
     """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
     once.  For beta = 1 the limit profile is used for theta != pi/2 and the
     fixed-beta theta-limit values at theta = pi/2 exactly."""
-    validate_s(s)
-    _check(beta, zeta=zeta)
-    if beta == 1.0:
-        half_pi = math.pi / 2
-        # theta-limit values at the ambiguous point (the beta-first limit
-        # would give half of these for s = 2/zeta = -1 and s = 3/zeta = +1)
-        straight_first = 2.0 / _TWO_E_MINUS_3
-        at_half_pi = {
-            0: straight_first,
-            2: straight_first if zeta == -1 else 0.0,
-            3: straight_first if zeta == 1 else 0.0,
-            1: 1.0 / _TWO_E_MINUS_3,
-            -1: 1.0 / _TWO_E_MINUS_3,
-        }[s]
-
-        def profile(theta):
-            theta = np.asarray(theta, dtype=float)
-            out = np.array([
-                at_half_pi if t == half_pi else ultrarelativistic_density(s, zeta, t)
-                for t in np.atleast_1d(theta)
-            ])
-            return out.reshape(theta.shape)
-
-        return profile
-
-    x0v = x0(beta)
-    norm = (1.0 + x0v) ** 2 * f_e(0, x0v, cfg)
-    b2 = beta * beta
+    if beta != 1.0:
+        return ELECTRON.density_profile(s, zeta, beta, cfg)
+    ELECTRON.check(beta, zeta=zeta)
+    # theta-limit values at the ambiguous point: the limit profile, except
+    # that the linear component that survives the spin selection has twice
+    # the beta-first limit and the other one none
+    at_half_pi = ultrarelativistic_density(s, zeta, HALF_PI)
+    if s in (2, 3):
+        at_half_pi *= 2.0 if (s == 2) == (zeta == -1) else 0.0
 
     def profile(theta):
         theta = np.asarray(theta, dtype=float)
-        xv = _x_of(b2 * np.sin(theta) ** 2)
-        num = (1.0 + xv) ** 3 * np.exp(-xv) * _phi(s, zeta, xv, x0v, theta)
-        return num / ((1.0 - xv) * norm)
+        out = np.array([
+            at_half_pi if t == HALF_PI else ultrarelativistic_density(s, zeta, t)
+            for t in np.atleast_1d(theta)
+        ])
+        return out.reshape(theta.shape)
 
     return profile
 
@@ -222,25 +111,5 @@ def density_profile_e(s: int, zeta: int, beta: float,
 def angular_density_e(s: int, zeta: int, beta: float, theta: float,
                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Angular distribution p_s(zeta; beta; theta); p_2(zeta) = p_3(-zeta)."""
-    _check(beta, theta, zeta)
+    ELECTRON.check(beta, theta, zeta)
     return float(density_profile_e(s, zeta, beta, cfg)(theta))
-
-
-def local_polarization_e(s: int, zeta: int, beta: float, theta: float) -> float:
-    """Pointwise polarization fraction phi_s/phi_0.
-
-    Raises AmbiguousLimitError at (beta = 1, theta = pi/2), where the value
-    depends on the order of the limits.
-    """
-    validate_s(s)
-    _check(beta, theta, zeta)
-    if is_double_limit_point(beta, theta):
-        raise AmbiguousLimitError(
-            "local polarization at beta = 1, theta = pi/2 depends on the "
-            "order of the limits beta -> 1 and theta -> pi/2"
-        )
-    if s == 0:
-        return 1.0
-    x0v = x0(beta)
-    xv = float(_x_of(beta * beta * math.sin(theta) ** 2))
-    return float(_phi(s, zeta, xv, x0v, theta) / _phi(0, zeta, xv, x0v, theta))

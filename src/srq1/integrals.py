@@ -4,7 +4,8 @@ Two families, one per particle kind.  f_1 is elementary for both; f_2 and
 f_3 are one-dimensional integrals evaluated in a regularized form obtained
 by the substitution y = (1 - t^2)/(1 - x^2 t^2), whose integrand stays
 finite for |x| < 1 (the original y-form integrands are improper at y = 1).
-f_0 = f_2 + f_3.
+One integrand serves both families, with the power of u = 1 - x^2 t^2 and
+the prefactors of their ``family`` records.  f_0 = f_2 + f_3.
 
 Electron f_2, f_3 develop a logarithmic boundary layer as x -> 1; close to
 that endpoint the known (1 - x) ln(1 - x) expansions are used instead of
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 
+from . import family
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
@@ -58,36 +60,25 @@ def f1_e(x: float) -> float:
     return (2.0 - (2.0 + x) * math.exp(-x)) / x
 
 
-def _f2_b_integrand(x):
+def _integrand(fam, k, x):
+    """The substituted f_2 or f_3 integrand of a family."""
+    power, square = fam.u_power, k == 2 and fam.k2_square
+
     def g(t):
         u = 1.0 - x * x * t * t
-        return (1.0 - x * t * t) * (1.0 + x * t * t) ** 2 / u**4 * _sub_weight(x, t)
+        num = 1.0 - x * t * t
+        if k == 3:
+            num = num * t * t
+        elif square:
+            num = num * (1.0 + x * t * t) ** 2
+        return num / u**power * _sub_weight(x, t)
 
     return g
 
 
-def _f3_b_integrand(x):
-    def g(t):
-        u = 1.0 - x * x * t * t
-        return (1.0 - x * t * t) * t * t / u**4 * _sub_weight(x, t)
-
-    return g
-
-
-def _f2_e_integrand(x):
-    def g(t):
-        u = 1.0 - x * x * t * t
-        return (1.0 - x * t * t) / u**3 * _sub_weight(x, t)
-
-    return g
-
-
-def _f3_e_integrand(x):
-    def g(t):
-        u = 1.0 - x * x * t * t
-        return (1.0 - x * t * t) * t * t / u**3 * _sub_weight(x, t)
-
-    return g
+def _quadrature(fam, k, x, cfg):
+    pref = fam.prefactors[k - 2](x)
+    return pref * quad_adaptive(_integrand(fam, k, x), 0.0, 1.0, cfg)
 
 
 def f_b(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -97,11 +88,7 @@ def f_b(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         return f_b(2, x, cfg) + f_b(3, x, cfg)
     if k == 1:
         return f1_b(x)
-    if k == 2:
-        pref = 2.0 * (1.0 + x) * (1.0 - x) ** 2
-        return pref * quad_adaptive(_f2_b_integrand(x), 0.0, 1.0, cfg)
-    pref = 2.0 * (1.0 + x) * (1.0 - x * x) ** 2
-    return pref * quad_adaptive(_f3_b_integrand(x), 0.0, 1.0, cfg)
+    return _quadrature(family.BOSON, k, x, cfg)
 
 
 def f_e(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
@@ -118,6 +105,4 @@ def f_e(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
         if k == 2:
             return _F_AT_ONE_E - 4.0 / math.e * w
         return _F_AT_ONE_E + 2.0 / math.e * w
-    pref = 2.0 * (1.0 + x) * (1.0 - x * x)
-    integrand = _f2_e_integrand(x) if k == 2 else _f3_e_integrand(x)
-    return pref * quad_adaptive(integrand, 0.0, 1.0, cfg)
+    return _quadrature(family.ELECTRON, k, x, cfg)

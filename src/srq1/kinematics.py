@@ -66,8 +66,9 @@ class PhotonRequest:
     theta: float
 
 
-def _level_factor(spec: ParticleSpec, n: int) -> int:
-    return 2 * n + 1 if spec.kind == "boson" else 2 * n
+def _nbar(spec: ParticleSpec, n: int) -> float:
+    # effective level: gamma^2 = 1 + 2 nbar B
+    return n + 0.5 if spec.kind == "boson" else float(n)
 
 
 def _check_level(n):
@@ -83,7 +84,7 @@ def state_from_field(spec: ParticleSpec, n: int, B: float) -> KinematicState:
     if math.isinf(B):
         raise DomainError("field-based construction rejects B = infinity; "
                           "use state_from_beta with beta = 1")
-    gamma = math.sqrt(1.0 + _level_factor(spec, n) * B)
+    gamma = math.sqrt(1.0 + 2 * _nbar(spec, n) * B)
     beta = math.sqrt(1.0 - 1.0 / gamma**2)
     return KinematicState(beta=beta, gamma=gamma, B=B, n=n)
 
@@ -93,7 +94,7 @@ def state_from_beta(spec: ParticleSpec, n: int, beta: float) -> KinematicState:
     _check_level(n)
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    m = _level_factor(spec, n)
+    m = 2 * _nbar(spec, n)
     if beta == 1.0:
         return KinematicState(beta=1.0, gamma=math.inf, B=math.inf, n=n)
     gamma = 1.0 / math.sqrt(1.0 - beta**2)
@@ -116,8 +117,7 @@ def photon_frequency(spec: ParticleSpec, state: KinematicState,
         raise DomainError(f"harmonic nu={req.nu} is not radiated from level n={state.n}")
     if not 0.0 <= req.theta <= math.pi:
         raise DomainError(f"theta must lie in [0, pi], got {req.theta}")
-    nbar = state.n + 0.5 if spec.kind == "boson" else float(state.n)
-    r = req.nu / nbar
+    r = req.nu / _nbar(spec, state.n)
     b2 = state.beta**2
     return r * state.gamma * b2 / (1.0 + math.sqrt(1.0 - r * b2 * math.sin(req.theta) ** 2))
 

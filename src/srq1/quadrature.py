@@ -62,20 +62,9 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _eval(f, x):
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape == x.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    # scalar-only integrand
-    return np.array([f(float(xi)) for xi in x], dtype=float)
-
-
 def _gk15(f, a, b):
     half = 0.5 * (b - a)
-    y = _eval(f, 0.5 * (a + b) + half * _NODES)
+    y = f(0.5 * (a + b) + half * _NODES)
     kronrod = half * float(_KRONROD_W @ y)
     gauss = half * float(_GAUSS_W @ y)
     return kronrod, abs(kronrod - gauss)
@@ -84,8 +73,8 @@ def _gk15(f, a, b):
 def quad_adaptive(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Integrate ``f`` over [a, b] to the tolerances in ``cfg``.
 
-    ``f`` must be finite on [a, b]; vectorized callables are evaluated on
-    numpy arrays, scalar callables work but are slower.  Raises
+    ``f`` must be vectorized (it is called with an array of 15 nodes and
+    returns their values) and finite on [a, b].  Raises
     ConvergenceError (carrying the best estimate and an error bound) if
     some subinterval still fails its tolerance share at ``max_depth``.
     """

@@ -1,11 +1,16 @@
 import contextlib
+import gc
+import hashlib
 import io
 import json
 import math
+import weakref
+from pathlib import Path
 
 import pytest
 
 from srq1.cli import parse_angle, parse_range, run_cli
+from srq1.errors import DomainError
 from srq1.figures import FIGURE_SCANS
 from srq1.io import ScanResult, format_number, serialize, write_csv, write_json
 
@@ -219,12 +224,23 @@ def test_version_exits_zero():
 
 # ---------- figure regeneration ----------
 
+# sha256 of the stdout of every figure scan, table1 and crossover, recorded
+# by ``bench/run.py --make-digests``
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_every_figure_scan_runs():
     assert set(FIGURE_SCANS) == set(range(1, 17))
     for fig, scans in FIGURE_SCANS.items():
         for argv in scans:
             code, out, _ = run(argv)
             assert code == 0, (fig, argv)
+            assert sha256(out) == DIGESTS[" ".join(argv)], (fig, argv)
             _, rows = csv_rows(out)
             assert rows, (fig, argv)
             for row in rows:
@@ -233,3 +249,117 @@ def test_every_figure_scan_runs():
                     if cell in ("inf", "ambiguous", "none", "true", "false"):
                         continue
                     assert math.isfinite(float(cell)), (fig, argv, row)
+    for argv in (["table1"], ["crossover"]):
+        code, out, _ = run(argv)
+        assert code == 0 and sha256(out) == DIGESTS[" ".join(argv)], argv
+
+
+# ---------- golden outputs of the subcommands ----------
+
+_TOLERANCES = "# abs_tol=1e-10\n# rel_tol=1e-10\n# max_depth=60\n"
+GOLDEN = {
+    "freq --particle electron --beta 0.5 --theta 0:pi/2:3":
+        "# quantity=freq\n# version=0.1.0\n" + _TOLERANCES
+        + "# angle_unit=rad\n# particle=electron\n# beta=0.5\n# units=m0*c^2/hbar\n"
+        "theta,omega\n0,0.144337567\n0.785398163,0.149154177\n1.57079633,0.154700538\n",
+    "polarization --particle electron --zeta 1 --beta 0:0.9:3":
+        "# quantity=q_halfplane\n# version=0.1.0\n" + _TOLERANCES
+        + "# angle_unit=rad\n# particle=electron\n# zeta=1\n"
+        "beta,q_right,q_left,q_sigma,q_pi\n"
+        "0,0.875,0.125,0.25,0.75\n"
+        "0.45,0.875310969,0.124689031,0.25040774,0.74959226\n"
+        "0.9,0.889886903,0.110113097,0.270184726,0.729815274\n",
+    "limits --s 1 --theta 0:pi:3":
+        "# quantity=limits\n# version=0.1.0\n" + _TOLERANCES
+        + "# angle_unit=rad\n# particle=electron\n# zeta=-1\n# s=1\n"
+        "# units=dimensionless\n"
+        "theta,p_bar\n0,0.278905275\n1.57079633,0.410414067\n3.14159265,0\n",
+    "maxima --particle electron --s 0 --beta 0.6:0.9:3 --angle-unit deg":
+        "# quantity=max_angle\n# version=0.1.0\n" + _TOLERANCES
+        + "# angle_unit=deg\n# particle=electron\n# zeta=-1\n# s=0\n"
+        "beta,exists,theta_max,p_max\n"
+        "0.6,false,none,none\n"
+        "0.75,true,33.8869296,0.532180525\n"
+        "0.9,true,71.6545426,0.534446272\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_subcommand_golden_output(argv):
+    code, out, _ = run(argv.split())
+    assert code == 0
+    assert out == GOLDEN[argv]
+
+
+def test_boson_ignores_zeta():
+    # the boson has no spin: zeta must not swap its linear components
+    for argv in (["--quantity", "p", "--s", "2", "--beta", "0.9", "--theta", "0:pi:7"],
+                 ["--quantity", "q_local", "--s", "3", "--beta", "0.9", "--theta", "0:pi:7"],
+                 ["--quantity", "q_halfplane", "--s", "2", "--beta", "0:0.9:3"],
+                 ["--quantity", "power", "--beta", "0:0.9:3"]):
+        rows = [csv_rows(run(["scan", "--particle", "boson", "--zeta", zeta] + argv)[1])
+                for zeta in ("1", "-1")]
+        assert rows[0] == rows[1], argv
+
+
+def test_run_cli_keeps_no_reference_to_its_streams():
+    refs = []
+    for argv in (["table1"], ["scan", "--quantity", "p", "--beta", "2"],
+                 ["scan", "--no-such-flag"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            run_cli(argv)
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+# ---------- input validation at the boundary ----------
+
+def assert_rejected(argv, message):
+    code, out, err = run(argv)
+    assert code == 1, argv
+    assert out == "", argv
+    assert message in err, (argv, err)
+
+
+def test_only_pi_and_half_pi_are_symbolic():
+    for token in ("pi/4", "2pi"):
+        with pytest.raises(DomainError):
+            parse_angle(token)
+        assert_rejected(["scan", "--quantity", "p", "--theta", f"0:{token}:5"],
+                        "cannot parse")
+
+
+def test_non_finite_values_rejected():
+    for token in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(DomainError):
+            parse_angle(token)
+        assert_rejected(["scan", "--quantity", "p", "--theta", token], "finite")
+        assert_rejected(["scan", "--quantity", "power", "--beta", f"0:{token}:3"], "finite")
+
+
+def test_theta_outside_zero_pi_rejected():
+    assert_rejected(["scan", "--quantity", "p", "--theta", "0:3.2:3"], "theta")
+    assert_rejected(["scan", "--quantity", "q_local", "--theta", "0:190:3",
+                     "--angle-unit", "deg"], "theta")
+    assert_rejected(["limits", "--s", "0", "--theta", "-0.1"], "theta")
+    assert_rejected(["freq", "--particle", "boson", "--beta", "0.5", "--theta", "0:4:3"],
+                    "theta")
+    # the endpoint 180 deg converts to pi exactly
+    assert run(["scan", "--quantity", "p", "--theta", "0:180:3", "--angle-unit", "deg"])[0] == 0
+
+
+def test_theta_scans_take_a_single_beta():
+    for quantity in ("p", "q_local", "freq"):
+        assert_rejected(["scan", "--quantity", quantity, "--beta", "0:1:5"], "single beta")
+    assert_rejected(["freq", "--particle", "electron", "--beta", "0:0.5:2"], "single beta")
+
+
+def test_grid_size_capped_before_building():
+    # 1000001 points would be accepted by the arithmetic; the cap stops it
+    # before any list is built
+    with pytest.raises(DomainError, match="at most 1000000"):
+        parse_range("0:pi:1000001")
+    assert_rejected(["scan", "--quantity", "p", "--theta", "0:pi:1000001"], "at most")

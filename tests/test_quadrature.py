@@ -32,10 +32,6 @@ def test_boson_integrand_vs_riemann():
         midpoint_riemann(g, 0.0, 1.0), abs=1e-8)
 
 
-def test_scalar_only_integrand():
-    assert quad_adaptive(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-10)
-
-
 def test_deterministic():
     g = lambda t: np.sin(50 * t) ** 2 / (1 + t)
     assert quad_adaptive(g, 0.0, math.pi) == quad_adaptive(g, 0.0, math.pi)
