@@ -15,9 +15,9 @@ import numpy as np
 
 from . import boson, electron, family
 from .errors import ConvergenceError, DomainError
+from .family import HALF_PI
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
-HALF_PI = math.pi / 2
 
 # golden-section interior-point ratios
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -1,25 +1,25 @@
 """Command-line surface: grid scans and reference tables as CSV/JSON.
 
-``scan --quantity Q`` evaluates one quantity of a single table over a beta
-or theta grid; the subcommands table1, crossover, freq, maxima,
-polarization and limits are aliases into the same table.
+``scan --quantity Q`` evaluates one quantity of the QUANTITIES table over a
+beta or theta grid; the other subcommands are aliases into the same table.
+One argparse parser is built, at import, from the COMMANDS table.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
-``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000
-(e.g. ``0:pi:181``).  Angles are radians unless --angle-unit deg is given.
-beta must lie in [0, 1] and theta, after unit conversion, in [0, pi]; the
-theta scans p, q_local and freq take a single beta.  Exit codes: 0 success,
-1 domain/usage error, 2 convergence failure.
+``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.
+Angles are radians unless --angle-unit deg is given.  beta must lie in
+[0, 1] and theta, after unit conversion, in [0, pi]; the theta scans p,
+q_local and freq take a single beta, and a --beta or --theta that the
+quantity does not read is an error.  Exit codes: 0 success, 1 domain/usage
+error, 2 convergence failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-import click
 
 from . import __version__, analysis, electron, kinematics
 from .errors import ConvergenceError, DomainError
@@ -112,8 +112,7 @@ def _polarization(c):
 
 
 class Quantity(NamedTuple):
-    axis: str | None   # the grid the rows run over: "beta", "theta" or none
-    single_beta: bool  # a theta scan at one beta
+    reads: str         # its grids: "beta", "theta", "theta beta" (one beta) or ""
     columns: tuple
     # metadata after the common keys: "key" takes the call's value, and
     # "key=value" a constant (which may replace a common key)
@@ -123,62 +122,60 @@ class Quantity(NamedTuple):
 
 _SCAN = ("particle", "zeta", "s")
 QUANTITIES = {
-    "freq": Quantity("theta", True, ("theta", "omega"),
+    "freq": Quantity("theta beta", ("theta", "omega"),
                      _SCAN + ("beta", "units=m0*c^2/hbar"), _freq),
-    "p": Quantity("theta", True, ("theta", "p"), _SCAN + ("beta",), _p),
-    "q_local": Quantity("theta", True, ("theta", "q"), _SCAN + ("beta",), _q_local),
-    "q_halfplane": Quantity("beta", False, ("beta", "q"), _SCAN, lambda c: [
+    "p": Quantity("theta beta", ("theta", "p"), _SCAN + ("beta",), _p),
+    "q_local": Quantity("theta beta", ("theta", "q"), _SCAN + ("beta",), _q_local),
+    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c: [
         [b, c.api.q_halfplane(c.s, c.zeta, b, c.cfg)] for b in c.betas]),
-    "power": Quantity("beta", False, ("beta", "power", "shape"), _SCAN + ("units=Q0",),
+    "power": Quantity("beta", ("beta", "power", "shape"), _SCAN + ("units=Q0",),
                       lambda c: [[b, *c.api.power(c.zeta, b, c.cfg)] for b in c.betas]),
-    "ratio": Quantity("beta", False, ("beta", "k"), _SCAN, lambda c: [
+    "ratio": Quantity("beta", ("beta", "k"), _SCAN, lambda c: [
         [b, analysis.power_ratio(c.zeta, b, c.cfg)] for b in c.betas]),
-    "max_angle": Quantity("beta", False, ("beta", "exists", "theta_max", "p_max"),
-                          _SCAN, _max_angle),
-    "eff_angle": Quantity("beta", False, ("beta", "delta"), _SCAN + ("definition_id=rms",),
+    "max_angle": Quantity("beta", ("beta", "exists", "theta_max", "p_max"), _SCAN, _max_angle),
+    "eff_angle": Quantity("beta", ("beta", "delta"), _SCAN + ("definition_id=rms",),
                           lambda c: [[b, c.angle(analysis.effective_angle(
                               c.particle, c.s, c.zeta, b, c.cfg).delta)] for b in c.betas]),
-    "table1": Quantity(None, False, ("beta", "f_b", "f_e", "k_minus", "k_plus"),
-                       ("angle_unit=rad", "units=dimensionless"), lambda c: [
+    "table1": Quantity("", ("beta", "f_b", "f_e", "k_minus", "k_plus"),
+                       ("units=dimensionless",), lambda c: [
                            [r.beta, r.f_b, r.f_e, r.k_minus, r.k_plus]
                            for r in analysis.table1(c.cfg)]),
-    "limits": Quantity("theta", False, ("theta", "p_bar"), _SCAN + ("units=dimensionless",),
+    "limits": Quantity("theta", ("theta", "p_bar"),
+                       ("particle=electron", "zeta", "s", "units=dimensionless"),
                        lambda c: [[c.angle(t), electron.ultrarelativistic_density(
                            c.s, c.zeta, t)] for t in c.thetas]),
     # reached only through their subcommands
-    "crossover": Quantity(None, False, ("beta0", "gamma0"), (),
+    "crossover": Quantity("", ("beta0", "gamma0"), (),
                           lambda c: [list(analysis.crossover_beta(c.cfg))]),
-    "polarization": Quantity("beta", False, ("beta", "q_right", "q_left", "q_sigma", "q_pi"),
+    "polarization": Quantity("beta", ("beta", "q_right", "q_left", "q_sigma", "q_pi"),
                              ("quantity=q_halfplane", "particle", "zeta"), _polarization),
 }
-SCAN_QUANTITIES = tuple(q for q in QUANTITIES if q not in ("crossover", "polarization"))
 
 
 def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, theta=None,
           angle_unit="rad", abs_tol=1e-10, rel_tol=1e-10, max_depth=60, keys=None):
     """Validate one call, evaluate ``quantity`` and write it to stdout;
     ``keys`` replaces the metadata keys of its table entry."""
-    try:
-        cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
+    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
     q = QUANTITIES[quantity]
     api = analysis.PARTICLES[particle]
-    betas = [] if beta is None else parse_range(beta)
-    thetas = [] if theta is None else parse_range(theta)
+    reads_beta, reads_theta = "beta" in q.reads, "theta" in q.reads
+    for option, value, read in (("--beta", beta, reads_beta), ("--theta", theta, reads_theta)):
+        if value is not None and not read:
+            raise DomainError(f"quantity {quantity} does not read {option}")
+    betas = parse_range("0" if beta is None else beta) if reads_beta else []
+    thetas = parse_range("0:pi:181" if theta is None else theta) if reads_theta else []
     if angle_unit == "deg":
         thetas = [math.radians(t) for t in thetas]
-    if q.single_beta and len(betas) != 1:
+    if reads_theta and reads_beta and len(betas) != 1:
         raise DomainError(f"this theta scan takes a single beta, got {len(betas)} values")
-    for b in betas if q.axis == "beta" or q.single_beta else ():
+    for b in betas:
         api.family.check(b)
-    for t in thetas if q.axis == "theta" else ():
+    for t in thetas:
         api.family.check(0.0, t)  # beta = 0 is always in the domain
-    c = SimpleNamespace(particle=particle, api=api,
-                        zeta=int(zeta), s=int(s), betas=betas,
-                        beta=betas[0] if betas else None, thetas=thetas, cfg=cfg,
-                        angle=math.degrees if angle_unit == "deg" else (lambda t: t),
-                        extra={})
+    c = SimpleNamespace(particle=particle, api=api, zeta=int(zeta), s=int(s), betas=betas,
+                        beta=betas[0] if betas else None, thetas=thetas, cfg=cfg, extra={},
+                        angle=math.degrees if angle_unit == "deg" else (lambda t: t))
     rows = q.rows(c)
     md = {"quantity": quantity, "version": __version__, "abs_tol": cfg.abs_tol,
           "rel_tol": cfg.rel_tol, "max_depth": cfg.max_depth, "angle_unit": angle_unit}
@@ -190,90 +187,91 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
 
 
 # ---------------------------------------------------------------- commands
-
-@click.group()
-@click.version_option(__version__)
-def cli():
-    """Synchrotron radiation of n = 1 bosons and electrons."""
-
-
-def _command(name, quantity, doc, *options, **fixed):
-    """Subcommand ``name``: evaluates ``quantity`` (the --quantity option if
-    None) with the options' values and the ``fixed`` arguments of _emit."""
-    def command(**kwargs):
-        _emit(quantity or kwargs.pop("quantity"), **fixed, **kwargs)
-
-    for opt in reversed(options):
-        command = opt(command)
-    cli.command(name, help=doc)(command)
-
-
-def _choice(*decls, choices, **kwargs):
-    return click.option(*decls, type=click.Choice(choices), **kwargs)
+# argparse keywords of each option; every option takes one value
+_OPTIONS = {
+    "--quantity": {"choices": [q for q in QUANTITIES if q not in ("crossover", "polarization")]},
+    "--particle": {"choices": ("boson", "electron")},
+    "--zeta": {"choices": ("+1", "-1", "1"), "default": "-1",
+               "help": "Electron spin along (+1) or against (-1) the field."},
+    "--s": {"choices": ("0", "1", "-1", "2", "3")},
+    "--beta": {"help": "Speed value or range a:b:n."},
+    "--theta": {"default": "0:pi:181", "help": "Angle value or range a:b:n."},
+    "--format": {"choices": ("csv", "json"), "default": "csv", "dest": "fmt"},
+    "--angle-unit": {"choices": ("rad", "deg"), "default": "rad"},
+    "--abs-tol": {"type": float, "default": 1e-10},
+    "--rel-tol": {"type": float, "default": 1e-10},
+    "--max-depth": {"type": int, "default": 60},
+}
 
 
-_FORMATS = ["csv", "json"]
-_PARTICLES = ["boson", "electron"]
-_S = ["0", "1", "-1", "2", "3"]
-_format = _choice("--format", "fmt", choices=_FORMATS, default="csv", show_default=True)
-_particle = _choice("--particle", choices=_PARTICLES, required=True)
-_zeta = _choice("--zeta", choices=["+1", "-1", "1"], default="-1", show_default=True,
-                help="Electron spin along (+1) or against (-1) the field.")
-_angle_unit = _choice("--angle-unit", choices=["rad", "deg"], default="rad",
-                      show_default=True)
-_betas = click.option("--beta", required=True, help="Speed value or range a:b:n.")
-_QUAD = (click.option("--abs-tol", type=float, default=1e-10, show_default=True),
-         click.option("--rel-tol", type=float, default=1e-10, show_default=True),
-         click.option("--max-depth", type=int, default=60, show_default=True))
+class Command(NamedTuple):
+    name: str
+    quantity: str | None  # None: the --quantity option
+    help: str
+    options: str          # its option names; one left without a default is required
+    own: dict = {}        # option -> keywords that replace those of _OPTIONS
+    defaults: dict = {}   # option defaults and fixed arguments of _emit, by dest
 
-_command("table1", "table1", "Shape factors and power ratios on beta = 0.0 ... 1.0.",
-         _format, *_QUAD)
-_command("crossover", "crossover",
-         "Speed where the spin-flip channel starts to outradiate the boson.",
-         _choice("--format", "fmt", choices=_FORMATS, default="json", show_default=True),
-         *_QUAD)
-_command("freq", "freq", "Emitted photon frequency over an angle grid (units m0*c^2/hbar).",
-         _particle, click.option("--beta", required=True, help="Speed, single value in [0, 1]."),
-         click.option("--theta", default="0:pi/2:91", show_default=True,
-                      help="Angle range a:b:n (symbolic pi, pi/2 allowed)."),
-         _format, _angle_unit, keys=("particle", "beta", "units=m0*c^2/hbar"))
-_command("scan", None, "Evaluate one quantity over a beta or theta grid.",
-         _choice("--quantity", choices=SCAN_QUANTITIES, required=True),
-         _choice("--particle", choices=_PARTICLES, default="boson", show_default=True),
-         _zeta, _choice("--s", choices=_S, default="0", show_default=True),
-         click.option("--beta", default="0", show_default=True,
-                      help="Speed value or range a:b:n."),
-         click.option("--theta", default="0:pi:181", show_default=True,
-                      help="Angle value or range a:b:n."),
-         _format, _angle_unit, *_QUAD)
-_command("maxima", "max_angle", "Interior maxima of the angular density over a beta grid.",
-         _particle, _choice("--s", choices=["0", "1", "3"], required=True), _zeta, _betas,
-         _format, _angle_unit, *_QUAD)
-_command("polarization", "polarization",
-         "Half-plane polarization fractions q_s(beta) for all components.",
-         _particle, _zeta, _betas, _format, *_QUAD)
-_command("limits", "limits", "Ultrarelativistic electron density profile over an angle grid.",
-         _choice("--s", choices=_S, required=True), _zeta,
-         click.option("--theta", default="0:pi:181", show_default=True),
-         _format, _angle_unit, particle="electron")
+
+_QUAD = " --abs-tol --rel-tol --max-depth"
+COMMANDS = (
+    Command("table1", "table1", "Shape factors and power ratios on beta = 0.0 ... 1.0.",
+            "--format" + _QUAD),
+    Command("crossover", "crossover", "Speed where the spin-flip channel overtakes the boson.",
+            "--format" + _QUAD, {}, {"fmt": "json"}),
+    Command("freq", "freq", "Emitted photon frequency over an angle grid (units m0*c^2/hbar).",
+            "--particle --beta --theta --format --angle-unit",
+            {}, {"theta": "0:pi/2:91", "keys": ("particle", "beta", "units=m0*c^2/hbar")}),
+    Command("scan", None, "Evaluate one quantity over a beta grid (--beta, 0 if absent) or "
+            "a theta grid (--theta, 0:pi:181 if absent).",
+            "--quantity --particle --zeta --s --beta --theta --format --angle-unit" + _QUAD,
+            {}, {"particle": "boson", "s": "0", "beta": None, "theta": None}),
+    Command("maxima", "max_angle", "Interior maxima of the angular density over a beta grid.",
+            "--particle --s --zeta --beta --format --angle-unit" + _QUAD,
+            {"--s": {"choices": ("0", "1", "3")}}),
+    Command("polarization", "polarization",
+            "Half-plane polarization fractions q_s(beta) for all components.",
+            "--particle --zeta --beta --format" + _QUAD),
+    Command("limits", "limits", "Ultrarelativistic electron density profile over an angle grid.",
+            "--s --zeta --theta --format --angle-unit"),
+)
+
+
+def _build_parser():
+    """The srq1 parser: one subparser per row of COMMANDS."""
+    top = argparse.ArgumentParser(prog="srq1", description=__doc__.splitlines()[0],
+                                  add_help=False, allow_abbrev=False)
+    top.add_argument("--version", action="version", version=f"srq1, version {__version__}")
+    commands = top.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for command in COMMANDS:
+        sub = commands.add_parser(command.name, help=command.help, description=command.help,
+                                  add_help=False, allow_abbrev=False)
+        actions = [sub.add_argument(o, **{**_OPTIONS[o], **command.own.get(o, {})})
+                   for o in command.options.split()]
+        sub.set_defaults(command=command, **command.defaults)  # replaces option defaults
+        for action in actions:
+            action.required = action.default is None and action.dest not in command.defaults
+            if action.default is not None:
+                action.help = f"{action.help or ''} [default: %(default)s]"
+    for parser in (top, *commands.choices.values()):
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return top
+
+
+_PARSER = _build_parser()
 
 
 def run_cli(argv) -> int:
-    """Dispatch argv; returns the process exit code (0/1/2).
-
-    Output and error text are written straight to ``sys.stdout`` and
-    ``sys.stderr`` as they are at the call, so no reference to either is
-    kept (only click's own --help and --version text goes through click).
-    """
+    """Dispatch argv; returns the exit code (0/1/2).  All text goes to sys.stdout
+    and sys.stderr as they are at the call, so no reference to either is kept."""
+    tokens = iter(argv)  # an option's value is the next token, even one like -inf
+    argv = [t if t not in _OPTIONS or (value := next(tokens, None)) is None
+            else f"{t}={value}" for t in tokens]
     try:
-        cli.main(args=list(argv), prog_name="srq1", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.UsageError as exc:
-        sys.stderr.write(exc.format_message() + "\n")
-        if exc.ctx is not None:
-            sys.stderr.write(exc.ctx.get_usage() + "\n")
-        return 1
+        args = vars(_PARSER.parse_args(argv))
+        _emit(args.pop("command").quantity or args.pop("quantity"), **args)
+    except SystemExit as exc:  # argparse: --help or --version (0), or a usage error
+        return 1 if exc.code else 0
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 1

@@ -54,6 +54,13 @@ def electron_deformation(beta: float, theta: float) -> ElectronDeformation:
     return ElectronDeformation(*ELECTRON.deformation(beta, theta))
 
 
+def _cos_and_limit_shape(theta):
+    # cos(float(pi/2)) is ~6e-17, not 0; snap so theta = pi/2 is exact
+    c = math.cos(theta)
+    a = 0.0 if abs(c) < 1e-15 else abs(c)
+    return c, a, math.exp(2.0 * a / (1.0 + a)) / (1.0 + a) ** 3
+
+
 def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
     """Limit profile of p_s as beta -> 1 at fixed theta != pi/2.
 
@@ -63,11 +70,7 @@ def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
     """
     validate_s(s)
     ELECTRON.check(0.0, theta, zeta)
-    c = math.cos(theta)
-    if abs(c) < 1e-15:
-        c = 0.0
-    a = abs(c)
-    big_theta = math.exp(2.0 * a / (1.0 + a)) / (1.0 + a) ** 3
+    c, a, big_theta = _cos_and_limit_shape(theta)
     base = big_theta / _TWO_E_MINUS_3
     if s == 0:
         return 2.0 * base
@@ -78,8 +81,7 @@ def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
 
 def limit_shape(theta: float) -> float:
     """Theta(theta) = (1 + |cos|)^-3 exp(2|cos|/(1 + |cos|))."""
-    a = abs(math.cos(theta))
-    return math.exp(2.0 * a / (1.0 + a)) / (1.0 + a) ** 3
+    return _cos_and_limit_shape(theta)[2]
 
 
 def density_profile_e(s: int, zeta: int, beta: float,

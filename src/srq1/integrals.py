@@ -30,12 +30,12 @@ BOUNDARY_EPS = 1e-6
 _F_AT_ONE_E = 2.0 - 3.0 / math.e
 
 
-def _check(kind, k, x):
+def _check(fam, k, x):
     if k not in (0, 1, 2, 3):
         raise DomainError(f"integral index must be 0, 1, 2 or 3, got {k}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"argument must lie in [0, 1], got {x}")
-    if kind == "b" and k in (2, 3) and x == 1.0:
+    if fam is family.BOSON and k in (2, 3) and x == 1.0:
         raise DomainError(
             "boson f_2, f_3 are evaluated by quadrature only for x < 1"
         )
@@ -83,7 +83,7 @@ def _quadrature(fam, k, x, cfg):
 
 def f_b(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Boson integral f_k(x) for k in {0, 1, 2, 3}; f_0 = f_2 + f_3."""
-    _check("b", k, x)
+    _check(family.BOSON, k, x)
     if k == 0:
         return f_b(2, x, cfg) + f_b(3, x, cfg)
     if k == 1:
@@ -93,7 +93,7 @@ def f_b(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
 def f_e(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Electron integral f_k(x) for k in {0, 1, 2, 3}; f_0 = f_2 + f_3."""
-    _check("e", k, x)
+    _check(family.ELECTRON, k, x)
     if k == 0:
         return f_e(2, x, cfg) + f_e(3, x, cfg)
     if k == 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 # Gauss-Kronrod 7-15 abscissae (all 15, ascending) and weights.  Gauss
 # weights are zero at the Kronrod-only nodes.
@@ -52,11 +52,11 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
+            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
         if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_depth < 10:
-            raise ValueError(f"max_depth must be >= 10, got {self.max_depth}")
+            raise DomainError(f"max_depth must be >= 10, got {self.max_depth}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()

@@ -4,10 +4,13 @@ import hashlib
 import io
 import json
 import math
+import warnings
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srq1.cli import parse_angle, parse_range, run_cli
 from srq1.errors import DomainError
@@ -220,6 +223,42 @@ def test_determinism_byte_identical():
 def test_version_exits_zero():
     code, out, _ = run(["--version"])
     assert code == 0
+    assert out == "srq1, version 0.1.0\n"
+
+
+# exit codes of edge argv, as recorded before the parser was replaced
+_POWER = ["scan", "--quantity", "power"]
+CONTRACT = [
+    ([], 1),
+    (["--help"], 0),
+    (["scan"], 1),                        # --quantity is required
+    (["nosuch"], 1),
+    (["sc"], 1),                          # no abbreviated subcommands
+    (["scan", "--quant", "power"], 1),    # nor options
+    (_POWER + ["--beta"], 1),             # an option without its value
+    (_POWER + ["extra"], 1),
+    (_POWER + ["--abs-tol", "x"], 1),
+    (_POWER + ["--beta=0.5"], 0),
+    (_POWER + ["--format", "json", "--format", "csv"], 0),
+    (["scan", "--quantity", "q_halfplane", "--particle", "electron", "--s", "-1",
+      "--beta", "0.5"], 0),
+    (_POWER + ["--particle", "electron", "--zeta", "+1", "--beta", "0.5"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", CONTRACT, ids=[" ".join(a) or "<none>" for a, _ in CONTRACT])
+def test_cli_contract(argv, code):
+    got, out, err = run(argv)
+    assert got == code
+    if code:
+        assert out == "" and err
+    else:
+        assert out and err == ""
+
+
+def test_repeated_option_last_wins():
+    assert run(_POWER + ["--format", "json", "--format", "csv"]) == run(_POWER)
+    assert run(_POWER + ["--beta=0.5"]) == run(_POWER + ["--beta", "0.5"])
 
 
 # ---------- figure regeneration ----------
@@ -305,7 +344,7 @@ def test_boson_ignores_zeta():
 def test_run_cli_keeps_no_reference_to_its_streams():
     refs = []
     for argv in (["table1"], ["scan", "--quantity", "p", "--beta", "2"],
-                 ["scan", "--no-such-flag"]):
+                 ["scan", "--no-such-flag"], ["--help"], ["--version"], ["scan", "--help"]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             run_cli(argv)
@@ -363,3 +402,101 @@ def test_grid_size_capped_before_building():
     with pytest.raises(DomainError, match="at most 1000000"):
         parse_range("0:pi:1000001")
     assert_rejected(["scan", "--quantity", "p", "--theta", "0:pi:1000001"], "at most")
+
+
+def test_beta_scan_rejects_theta():
+    # a beta scan has no theta axis, so an explicit --theta would be ignored
+    assert_rejected(_POWER + ["--theta", "0:1:3"], "does not read --theta")
+    assert_rejected(["scan", "--quantity", "eff_angle", "--theta", "0:pi:181"],
+                    "does not read --theta")
+    # the default beta of scan is 0
+    _, rows = csv_rows(run(_POWER)[1])
+    assert [r[0] for r in rows] == ["0"]
+
+
+def test_scan_without_beta_rejects_beta():
+    assert_rejected(["scan", "--quantity", "limits", "--beta", "0.5"], "does not read --beta")
+    assert_rejected(["scan", "--quantity", "table1", "--beta", "0.5"], "does not read --beta")
+    assert_rejected(["scan", "--quantity", "table1", "--theta", "0:1:3"],
+                    "does not read --theta")
+    # the default theta grid of scan is 0:pi:181
+    _, rows = csv_rows(run(["scan", "--quantity", "limits"])[1])
+    assert len(rows) == 181
+
+
+def test_scan_limits_labels_electron():
+    # the limit profile is the electron's whatever --particle says
+    for particle in ("boson", "electron"):
+        out = run(["scan", "--quantity", "limits", "--particle", particle,
+                   "--theta", "0:pi:3"])[1]
+        assert "# particle=electron\n" in out
+        assert out == run(["limits", "--s", "0", "--theta", "0:pi:3"])[1]
+
+
+def test_scan_table1_labels_the_angle_unit():
+    code, out, _ = run(["scan", "--quantity", "table1", "--angle-unit", "deg"])
+    assert code == 0
+    assert "# angle_unit=deg\n" in out
+    assert "# angle_unit=rad\n" in run(["scan", "--quantity", "table1"])[1]
+
+
+# ---------- fuzzing the argv ----------
+
+_SUBCOMMANDS = ["table1", "crossover", "freq", "scan", "maxima", "polarization", "limits"]
+_JUNK = ["", "x", "--bogus", "-h", "--quant", "nosuch", "1:2", "0:1:x", "1e999", "-0.5"]
+_points = st.sampled_from(["0", "0.5", "0.9", "0.999999", "1", "1.5", "-1", "pi", "pi/2",
+                           "nan", "inf", "-inf", "90", "180", "200", "3.2"])
+_grids = st.builds(lambda a, b, n: f"{a}:{b}:{n}", _points, _points, st.integers(-1, 50))
+_CHOICES = {
+    "--quantity": ["freq", "p", "q_local", "q_halfplane", "power", "ratio", "max_angle",
+                   "eff_angle", "table1", "limits", "crossover", "polarization"],
+    "--particle": ["boson", "electron"], "--zeta": ["+1", "-1", "1", "0"],
+    "--s": ["0", "1", "-1", "2", "3", "4"], "--format": ["csv", "json", "xml"],
+    "--angle-unit": ["rad", "deg"], "--abs-tol": ["1e-10", "1e-6", "0", "-1", "nan"],
+    "--rel-tol": ["1e-10", "1e-6", "0", "-1"], "--max-depth": ["10", "60", "9", "2.5"],
+}
+
+
+def _option(name):
+    # mostly a value of the option's own kind, sometimes any token
+    own = (st.one_of(_points, _grids) if name in ("--beta", "--theta")
+           else st.sampled_from(_CHOICES[name]))
+    any_token = st.one_of(_points, st.sampled_from(_JUNK + _SUBCOMMANDS))
+    value = st.sampled_from([own] * 7 + [any_token]).flatmap(lambda strategy: strategy)
+    return st.tuples(st.just(name), value)
+
+
+_REQUIRED = {"scan": ["--quantity"], "freq": ["--particle", "--beta"], "limits": ["--s"],
+             "maxima": ["--particle", "--s", "--beta"], "polarization": ["--particle", "--beta"]}
+_more = st.lists(st.sampled_from([*_CHOICES, "--beta", "--theta"]).flatmap(_option), max_size=3)
+
+
+def _call(command):
+    # the subcommand's required options first, so that most calls get past the parser
+    return st.builds(lambda required, more, junk:
+                     [command] + [t for pair in list(required) + more for t in pair] + junk,
+                     st.tuples(*map(_option, _REQUIRED.get(command, []))), _more,
+                     st.sampled_from([[]] * 20 + [[token] for token in _JUNK]))
+
+
+_argv = st.sampled_from(_SUBCOMMANDS * 6 + _JUNK).flatmap(_call)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv)
+def test_fuzz_run_cli(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv)
+    assert code in (0, 1, 2), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code:
+        assert out == "", argv
+        return
+    cells = (json.loads(out)["rows"] if out.startswith("{") else csv_rows(out)[1])
+    for row in cells:
+        for cell in row:
+            if isinstance(cell, bool) or cell in ("inf", "ambiguous", "none", "true", "false"):
+                continue
+            assert math.isfinite(float(cell)), (argv, row)

@@ -109,6 +109,13 @@ def test_limit_shape_properties():
         assert limit_shape(t) == pytest.approx(limit_shape(math.pi - t), rel=1e-12)
 
 
+def test_limit_density_and_shape_share_one_formula():
+    # the s = 0 limit density is 2 Theta / (2e - 3), bit for bit
+    for theta in (0.0, 0.3, 1.0, HALF_PI, 2.5, math.pi):
+        assert ultrarelativistic_density(0, -1, theta) == 2.0 * limit_shape(theta) / TWO_E_MINUS_3
+    assert limit_shape(HALF_PI) == 1.0  # cos(pi/2) snaps to 0
+
+
 def test_ultrarelativistic_density_values():
     # total is twice each linear component; circular halves away from poles
     for theta in (0.3, 1.0, 2.5):
