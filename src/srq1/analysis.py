@@ -31,6 +31,7 @@ class Particle(NamedTuple):
 
     family: family.Family
     profile: Callable      # (s, zeta, beta, cfg) -> (theta -> p_s)
+    density: Callable      # (s, zeta, beta, theta, cfg) -> p_s, theta an array or not
     q_local: Callable      # (s, zeta, beta, theta) -> phi_s/phi_0
     q_halfplane: Callable  # (s, zeta, beta, cfg) -> q_s
     fractions: Callable    # (zeta, beta, cfg) -> {s: q_s}
@@ -41,6 +42,7 @@ PARTICLES = {
     "boson": Particle(
         family.BOSON,
         lambda s, zeta, beta, cfg: boson.density_profile_b(s, beta, cfg),
+        lambda s, zeta, beta, theta, cfg: boson.angular_density_b(s, beta, theta, cfg),
         lambda s, zeta, beta, theta: boson.local_polarization_b(s, beta, theta),
         lambda s, zeta, beta, cfg: boson.half_plane_fraction_b(s, beta, cfg),
         lambda zeta, beta, cfg: boson.half_plane_fractions_b(beta, cfg),
@@ -48,6 +50,7 @@ PARTICLES = {
     "electron": Particle(
         family.ELECTRON,
         lambda *args: electron.density_profile_e(*args),
+        lambda *args: electron.angular_density_e(*args),
         lambda *args: electron.local_polarization_e(*args),
         lambda *args: electron.half_plane_fraction_e(*args),
         lambda *args: electron.half_plane_fractions_e(*args),

@@ -12,11 +12,13 @@ normalized quantity stays finite.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 from .family import BOSON, SQRT3, PowerResult  # noqa: F401  (re-exported)
 from .integrals import f_b  # noqa: F401  (re-exported)
+from .kinematics import elementwise_pow, like_theta
 from .kinematics import power_prefactor, validate_s  # noqa: F401  (re-exported)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -55,20 +57,22 @@ def half_plane_fractions_b(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     return BOSON.half_plane_fractions(None, beta, cfg)
 
 
-def density_profile_b(s: int, beta: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> Callable:
+def density_profile_b(s: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                      _pow=operator.pow) -> Callable:
     """Vectorized theta -> p_s(beta; theta); finite for all beta in [0, 1]."""
-    return BOSON.density_profile(s, None, beta, cfg)
+    return BOSON.density_profile(s, None, beta, cfg, _pow)
 
 
-def angular_density_b(s: int, beta: float, theta: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Angular distribution p_s(beta; theta); integrates to 1 over the
-    sphere for s = 0 (measure sin(theta) d(theta))."""
+def angular_density_b(s: int, beta: float, theta,
+                      cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Angular distribution p_s(beta; theta), a float for a scalar theta and
+    an array for a theta array, each element equal to its one-point value;
+    integrates to 1 over the sphere for s = 0 (measure sin(theta) d(theta))."""
     BOSON.check(beta, theta)
-    return float(density_profile_b(s, beta, cfg)(theta))
+    return like_theta(density_profile_b(s, beta, cfg, _pow=elementwise_pow)(theta), theta)
 
 
-def local_polarization_b(s: int, beta: float, theta: float) -> float:
-    """Pointwise polarization fraction phi_s/phi_0 at (beta, theta)."""
+def local_polarization_b(s: int, beta: float, theta):
+    """Pointwise polarization fraction phi_s/phi_0 at (beta, theta); theta
+    may be an array."""
     return BOSON.local_polarization(s, None, beta, theta)

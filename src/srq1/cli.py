@@ -2,7 +2,12 @@
 
 ``scan --quantity Q`` evaluates one quantity of the QUANTITIES table over a
 beta or theta grid; the other subcommands are aliases into the same table.
-One argparse parser is built, at import, from the COMMANDS table.
+One argparse parser is built, at import, from the COMMANDS table.  A theta
+scan (p, q_local, freq, limits) is one array evaluation of the whole grid.
+Each ``**`` in it is Python's float pow per element and the limit profile's
+exp is ``math.exp`` per element, so every value equals that of a one-point
+call bit for bit (see ``family``); maxima and eff_angle keep the analysis
+profile with numpy's array pow.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
 ``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.
@@ -20,6 +25,8 @@ import math
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import __version__, analysis, electron, kinematics
 from .errors import ConvergenceError, DomainError
@@ -65,39 +72,42 @@ def parse_range(text: str) -> list[float]:
     if n > MAX_GRID:
         raise DomainError(f"grid size must be at most {MAX_GRID}, got {n}")
     step = (b - a) / (n - 1)
-    grid = [a + i * step for i in range(n)]
+    grid = a + np.arange(n) * step
     grid[-1] = b
-    for i, v in enumerate(grid):
-        for exact in (math.pi / 2, math.pi):
-            if abs(v - exact) < 1e-12:
-                grid[i] = exact
-    return grid
+    for exact in (math.pi / 2, math.pi):
+        grid[np.abs(grid - exact) < 1e-12] = exact
+    return grid.tolist()
 
 
 # ---------------------------------------------------------------- quantities
 # An evaluator takes the parsed call ``c`` (particle, api, zeta, s, betas,
-# beta, thetas in radians, angle, cfg, extra metadata) and returns the rows.
+# beta, thetas: an array in radians, angles: the theta column, angle: the
+# unit conversion of one angle, cfg, extra metadata) and returns the rows.
+
+def _theta_rows(c, values):
+    return list(zip(c.angles, values.tolist()))
+
 
 def _p(c):
-    profile = c.api.profile(c.s, c.zeta, c.beta, c.cfg)
     if c.api.family.at_double_limit(c.beta, HALF_PI) and HALF_PI in c.thetas:
         c.extra["ambiguous"] = ("beta=1,theta=pi/2: double limit; "
                                 "fixed-beta theta-limit reported")
-    return [[c.angle(t), float(profile(t))] for t in c.thetas]
+    return _theta_rows(c, c.api.density(c.s, c.zeta, c.beta, c.thetas, c.cfg))
 
 
 def _q_local(c):
-    local, s, zeta, beta = c.api.q_local, c.s, c.zeta, c.beta
-    ambiguous = c.api.family.at_double_limit
-    return [[c.angle(t), "ambiguous" if ambiguous(beta, t) else local(s, zeta, beta, t)]
-            for t in c.thetas]
+    # the double-limit point has no value; its cell reads "ambiguous"
+    valued = ~(c.api.family.at_double_limit(c.beta, HALF_PI) & (c.thetas == HALF_PI))
+    cells = np.full(len(c.thetas), "ambiguous", dtype=object)
+    cells[valued] = c.api.q_local(c.s, c.zeta, c.beta, c.thetas[valued])
+    return _theta_rows(c, cells)
 
 
 def _freq(c):
     spec = kinematics.ParticleSpec(c.particle, c.zeta if c.api.family.spin else None)
     state = kinematics.state_from_beta(spec, 1, c.beta)
-    return [[c.angle(t), kinematics.photon_frequency(
-        spec, state, kinematics.PhotonRequest(1, t))] for t in c.thetas]
+    return _theta_rows(c, kinematics.photon_frequency(
+        spec, state, kinematics.PhotonRequest(1, c.thetas)))
 
 
 def _max_angle(c):
@@ -142,8 +152,8 @@ QUANTITIES = {
                            for r in analysis.table1(c.cfg)]),
     "limits": Quantity("theta", ("theta", "p_bar"),
                        ("particle=electron", "zeta", "s", "units=dimensionless"),
-                       lambda c: [[c.angle(t), electron.ultrarelativistic_density(
-                           c.s, c.zeta, t)] for t in c.thetas]),
+                       lambda c: _theta_rows(c, electron.ultrarelativistic_density(
+                           c.s, c.zeta, c.thetas))),
     # reached only through their subcommands
     "crossover": Quantity("", ("beta0", "gamma0"), (),
                           lambda c: [list(analysis.crossover_beta(c.cfg))]),
@@ -164,18 +174,20 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
         if value is not None and not read:
             raise DomainError(f"quantity {quantity} does not read {option}")
     betas = parse_range("0" if beta is None else beta) if reads_beta else []
-    thetas = parse_range("0:pi:181" if theta is None else theta) if reads_theta else []
+    thetas = np.array(parse_range("0:pi:181" if theta is None else theta)
+                      if reads_theta else [])
     if angle_unit == "deg":
-        thetas = [math.radians(t) for t in thetas]
+        thetas = np.radians(thetas)
     if reads_theta and reads_beta and len(betas) != 1:
         raise DomainError(f"this theta scan takes a single beta, got {len(betas)} values")
     for b in betas:
         api.family.check(b)
-    for t in thetas:
-        api.family.check(0.0, t)  # beta = 0 is always in the domain
+    api.family.check(0.0, thetas)  # beta = 0 is always in the domain
+    deg = angle_unit == "deg"
     c = SimpleNamespace(particle=particle, api=api, zeta=int(zeta), s=int(s), betas=betas,
                         beta=betas[0] if betas else None, thetas=thetas, cfg=cfg, extra={},
-                        angle=math.degrees if angle_unit == "deg" else (lambda t: t))
+                        angles=(np.degrees(thetas) if deg else thetas).tolist(),
+                        angle=math.degrees if deg else (lambda t: t))
     rows = q.rows(c)
     md = {"quantity": quantity, "version": __version__, "abs_tol": cfg.abs_tol,
           "rel_tol": cfg.rel_tol, "max_depth": cfg.max_depth, "angle_unit": angle_unit}

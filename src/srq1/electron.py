@@ -21,13 +21,16 @@ factor 2 and the fixed-beta theta-limit values are served, flagged through
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .family import ELECTRON, HALF_PI, PowerResult  # noqa: F401  (re-exported)
+from .family import _cos
 from .integrals import f_e  # noqa: F401  (re-exported)
+from .kinematics import elementwise_pow, like_theta
 from .kinematics import power_prefactor, validate_s  # noqa: F401  (re-exported)
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -55,14 +58,18 @@ def electron_deformation(beta: float, theta: float) -> ElectronDeformation:
 
 
 def _cos_and_limit_shape(theta):
-    # cos(float(pi/2)) is ~6e-17, not 0; snap so theta = pi/2 is exact
-    c = math.cos(theta)
-    a = 0.0 if abs(c) < 1e-15 else abs(c)
-    return c, a, math.exp(2.0 * a / (1.0 + a)) / (1.0 + a) ** 3
+    # cos with the snap at pi/2 of family._cos; Theta is formed per element
+    # with math.exp and Python's pow, which np.exp and numpy's array pow do
+    # not match in every last bit
+    c = _cos(theta)
+    a = np.abs(c)
+    shape = [math.exp(2.0 * v / (1.0 + v)) / (1.0 + v) ** 3 for v in np.ravel(a).tolist()]
+    return c, a, np.array(shape).reshape(a.shape)
 
 
-def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
-    """Limit profile of p_s as beta -> 1 at fixed theta != pi/2.
+def ultrarelativistic_density(s: int, zeta: int, theta):
+    """Limit profile of p_s as beta -> 1 at fixed theta != pi/2; a float for
+    a scalar theta and an array for a theta array.
 
     At theta = pi/2 the sign factor of the circular components is defined
     so both equal Theta/(2e-3) there (the limit-value convention); the
@@ -73,24 +80,29 @@ def ultrarelativistic_density(s: int, zeta: int, theta: float) -> float:
     c, a, big_theta = _cos_and_limit_shape(theta)
     base = big_theta / _TWO_E_MINUS_3
     if s == 0:
-        return 2.0 * base
-    if s in (2, 3) or a == 0.0:
-        return base
-    return base * (1.0 + s * c / a)
+        p = 2.0 * base
+    elif s in (2, 3):
+        p = base
+    else:
+        # the sign of cos(theta), 0 where cos snaps to 0
+        p = base * (1.0 + np.divide(s * c, a, out=np.zeros_like(a), where=a != 0.0))
+    return like_theta(p, theta)
 
 
-def limit_shape(theta: float) -> float:
-    """Theta(theta) = (1 + |cos|)^-3 exp(2|cos|/(1 + |cos|))."""
-    return _cos_and_limit_shape(theta)[2]
+def limit_shape(theta):
+    """Theta(theta) = (1 + |cos|)^-3 exp(2|cos|/(1 + |cos|)); theta may be
+    an array."""
+    return like_theta(_cos_and_limit_shape(theta)[2], theta)
 
 
 def density_profile_e(s: int, zeta: int, beta: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> Callable:
+                      cfg: QuadratureConfig = DEFAULT_CONFIG, _pow=operator.pow) -> Callable:
     """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
     once.  For beta = 1 the limit profile is used for theta != pi/2 and the
-    fixed-beta theta-limit values at theta = pi/2 exactly."""
+    fixed-beta theta-limit values at theta = pi/2 exactly; ``_pow`` is the
+    pow of the beta < 1 profile (see ``family``)."""
     if beta != 1.0:
-        return ELECTRON.density_profile(s, zeta, beta, cfg)
+        return ELECTRON.density_profile(s, zeta, beta, cfg, _pow)
     ELECTRON.check(beta, zeta=zeta)
     # theta-limit values at the ambiguous point: the limit profile, except
     # that the linear component that survives the spin selection has twice
@@ -101,17 +113,16 @@ def density_profile_e(s: int, zeta: int, beta: float,
 
     def profile(theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.array([
-            at_half_pi if t == HALF_PI else ultrarelativistic_density(s, zeta, t)
-            for t in np.atleast_1d(theta)
-        ])
-        return out.reshape(theta.shape)
+        return np.where(theta == HALF_PI, at_half_pi, ultrarelativistic_density(s, zeta, theta))
 
     return profile
 
 
-def angular_density_e(s: int, zeta: int, beta: float, theta: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Angular distribution p_s(zeta; beta; theta); p_2(zeta) = p_3(-zeta)."""
+def angular_density_e(s: int, zeta: int, beta: float, theta,
+                      cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Angular distribution p_s(zeta; beta; theta); p_2(zeta) = p_3(-zeta).
+    A float for a scalar theta and an array for a theta array, each element
+    equal to its one-point value."""
     ELECTRON.check(beta, theta, zeta)
-    return float(density_profile_e(s, zeta, beta, cfg)(theta))
+    return like_theta(density_profile_e(s, zeta, beta, cfg, _pow=elementwise_pow)(theta),
+                      theta)

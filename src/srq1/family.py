@@ -17,11 +17,23 @@ u = beta^2 for x0:
 where d(+1) = x0 is the electron's spin-flip suppression and d(-1) = 1.
 The boson has no spin and ignores zeta.  The integrals f_k are evaluated in
 ``integrals`` from the same records.
+
+Theta may be an array: ``local_polarization`` and the density profile
+evaluate a whole theta scan in one pass, as the CLI's theta scans do.  On
+arrays, numpy's pow (and ``np.exp``, against ``math.exp``) can differ from
+the scalar pow of a one-point call in the last bit, while sin, cos, sqrt
+and + - * / agree.  So the phi_s/profile body takes its pow as an argument:
+the CLI's theta scans use ``kinematics.elementwise_pow``, Python's float
+pow per element, and every array value is then the one-point value bit for
+bit (the electron's beta = 1 limit profile likewise takes ``math.exp`` per
+element).  The profile handed to ``analysis`` keeps numpy's array pow,
+whose last bits its printed maxima were computed with.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -51,11 +63,12 @@ def _cos(theta):
     return np.where(np.abs(c) < 1e-15, 0.0, c)
 
 
-def _phi(s, swap, x, a, theta):
-    """(phi_s, phi_0) at deformation x; a is the coupling in 1 - a x."""
+def _phi(s, swap, x, a, theta, power):
+    """(phi_s, phi_0) at deformation x; a is the coupling in 1 - a x and
+    power(v, n) computes v ** n."""
     cos = _cos(theta)
     straight = 1.0 - a * x
-    bent = (1.0 + x) ** 2 * cos * cos / straight
+    bent = power(1.0 + x, 2) * cos * cos / straight
     phi0 = straight + bent
     if s in (2, 3):
         return (straight if (s == 2) != swap else bent), phi0
@@ -80,8 +93,8 @@ class Family:
     def check(self, beta, theta=None, zeta=None):
         if not 0.0 <= beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {beta}")
-        if theta is not None and not 0.0 <= theta <= math.pi:
-            raise DomainError(f"theta must lie in [0, pi], got {theta}")
+        if theta is not None:
+            kinematics.validate_theta(theta)
         if self.spin and zeta is not None and zeta not in (1, -1):
             raise DomainError(f"zeta must be +1 or -1, got {zeta}")
 
@@ -94,9 +107,10 @@ class Family:
         return self.x0(beta), float(_deform(beta * beta * s * s, *self.xmap))
 
     def _phis(self, s, zeta, beta, theta):
-        x = _deform(beta * beta * math.sin(theta) ** 2, *self.xmap)
+        pow_ = kinematics.elementwise_pow
+        x = _deform(beta * beta * pow_(np.sin(theta), 2), *self.xmap)
         a = self.x0(beta) if self.coupled else 1.0
-        return _phi(s, self.spin and zeta == 1, x, a, theta)
+        return _phi(s, self.spin and zeta == 1, x, a, theta, pow_)
 
     def phi(self, s: int, zeta, beta: float, theta: float) -> float:
         """Polarization shape phi_s(zeta; beta, theta)."""
@@ -110,24 +124,27 @@ class Family:
         by a factor 2."""
         return self.pole and beta == 1.0 and theta == HALF_PI
 
-    def local_polarization(self, s: int, zeta, beta: float, theta: float) -> float:
-        """Pointwise polarization fraction phi_s/phi_0; AmbiguousLimitError at
+    def local_polarization(self, s: int, zeta, beta: float, theta):
+        """Pointwise polarization fraction phi_s/phi_0 at a scalar theta (a
+        float) or a theta array (an array); AmbiguousLimitError if theta holds
         the double-limit point, where it depends on the order of the limits."""
         kinematics.validate_s(s)
         self.check(beta, theta, zeta)
-        if self.at_double_limit(beta, theta):
+        if self.at_double_limit(beta, HALF_PI) and np.any(np.asarray(theta) == HALF_PI):
             raise AmbiguousLimitError(
                 "local polarization at beta = 1, theta = pi/2 depends on the "
                 "order of the limits beta -> 1 and theta -> pi/2"
             )
         if s == 0:
-            return 1.0
+            return kinematics.like_theta(np.ones(np.shape(theta)), theta)
         phi_s, phi0 = self._phis(s, zeta, beta, theta)
-        return float(phi_s / phi0)
+        return kinematics.like_theta(phi_s / phi0, theta)
 
-    def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> Callable:
+    def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG,
+                        _pow=operator.pow) -> Callable:
         """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
-        once.  theta is not checked; with the pole, beta must stay below 1."""
+        once.  theta is not checked; with the pole, beta must stay below 1.
+        ``_pow`` is the pow of the profile body (see the module docstring)."""
         kinematics.validate_s(s)
         self.check(beta, zeta=zeta)
         x0 = self.x0(beta)
@@ -137,8 +154,8 @@ class Family:
 
         def profile(theta):
             theta = np.asarray(theta, dtype=float)
-            x = _deform(b2 * np.sin(theta) ** 2, *xmap)
-            num = (1.0 + x) ** 3 * np.exp(-x) * _phi(s, swap, x, a, theta)[0]
+            x = _deform(b2 * _pow(np.sin(theta), 2), *xmap)
+            num = _pow(1.0 + x, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, _pow)[0]
             return num / ((1.0 - x) * norm) if pole else num / norm
 
         return profile

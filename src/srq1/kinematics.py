@@ -9,12 +9,21 @@ n in a uniform field B = H/H0 has
 with beta^2 = 1 - 1/gamma^2.  Only negative charge is modeled.  beta = 1 is
 representable (B is then infinite); field-based constructors never produce
 it and cannot be asked for it.
+
+``photon_frequency`` takes a scalar theta or a theta array; the array helpers
+here are shared by the density and polarization functions of ``family``,
+``boson`` and ``electron``.  Each ``**`` on an array goes through
+``elementwise_pow``: numpy's array pow may differ from the scalar pow of one
+point in the last bit, and a theta scan must give the same floats as a
+point-by-point evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -25,6 +34,26 @@ def validate_s(s: int) -> int:
     if s not in VALID_S:
         raise DomainError(f"polarization label must be one of {VALID_S}, got {s}")
     return s
+
+
+def validate_theta(theta):
+    """Reject a scalar or array theta outside [0, pi], naming the first such value."""
+    t = np.asarray(theta)
+    inside = (0.0 <= t) & (t <= math.pi)
+    if not inside.all():
+        bad = theta if t.ndim == 0 else float(t[inside.argmin()])
+        raise DomainError(f"theta must lie in [0, pi], got {bad}")
+
+
+def elementwise_pow(v, n):
+    """v ** n with Python's float pow, one element at a time: the same bits as
+    the scalar pow of each point, which numpy's array pow does not promise."""
+    return np.array([e ** n for e in np.ravel(v).tolist()]).reshape(np.shape(v))
+
+
+def like_theta(values, theta):
+    """values as a float for a scalar theta, else as an array."""
+    return float(values) if np.ndim(theta) == 0 else np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -63,7 +92,7 @@ class KinematicState:
 @dataclass(frozen=True)
 class PhotonRequest:
     nu: int
-    theta: float
+    theta: float  # or an array of angles
 
 
 def _nbar(spec: ParticleSpec, n: int) -> float:
@@ -106,20 +135,20 @@ def state_from_beta(spec: ParticleSpec, n: int, beta: float) -> KinematicState:
     return KinematicState(beta=beta, gamma=gamma, B=B, n=n)
 
 
-def photon_frequency(spec: ParticleSpec, state: KinematicState,
-                     req: PhotonRequest) -> float:
-    """Frequency of harmonic nu at angle theta, in units m0*c^2/hbar.
+def photon_frequency(spec: ParticleSpec, state: KinematicState, req: PhotonRequest):
+    """Frequency of harmonic nu at angle theta (a scalar or an array), in
+    units m0*c^2/hbar.
 
     Maximal at theta = pi/2, minimal at theta = 0; for equal gamma and
     n = nu = 1 the electron frequency exceeds the boson one.
     """
     if not 1 <= req.nu <= state.n:
         raise DomainError(f"harmonic nu={req.nu} is not radiated from level n={state.n}")
-    if not 0.0 <= req.theta <= math.pi:
-        raise DomainError(f"theta must lie in [0, pi], got {req.theta}")
+    validate_theta(req.theta)
     r = req.nu / _nbar(spec, state.n)
     b2 = state.beta**2
-    return r * state.gamma * b2 / (1.0 + math.sqrt(1.0 - r * b2 * math.sin(req.theta) ** 2))
+    sin2 = elementwise_pow(np.sin(req.theta), 2)
+    return like_theta(r * state.gamma * b2 / (1.0 + np.sqrt(1.0 - r * b2 * sin2)), req.theta)
 
 
 def power_prefactor(beta: float) -> float:

@@ -1,0 +1,139 @@
+"""Theta arrays against one-point calls, bit for bit.
+
+The CLI evaluates each theta scan as one array call of the public point
+functions.  Its output bytes stay those of a point-by-point evaluation only
+if every array element equals the one-point value in every bit, so a numpy
+whose array kernels (sin, cos, sqrt, exp, ...) drift from its scalar ones
+fails here rather than changing printed digits silently.
+"""
+
+import contextlib
+import io
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from srq1 import boson, electron, kinematics
+from srq1.cli import run_cli
+from srq1.errors import AmbiguousLimitError
+
+HALF_PI = math.pi / 2
+_RNG = np.random.default_rng(20261018)
+THETAS = np.concatenate([[0.0, HALF_PI, math.pi], _RNG.uniform(0.0, math.pi, 200)])
+BETAS = (0.0, float(_RNG.uniform(0.05, 0.95)), 1.0 - 1e-6, 1.0)
+S_VALUES = (0, 1, -1, 2, 3)
+ZETAS = (1, -1)
+
+
+def assert_same_bits(f, thetas=THETAS):
+    array = f(thetas)
+    points = [f(float(t)) for t in thetas]
+    assert all(type(p) is float for p in points)
+    assert isinstance(array, np.ndarray) and array.shape == thetas.shape
+    assert array.tobytes() == np.array(points).tobytes()
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_boson_density_and_q_local(s, beta):
+    assert_same_bits(lambda t: boson.angular_density_b(s, beta, t))
+    assert_same_bits(lambda t: boson.local_polarization_b(s, beta, t))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_electron_density_and_q_local(s, zeta, beta):
+    assert_same_bits(lambda t: electron.angular_density_e(s, zeta, beta, t))
+    if beta == 1.0:
+        # q_local has no value at the double-limit point
+        with pytest.raises(AmbiguousLimitError):
+            electron.local_polarization_e(s, zeta, beta, THETAS)
+        assert_same_bits(lambda t: electron.local_polarization_e(s, zeta, beta, t),
+                         THETAS[THETAS != HALF_PI])
+    else:
+        assert_same_bits(lambda t: electron.local_polarization_e(s, zeta, beta, t))
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_limit_density(s, zeta):
+    assert_same_bits(lambda t: electron.ultrarelativistic_density(s, zeta, t))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("spec", [kinematics.boson(), kinematics.electron(1),
+                                  kinematics.electron(-1)])
+def test_photon_frequency(spec, beta):
+    state = kinematics.state_from_beta(spec, 1, beta)
+    assert_same_bits(lambda t: kinematics.photon_frequency(
+        spec, state, kinematics.PhotonRequest(1, t)))
+
+
+# One-point values of the point-by-point code, at points where numpy's
+# array pow (np.exp for the limit profile) would round differently; the
+# comparisons above hold for either choice, these pins only for the right one.
+PINNED = [
+    ("angular_density_b", (1, 0.7, 0.04948505349978825), "0x1.5f54a187f8fafp-1"),
+    ("angular_density_b", (1, 0.7, 0.07161679919643149), "0x1.5f16fb326b915p-1"),
+    ("angular_density_e", (3, 1, 0.999999, 0.01970322167786832), "0x1.1da9c6cb38c87p-3"),
+    ("angular_density_e", (3, 1, 0.999999, 0.02262993026007064), "0x1.1dae5031a9cbdp-3"),
+    ("local_polarization_b", (1, 0.5, 2.6500939082230475), "0x1.75e1a5e34536ep-9"),
+    ("local_polarization_e", (2, -1, 0.9, 2.035090840988652), "0x1.7055abbcf00c4p-1"),
+    ("ultrarelativistic_density", (0, -1, 0.0028896027135477758), "0x1.1d99a651d937cp-2"),
+    ("ultrarelativistic_density", (0, -1, 0.04605411250086979), "0x1.1de6eb0c5d3d8p-2"),
+]
+
+
+@pytest.mark.parametrize("name, args, value", PINNED)
+def test_pinned_point_values(name, args, value):
+    f = getattr(boson if name.endswith("_b") else electron, name)
+    assert f(*args) == float.fromhex(value)
+    assert f(*args[:-1], np.array([args[-1]]))[0] == float.fromhex(value)
+
+
+def test_pinned_photon_frequency():
+    spec = kinematics.electron(1)
+    state = kinematics.state_from_beta(spec, 1, 0.8)
+    theta = 2.035090840988652
+    for t in (theta, np.array([theta])):
+        omega = kinematics.photon_frequency(spec, state, kinematics.PhotonRequest(1, t))
+        assert np.all(omega == float.fromhex("0x1.417b010fa703cp-1"))
+
+
+def test_array_theta_is_validated_once_naming_the_first_bad_value():
+    with pytest.raises(ValueError, match=r"got 3\.5$"):
+        boson.angular_density_b(0, 0.5, np.array([0.1, 3.5, -1.0]))
+    with pytest.raises(ValueError, match=r"got -1\.0$"):
+        electron.ultrarelativistic_density(0, -1, np.array([0.1, -1.0, 3.5]))
+
+
+# ---------- the double-limit point of the CLI scans ----------
+
+_HEAD = ("# version=0.1.0\n# abs_tol=1e-10\n# rel_tol=1e-10\n# max_depth=60\n"
+         "# angle_unit=rad\n# particle=electron\n# zeta=1\n# s=1\n# beta=1.0\n")
+DOUBLE_LIMIT = {
+    # literal output of the point-by-point evaluation
+    "q_local": "# quantity=q_local\n" + _HEAD
+    + "theta,q\n0,1\n0.523598776,1\n1.04719755,1\n1.57079633,ambiguous\n"
+    "2.0943951,0\n2.61799388,5.98049537e-17\n3.14159265,0\n",
+    "p": "# quantity=p\n" + _HEAD
+    + "# ambiguous=beta=1,theta=pi/2: double limit; fixed-beta theta-limit reported\n"
+    "theta,p\n0,0.278905275\n0.523598776,0.319604672\n1.04719755,0.473705155\n"
+    "1.57079633,0.410414067\n2.0943951,0\n2.61799388,0\n3.14159265,0\n",
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(DOUBLE_LIMIT))
+def test_double_limit_scan_warns_nothing(quantity):
+    argv = ["scan", "--quantity", quantity, "--particle", "electron", "--zeta", "1",
+            "--s", "1", "--beta", "1", "--theta", "0:pi:7"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 0
+    assert err.getvalue() == ""
+    assert out.getvalue() == DOUBLE_LIMIT[quantity]
