@@ -112,11 +112,11 @@ def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float
         )
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
-        if (power_ratio(1, mid, cfg) - 1.0) * f_lo <= 0:
+        f_mid = power_ratio(1, mid, cfg) - 1.0
+        if f_mid * f_lo <= 0:
             hi = mid
         else:
-            lo = mid
-            f_lo = power_ratio(1, lo, cfg) - 1.0
+            lo, f_lo = mid, f_mid
     beta0 = 0.5 * (lo + hi)
     return beta0, 1.0 / math.sqrt(1.0 - beta0 * beta0)
 

@@ -5,7 +5,9 @@ f_3 are one-dimensional integrals evaluated in a regularized form obtained
 by the substitution y = (1 - t^2)/(1 - x^2 t^2), whose integrand stays
 finite for |x| < 1 (the original y-form integrands are improper at y = 1).
 One integrand serves both families, with the power of u = 1 - x^2 t^2 and
-the prefactors of their ``family`` records.  f_0 = f_2 + f_3.
+the prefactors of their ``family`` records; it forms u and x t^2 once per
+node and reuses them in the numerator and in the weight
+exp(-x (1 - t^2)/u).  f_0 = f_2 + f_3.
 
 Electron f_2, f_3 develop a logarithmic boundary layer as x -> 1; close to
 that endpoint the known (1 - x) ln(1 - x) expansions are used instead of
@@ -41,11 +43,6 @@ def _check(fam, k, x):
         )
 
 
-def _sub_weight(x, t):
-    # common exponential factor of the substituted integrands
-    return np.exp(-x * (1.0 - t * t) / (1.0 - x * x * t * t))
-
-
 def f1_b(x: float) -> float:
     """Elementary member of the boson family, ((1+x)^2 e^-x - 1)/x."""
     if x < _SERIES_X:
@@ -66,12 +63,13 @@ def _integrand(fam, k, x):
 
     def g(t):
         u = 1.0 - x * x * t * t
-        num = 1.0 - x * t * t
+        xtt = x * t * t
+        num = 1.0 - xtt
         if k == 3:
             num = num * t * t
         elif square:
-            num = num * (1.0 + x * t * t) ** 2
-        return num / u**power * _sub_weight(x, t)
+            num = num * (1.0 + xtt) ** 2
+        return num / u**power * np.exp(-x * (1.0 - t * t) / u)
 
     return g
 

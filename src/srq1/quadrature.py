@@ -4,6 +4,14 @@ A 15-point Kronrod rule with its embedded 7-point Gauss rule provides the
 local estimate and error; the interval with the largest error estimate is
 bisected until the summed error meets the global tolerance.  Subdivision
 order is fixed, so results are deterministic for a given configuration.
+
+The integrand is called once on the 15 nodes of the whole interval, then
+once per bisection on the 30 nodes of both halves (left half first), which
+halves the number of calls.  This gives the same bits as two 15-node calls:
+the node arithmetic is elementwise, the integrands are elementwise array
+expressions, and the (2, 15) @ (15, 2) product that reduces both halves
+sums in the same order as the separate 15-term dot products (a test pins
+this; a matrix-vector product does not).
 """
 
 from __future__ import annotations
@@ -36,6 +44,8 @@ _GAUSS_W = np.array([
     0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
     0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
 ])
+# columns: Kronrod, Gauss
+_WEIGHTS = np.stack((_KRONROD_W, _GAUSS_W), axis=1)
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,22 @@ def _gk15(f, a, b):
     return kronrod, abs(kronrod - gauss)
 
 
+def _gk15_halves(f, lo, mid, hi):
+    """GK15 estimates and errors of [lo, mid] and [mid, hi] from one call."""
+    centre = np.array([0.5 * (lo + mid), 0.5 * (mid + hi)])
+    half = np.array([0.5 * (mid - lo), 0.5 * (hi - mid)])
+    y = f((centre[:, None] + half[:, None] * _NODES).ravel())
+    (lk, lg), (rk, rg) = (half[:, None] * (np.reshape(y, (2, 15)) @ _WEIGHTS)).tolist()
+    return lk, abs(lk - lg), rk, abs(rk - rg)
+
+
 def quad_adaptive(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Integrate ``f`` over [a, b] to the tolerances in ``cfg``.
 
-    ``f`` must be vectorized (it is called with an array of 15 nodes and
-    returns their values) and finite on [a, b].  Raises
+    ``f`` must be vectorized and finite on [a, b]: it is called with an
+    array of 15 nodes (the whole interval) or 30 nodes (the two halves of a
+    bisected panel) and returns their values, elementwise, so that a node's
+    value does not depend on the other nodes of the call.  Raises
     ConvergenceError (carrying the best estimate and an error bound) if
     some subinterval still fails its tolerance share at ``max_depth``.
     """
@@ -106,8 +127,7 @@ def quad_adaptive(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
             frozen_err += -neg_err
             continue
         mid = 0.5 * (lo + hi)
-        left_est, left_err = _gk15(f, lo, mid)
-        right_est, right_err = _gk15(f, mid, hi)
+        left_est, left_err, right_est, right_err = _gk15_halves(f, lo, mid, hi)
         total += left_est + right_est - est
         total_err += left_err + right_err + neg_err
         heapq.heappush(heap, (-left_err, lo, mid, left_est, depth + 1))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from srq1 import analysis
 from srq1.analysis import (asymptotic_max_angle, crossover_beta,
                            effective_angle, max_angle, power_ratio, table1)
 from srq1.electron import x0
@@ -27,6 +28,22 @@ def test_crossover():
     assert 0.81999 <= beta0 <= 0.82000
     assert 1.74709 <= gamma0 <= 1.74711
     assert gamma0 == pytest.approx(1.0 / math.sqrt(1.0 - beta0**2), rel=1e-12)
+
+
+def test_crossover_computes_each_ratio_once(monkeypatch):
+    # each bisection midpoint's ratio is reused when it becomes the lower
+    # end: 2 bracket ends + 26 midpoints (39 calls when lo was recomputed)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return power_ratio(*args)
+
+    monkeypatch.setattr(analysis, "power_ratio", counting)
+    beta0, gamma0 = crossover_beta()
+    assert len(calls) == 28
+    assert (beta0.hex(), gamma0.hex()) == ("0x1.a3d5e65666666p-1",
+                                           "0x1.bf422a4f94451p+0")
 
 
 def test_table1_structure():

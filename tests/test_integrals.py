@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from srq1 import family, integrals
 from srq1.errors import DomainError
 from srq1.integrals import BOUNDARY_EPS, f_b, f_e
 
@@ -109,3 +110,28 @@ def test_domain_errors():
         f_e(2, 1.1)
     with pytest.raises(DomainError):
         f_b(2, 1.0)  # boson quadrature form only valid below x = 1
+
+
+def _integrand_reference(fam, k, x):
+    # the f_2/f_3 integrand written without shared subexpressions
+    def g(t):
+        num = 1.0 - x * t * t
+        if k == 3:
+            num = num * t * t
+        elif k == 2 and fam.k2_square:
+            num = num * (1.0 + x * t * t) ** 2
+        weight = np.exp(-x * (1.0 - t * t) / (1.0 - x * x * t * t))
+        return num / (1.0 - x * x * t * t) ** fam.u_power * weight
+
+    return g
+
+
+def test_integrand_shares_subexpressions_bit_for_bit():
+    rng = np.random.default_rng(11)
+    t = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0]])
+    for fam in (family.BOSON, family.ELECTRON):
+        for k in (2, 3):
+            for x in [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]:
+                got = integrals._integrand(fam, k, float(x))(t)
+                want = _integrand_reference(fam, k, float(x))(t)
+                assert got.tobytes() == want.tobytes(), (fam is family.BOSON, k, x)
