@@ -3,11 +3,13 @@
 ``scan --quantity Q`` evaluates one quantity of the QUANTITIES table over a
 beta or theta grid; the other subcommands are aliases into the same table.
 One argparse parser is built, at import, from the COMMANDS table.  A theta
-scan (p, q_local, freq, limits) is one array evaluation of the whole grid.
-Each ``**`` in it is Python's float pow per element and the limit profile's
-exp is ``math.exp`` per element, so every value equals that of a one-point
-call bit for bit (see ``family``); maxima and eff_angle keep the analysis
-profile with numpy's array pow.
+scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
+handed to the writers as one (theta, value) float array; only a q_local
+grid through the double-limit point keeps list rows, for its "ambiguous"
+cell.  Each ``**`` in it is Python's float pow per element and the limit
+profile's exp is ``math.exp`` per element, so every value equals that of a
+one-point call bit for bit (see ``family``); maxima and eff_angle keep the
+analysis profile with numpy's array pow.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
 ``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.
@@ -85,7 +87,8 @@ def parse_range(text: str) -> list[float]:
 # unit conversion of one angle, cfg, extra metadata) and returns the rows.
 
 def _theta_rows(c, values):
-    return list(zip(c.angles, values.tolist()))
+    """The (theta, value) rows of a float array of values, as an (n, 2) array."""
+    return np.column_stack((c.angles, values))
 
 
 def _p(c):
@@ -96,11 +99,14 @@ def _p(c):
 
 
 def _q_local(c):
-    # the double-limit point has no value; its cell reads "ambiguous"
-    valued = ~(c.api.family.at_double_limit(c.beta, HALF_PI) & (c.thetas == HALF_PI))
+    if not (c.api.family.at_double_limit(c.beta, HALF_PI) and HALF_PI in c.thetas):
+        return _theta_rows(c, c.api.q_local(c.s, c.zeta, c.beta, c.thetas))
+    # the double-limit point has no value; its cell reads "ambiguous", so the
+    # rows are a list
+    valued = c.thetas != HALF_PI
     cells = np.full(len(c.thetas), "ambiguous", dtype=object)
     cells[valued] = c.api.q_local(c.s, c.zeta, c.beta, c.thetas[valued])
-    return _theta_rows(c, cells)
+    return list(zip(c.angles.tolist(), cells.tolist()))
 
 
 def _freq(c):
@@ -186,7 +192,7 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
     deg = angle_unit == "deg"
     c = SimpleNamespace(particle=particle, api=api, zeta=int(zeta), s=int(s), betas=betas,
                         beta=betas[0] if betas else None, thetas=thetas, cfg=cfg, extra={},
-                        angles=(np.degrees(thetas) if deg else thetas).tolist(),
+                        angles=np.degrees(thetas) if deg else thetas,
                         angle=math.degrees if deg else (lambda t: t))
     rows = q.rows(c)
     md = {"quantity": quantity, "version": __version__, "abs_tol": cfg.abs_tol,

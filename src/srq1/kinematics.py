@@ -20,6 +20,7 @@ point-by-point evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +49,9 @@ def validate_theta(theta):
 def elementwise_pow(v, n):
     """v ** n with Python's float pow, one element at a time: the same bits as
     the scalar pow of each point, which numpy's array pow does not promise."""
-    return np.array([e ** n for e in np.ravel(v).tolist()]).reshape(np.shape(v))
+    flat = np.ravel(v).tolist()
+    return np.fromiter(map(pow, flat, itertools.repeat(n)), float, len(flat)).reshape(
+        np.shape(v))
 
 
 def like_theta(values, theta):

@@ -137,3 +137,56 @@ def test_double_limit_scan_warns_nothing(quantity):
         assert run_cli(argv) == 0
     assert err.getvalue() == ""
     assert out.getvalue() == DOUBLE_LIMIT[quantity]
+
+
+# ---------- theta within 1e-8 of pi/2 at beta = 1, not snapped to it ----------
+
+# Literal output of a known fault, kept visible until it is fixed: sin^2
+# rounds to 1, x = 1, and phi_s/phi_0 is 0/inf (zeta -1, s 2) or inf/inf
+# (zeta +1, s 2), so every row reads 0 or nan.  The nan table is the writers'
+# non-finite case: JSON writes it as a list.
+_NEAR_HALF_PI = ("scan --quantity q_local --particle electron --s 2 --beta 1 "
+                 "--theta 1.5707963267:1.5707963269:9").split()
+_NEAR_HEAD = ("# quantity=q_local\n# version=0.1.0\n# abs_tol=1e-10\n# rel_tol=1e-10\n"
+              "# max_depth=60\n# angle_unit=rad\n# particle=electron\n# zeta={}\n# s=2\n"
+              "# beta=1.0\ntheta,q\n")
+_NEAR_JSON = """{{
+  "metadata": {{
+    "quantity": "q_local",
+    "version": "0.1.0",
+    "abs_tol": "1e-10",
+    "rel_tol": "1e-10",
+    "max_depth": "60",
+    "angle_unit": "rad",
+    "particle": "electron",
+    "zeta": "{}",
+    "s": "2",
+    "beta": "1.0"
+  }},
+  "columns": [
+    "theta",
+    "q"
+  ],
+  "rows": [
+{}
+  ]
+}}
+"""
+NEAR_HALF_PI = {
+    ("-1", "csv"): _NEAR_HEAD.format("-1") + "1.57079633,0\n" * 9,
+    ("1", "csv"): _NEAR_HEAD.format("1") + "1.57079633,nan\n" * 9,
+    ("-1", "json"): _NEAR_JSON.format("-1", ",\n".join(
+        ["    [\n      1.57079633,\n      0.0\n    ]"] * 9)),
+    ("1", "json"): _NEAR_JSON.format("1", ",\n".join(
+        ["    [\n      1.57079633,\n      \"nan\"\n    ]"] * 9)),
+}
+
+
+@pytest.mark.parametrize("zeta, fmt", sorted(NEAR_HALF_PI))
+def test_scan_next_to_the_double_limit_prints_its_known_values(zeta, fmt):
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run_cli(_NEAR_HALF_PI + ["--zeta", zeta, "--format", fmt]) == 0
+    assert out.getvalue() == NEAR_HALF_PI[zeta, fmt]

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from srq1.io import ScanResult, format_number, write_csv, write_json
+from srq1.io import ScanResult, _json_flags, _json_text, format_number, write_csv, write_json
 
 
 def reference_csv(result):
@@ -42,6 +45,14 @@ _EDGES = [0.0, -0.0, 1e-300, 5e-324, 1e22, 1e16, 1e15, 123456789.0, 1234567890.0
           999999999.5, -9999999995.0, 1e-5, 1e-4, 0.1, 1.0 / 3.0, 1.7976931348623157e308]
 FLOATS = _EDGES + (_RNG.standard_normal(4000)
                    * 10.0 ** _RNG.integers(-320, 300, 4000)).tolist()
+# whole numbers W of 1 to 16 digits, and W +- 0.4 and 0.6 units of its 9th
+# digit, whose .9g text is whole (json adds ".0") or not
+_W = np.floor(10 ** _RNG.uniform(0, 9, 300)) * 10.0 ** _RNG.integers(0, 8, 300)
+_UNIT = 10.0 ** (np.floor(np.log10(_W)) - 8)
+_W *= _RNG.choice([-1.0, 1.0], 300)
+NEAR_WHOLE = np.concatenate([_W, _W + 0.4 * _UNIT, _W - 0.4 * _UNIT, _W + 0.6 * _UNIT]).tolist()
+# finite floats from 1e-12 to 1e12, where most cells are written as .9g text
+MIDRANGE = (_RNG.standard_normal(3000) * 10.0 ** _RNG.uniform(-12, 12, 3000)).tolist()
 MIXED = [[0.25, -0.0], [1e-300, 1e22], [math.inf, -math.inf], [math.nan, "ambiguous"],
          [True, False], [None, "none"], [3, np.float64(0.1)], [1.5, 2.5]]
 
@@ -57,6 +68,14 @@ TABLES = {
     "no columns": ScanResult({"quantity": "none"}, [], []),
     "no rows": ScanResult({"quantity": "p"}, ["theta", "p"], []),
     "empty": ScanResult(),
+    # theta scans: an (n, k) float array
+    "float array": ScanResult({"quantity": "p"}, ["theta", "p"], np.reshape(FLOATS, (-1, 2))),
+    "3-column array": ScanResult({"quantity": "power"}, ["beta", "power", "shape"],
+                                 np.reshape(FLOATS[:4014] + NEAR_WHOLE + MIDRANGE, (-1, 3))),
+    "empty array": ScanResult({"quantity": "p"}, ["theta", "p"], np.empty((0, 2))),
+    "array of empty rows": ScanResult({"quantity": "p"}, [], np.empty((3, 0))),
+    "array with inf and nan": ScanResult({"quantity": "p"}, ["theta", "p"], np.array(
+        [[0.0, 0.25], [1.0, math.inf], [2.5, -math.inf], [1e-300, math.nan], [1e22, 3.0]])),
 }
 
 
@@ -65,3 +84,24 @@ def test_writers_match_the_per_cell_reference(name):
     result = TABLES[name]
     assert write_csv(result) == reference_csv(result)
     assert write_json(result) == reference_json(result)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_CELLS = st.one_of(_FINITE, st.sampled_from(NEAR_WHOLE + MIDRANGE + FLOATS[:16]),
+                   st.integers(-10**17, 10**17).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=_CELLS))
+def test_finite_arrays_match_the_per_cell_reference(rows):
+    result = ScanResult({"quantity": "p"}, ["x"] * rows.shape[1], rows)
+    assert write_json(result) == reference_json(result)
+    assert write_csv(result) == reference_csv(result)
+
+
+def test_unflagged_cells_are_their_9g_text():
+    cells = np.array(FLOATS + NEAR_WHOLE + MIDRANGE)
+    flags = _json_flags(cells)
+    assert 0 < flags.sum() < len(cells)
+    assert [v for v in cells[~flags].tolist() if _json_text(v) != f"{v:.9g}"] == []
