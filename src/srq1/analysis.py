@@ -165,8 +165,8 @@ def max_angle(kind: str, s: int, zeta: int | None, beta: float,
     A coarse 361-point scan is refined around its best point (the maxima
     approach pi/2 faster than any fixed grid resolves as gamma grows); an
     interior maximum is declared only if some refined interior value
-    exceeds both endpoint values by more than 1e-12, then polished by
-    golden-section search.
+    exceeds both endpoint values by more than 1e-12.  Eight scans shrink
+    the bracket by 180^8 to a few ulps, and its midpoint is theta_max.
     """
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
@@ -187,7 +187,7 @@ def max_angle(kind: str, s: int, zeta: int | None, beta: float,
 
     exists = (0.0 < best_t < HALF_PI and best_p > p_lo + 1e-12
               and best_p > p_hi + 1e-12)
-    theta = _golden_max(lambda t: float(profile(t)), a, b) if exists else None
+    theta = 0.5 * (a + b) if exists else None
     return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta, theta_max=theta,
                           p_max=float(profile(theta)) if exists else None,
                           exists=exists)

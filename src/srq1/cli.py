@@ -34,7 +34,7 @@ from . import __version__, analysis, electron, kinematics
 from .errors import ConvergenceError, DomainError
 from .family import HALF_PI
 from .io import ScanResult, serialize
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 _SYMBOLIC = {"pi": math.pi, "pi/2": math.pi / 2}
 MAX_GRID = 10**6
@@ -169,7 +169,8 @@ QUANTITIES = {
 
 
 def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, theta=None,
-          angle_unit="rad", abs_tol=1e-10, rel_tol=1e-10, max_depth=60, keys=None):
+          angle_unit="rad", abs_tol=DEFAULT_CONFIG.abs_tol, rel_tol=DEFAULT_CONFIG.rel_tol,
+          max_depth=DEFAULT_CONFIG.max_depth, keys=None):
     """Validate one call, evaluate ``quantity`` and write it to stdout;
     ``keys`` replaces the metadata keys of its table entry."""
     cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
@@ -216,9 +217,9 @@ _OPTIONS = {
     "--theta": {"default": "0:pi:181", "help": "Angle value or range a:b:n."},
     "--format": {"choices": ("csv", "json"), "default": "csv", "dest": "fmt"},
     "--angle-unit": {"choices": ("rad", "deg"), "default": "rad"},
-    "--abs-tol": {"type": float, "default": 1e-10},
-    "--rel-tol": {"type": float, "default": 1e-10},
-    "--max-depth": {"type": int, "default": 60},
+    "--abs-tol": {"type": float, "default": DEFAULT_CONFIG.abs_tol},
+    "--rel-tol": {"type": float, "default": DEFAULT_CONFIG.rel_tol},
+    "--max-depth": {"type": int, "default": DEFAULT_CONFIG.max_depth},
 }
 
 

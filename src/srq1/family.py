@@ -10,13 +10,13 @@ u = beta^2 for x0:
     p_s = (1 + x)^3 e^-x phi_s / (D(x) (1 + x0)^2 f_0(x0))
     f(beta) = 3 (1 + x0)^m f_0(x0) / 8,   W_0 = c(zeta) A(beta) f(beta)
 
-              A, B, sqrt(A)   a    D(x)    m   c(zeta)     f_2, f_3 integrands
-    boson     3, 2, sqrt(3)   1    1       2   4/81        1/u^4; f_2 (1 + x t^2)^2
-    electron  1, 1, 1         x0   1 - x   1   d(zeta)/6   1/u^3
+              A, B, sqrt(A)   a    D(x)    m   c(zeta)
+    boson     3, 2, sqrt(3)   1    1       2   4/81
+    electron  1, 1, 1         x0   1 - x   1   d(zeta)/6
 
 where d(+1) = x0 is the electron's spin-flip suppression and d(-1) = 1.
-The boson has no spin and ignores zeta.  The integrals f_k are evaluated in
-``integrals`` from the same records.
+The boson has no spin and ignores zeta.  The integrals f_k of each family
+are evaluated in ``integrals``, which holds their kernels.
 
 Theta may be an array: ``local_polarization`` and the density profile
 evaluate a whole theta scan in one pass, as the CLI's theta scans do.  On
@@ -85,9 +85,6 @@ class Family:
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
     spin: bool          # zeta = +1 swaps phi_2, phi_3 and scales W_0 by x0
-    u_power: int        # the f_2, f_3 integrands divide by u**u_power
-    k2_square: bool     # the f_2 integrand carries (1 + x t^2)^2
-    prefactors: tuple   # x -> prefactor of f_2, of f_3
     f: Callable         # (k, x, cfg) -> f_k(x)
 
     def check(self, beta, theta=None, zeta=None):
@@ -200,15 +197,11 @@ class Family:
         return PowerResult(power=power * shape, shape=shape)
 
 
-# f is looked up in ``integrals`` at each call (integrals reads these records)
+# f is looked up in ``integrals`` at each call, so that a wrapper installed
+# there sees every call
 BOSON = Family(
     xmap=(3.0, 2.0, SQRT3), coupled=False, pole=False, shape_power=2,
-    power_const=(4.0, 81.0), spin=False, u_power=4, k2_square=True,
-    prefactors=(lambda x: 2.0 * (1.0 + x) * (1.0 - x) ** 2,
-                lambda x: 2.0 * (1.0 + x) * (1.0 - x * x) ** 2),
-    f=lambda k, x, cfg: integrals.f_b(k, x, cfg))
+    power_const=(4.0, 81.0), spin=False, f=lambda k, x, cfg: integrals.f_b(k, x, cfg))
 ELECTRON = Family(
     xmap=(1.0, 1.0, 1.0), coupled=True, pole=True, shape_power=1,
-    power_const=(1.0, 6.0), spin=True, u_power=3, k2_square=False,
-    prefactors=(lambda x: 2.0 * (1.0 + x) * (1.0 - x * x),) * 2,
-    f=lambda k, x, cfg: integrals.f_e(k, x, cfg))
+    power_const=(1.0, 6.0), spin=True, f=lambda k, x, cfg: integrals.f_e(k, x, cfg))

@@ -57,11 +57,7 @@ def format_number(v) -> str:
         return "true" if v else "false"
     if v is None:
         return "none"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.9g}"
+    return f"{v:.9g}"  # inf, -inf and nan included
 
 
 def write_csv(result: ScanResult) -> str:
@@ -77,25 +73,18 @@ def write_csv(result: ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_cell(v):
-    if isinstance(v, str) or v is None or isinstance(v, bool):
-        return v
-    if math.isinf(v) or math.isnan(v):
-        return format_number(v)
-    # 9 significant digits, as in the CSV output
-    return float(f"{v:.9g}")
-
-
 def _json_text(v) -> str:
-    if type(v) is float and math.isfinite(v):
-        # outside the exponent form, |v| is a normal double, where no two
-        # decimals of at most 9 digits round to one double: repr(float(text))
-        # then has text's digits and layout, and adds ".0" to whole numbers
-        text = f"{v:.9g}"
-        if "e" in text:
-            return repr(float(text))
-        return text if "." in text else text + ".0"
-    return json.dumps(_json_cell(v))
+    if isinstance(v, str) or v is None or isinstance(v, bool):
+        return json.dumps(v)
+    text = f"{v:.9g}"  # 9 significant digits, as in the CSV output
+    if not math.isfinite(v):
+        return json.dumps(text)
+    # outside the exponent form, |v| is a normal double, where no two
+    # decimals of at most 9 digits round to one double: repr(float(text))
+    # then has text's digits and layout, and adds ".0" to whole numbers
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
 
 
 def _json_row(row) -> str:

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srq1 import family, integrals
+from srq1 import integrals
 from srq1.errors import DomainError
 from srq1.integrals import BOUNDARY_EPS, f_b, f_e
 
@@ -129,9 +133,66 @@ def _integrand_reference(fam, k, x):
 def test_integrand_shares_subexpressions_bit_for_bit():
     rng = np.random.default_rng(11)
     t = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0]])
-    for fam in (family.BOSON, family.ELECTRON):
+    for fam in (integrals._BOSON, integrals._ELECTRON):
         for k in (2, 3):
             for x in [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]:
                 got = integrals._integrand(fam, k, float(x))(t)
                 want = _integrand_reference(fam, k, float(x))(t)
-                assert got.tobytes() == want.tobytes(), (fam is family.BOSON, k, x)
+                assert got.tobytes() == want.tobytes(), (fam is integrals._BOSON, k, x)
+
+
+def test_integrals_does_not_load_family():
+    # the f_k kernels live in integrals; family reads integrals, not the reverse
+    code = "import sys, srq1.integrals; print('srq1.family' in sys.modules)"
+    src = str(Path(integrals.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "False\n"
+
+
+# float.hex of f_k(x) on every branch of the evaluator: the f_1 series
+# (x < 1e-4), elementary f_1, quadrature (k = 0, 2, 3), the electron's
+# boundary expansion (1 - x < BOUNDARY_EPS), its exact x = 1 values, and the
+# boson's x = 1 error
+PINS = [
+    ("f_b", 1, 5e-05, "0x1.fffcb9200e68ap-1"),
+    ("f_b", 0, 5e-05, "0x1.5550f6df7f750p+1"),
+    ("f_b", 2, 0.0, "0x1.fffffffffffe5p+0"),
+    ("f_b", 1, 0.3, "0x1.ae0cf64de4bb7p-1"),
+    ("f_b", 0, 0.3, "0x1.f5414c7a9ad8ap+0"),
+    ("f_b", 2, 0.3, "0x1.4f31b39a75b55p+0"),
+    ("f_b", 3, 0.3, "0x1.4c1f31c04a46ap-1"),
+    ("f_b", 0, 0.9, "0x1.0b15afbff06a4p+0"),
+    ("f_b", 2, 0.9999999, "0x1.e2d590b4445bap-2"),
+    ("f_b", 3, 0.9999999, "0x1.e2d590b4e996dp-2"),
+    ("f_b", 1, 1.0, "0x1.e2d58d8b3bce0p-2"),
+    ("f_e", 1, 5e-05, "0x1.fffffffc6bc36p-1"),
+    ("f_e", 0, 5e-05, "0x1.5555554f329f2p+1"),
+    ("f_e", 2, 0.0, "0x1.fffffffffffe5p+0"),
+    ("f_e", 1, 0.3, "0x1.f95ff7fcff3dep-1"),
+    ("f_e", 0, 0.3, "0x1.49540e00eb117p+1"),
+    ("f_e", 2, 0.3, "0x1.e6616ff7114ffp+0"),
+    ("f_e", 3, 0.3, "0x1.588d581589a5ep-1"),
+    ("f_e", 0, 0.9, "0x1.f3a8555ad7c79p+0"),
+    ("f_e", 2, 0.999998, "0x1.caf2abba492e1p-1"),
+    ("f_e", 3, 0.999998, "0x1.caeda26b97ad2p-1"),
+    ("f_e", 2, 0.9999999, "0x1.caf03a8173053p-1"),
+    ("f_e", 3, 0.9999999, "0x1.caefc320f4d99p-1"),
+    ("f_e", 0, 0.9999999, "0x1.caeffed133ef6p+0"),
+    ("f_e", 1, 1.0, "0x1.caefeaebc992cp-1"),
+    ("f_e", 2, 1.0, "0x1.caefeaebc992cp-1"),
+    ("f_e", 3, 1.0, "0x1.caefeaebc992cp-1"),
+    ("f_e", 0, 1.0, "0x1.caefeaebc992cp+0"),
+]
+
+
+@pytest.mark.parametrize("name, k, x, want", PINS)
+def test_f_k_bits_on_every_branch(name, k, x, want):
+    assert getattr(integrals, name)(k, x).hex() == want
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_boson_x_one_error(k):
+    with pytest.raises(DomainError) as err:
+        f_b(k, 1.0)
+    assert str(err.value) == "boson f_2, f_3 are evaluated by quadrature only for x < 1"

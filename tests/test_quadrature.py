@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from srq1 import analysis, family, integrals, quadrature
+from srq1 import analysis, integrals, quadrature
 from srq1.errors import ConvergenceError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
@@ -145,7 +145,7 @@ def assert_same_as_reference(f, a, b, cfg=DEFAULT_CONFIG):
 def test_paired_bisection_matches_reference_on_f2_f3():
     rng = np.random.default_rng(2024)
     xs = [0.0, 0.5, 0.99, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 12)]
-    for fam in (family.BOSON, family.ELECTRON):
+    for fam in (integrals._BOSON, integrals._ELECTRON):
         for k in (2, 3):
             for x in xs:
                 assert_same_as_reference(integrals._integrand(fam, k, float(x)), 0.0, 1.0)
@@ -153,7 +153,7 @@ def test_paired_bisection_matches_reference_on_f2_f3():
 
 def test_paired_bisection_pins_the_panel_count():
     # electron f_2 next to its boundary switch: 43 GK15 panels in 22 calls
-    g = integrals._integrand(family.ELECTRON, 2, 1.0 - 1e-6)
+    g = integrals._integrand(integrals._ELECTRON, 2, 1.0 - 1e-6)
     assert assert_same_as_reference(g, 0.0, 1.0) == 43
 
 
