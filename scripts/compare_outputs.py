@@ -49,7 +49,7 @@ def _invocations(src: Path):
                 yield f"{name}/{seed}/{i}", argv
 
 
-def record(out: Path, root: Path, jobs: int) -> None:
+def record(out: Path, root: Path) -> None:
     src = root.resolve() / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
 
@@ -60,7 +60,7 @@ def record(out: Path, root: Path, jobs: int) -> None:
         return key, {"argv": argv, "exit": done.returncode,
                      "stdout": _digest(done.stdout), "stderr": _digest(done.stderr)}
 
-    with ThreadPoolExecutor(jobs) as pool:
+    with ThreadPoolExecutor(2) as pool:  # two srq1 processes at a time
         entries = dict(pool.map(run, _invocations(src)))
     out.write_text(json.dumps({"root": str(root), "entries": entries}, indent=1) + "\n")
     print(f"{len(entries)} invocations recorded in {out}")
@@ -86,13 +86,12 @@ def main(argv=None) -> int:
     rec = commands.add_parser("record", help="record the digests of one tree")
     rec.add_argument("out", type=Path)
     rec.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is run")
-    rec.add_argument("--jobs", type=int, default=2, help="processes at a time")
     dif = commands.add_parser("diff", help="compare two records")
     dif.add_argument("a", type=Path)
     dif.add_argument("b", type=Path)
     args = parser.parse_args(argv)
     if args.command == "record":
-        record(args.out, args.root, args.jobs)
+        record(args.out, args.root)
         return 0
     return diff(args.a, args.b)
 
