@@ -40,7 +40,7 @@ class Particle(NamedTuple):
 
 PARTICLES = {
     "boson": Particle(
-        family.BOSON,
+        boson.BOSON,
         lambda s, zeta, beta, cfg: boson.density_profile_b(s, beta, cfg),
         lambda s, zeta, beta, theta, cfg: boson.angular_density_b(s, beta, theta, cfg),
         lambda s, zeta, beta, theta: boson.local_polarization_b(s, beta, theta),
@@ -48,7 +48,7 @@ PARTICLES = {
         lambda zeta, beta, cfg: boson.half_plane_fractions_b(beta, cfg),
         lambda zeta, beta, cfg: boson.total_power_b(beta, cfg)),
     "electron": Particle(
-        family.ELECTRON,
+        electron.ELECTRON,
         lambda *args: electron.density_profile_e(*args),
         lambda *args: electron.angular_density_e(*args),
         lambda *args: electron.local_polarization_e(*args),

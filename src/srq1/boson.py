@@ -6,23 +6,29 @@ The deformation pair is
     xbar(beta, theta) = same with beta^2 sin^2(theta),   0 <= xbar <= xbar0 <= 2 - sqrt3.
 
 The shapes, densities, polarization fractions and power are those of the
-``family.BOSON`` record; at beta = 1 the power is infinite while every
-normalized quantity stays finite.
+``BOSON`` record of ``family.Family``; at beta = 1 the power is infinite
+while every normalized quantity stays finite.
 """
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .family import BOSON, SQRT3, PowerResult  # noqa: F401  (re-exported)
-from .integrals import f_b  # noqa: F401  (re-exported)
-from .kinematics import elementwise_pow, like_theta
-from .kinematics import power_prefactor, validate_s  # noqa: F401  (re-exported)
+from . import integrals
+from .family import Family, PowerResult
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .integrals import f_b  # noqa: F401  (only for bench/trace_layers to wrap)
+from .kinematics import power_prefactor, validate_s  # noqa: F401  (only for bench/trace_layers)
 
+SQRT3 = math.sqrt(3.0)
 XBAR0_MAX = 2.0 - SQRT3
+
+# f is looked up in ``integrals`` at each call, so that a wrapper installed
+# there sees every call
+BOSON = Family(xmap=(3.0, 2.0, SQRT3), spin=False, shape_power=2, power_const=(4.0, 81.0),
+               f=lambda k, x, cfg: integrals.f_b(k, x, cfg), limit=None)
 
 xbar0 = BOSON.x0
 shape_integral_b = BOSON.shape_integral
@@ -57,10 +63,9 @@ def half_plane_fractions_b(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     return BOSON.half_plane_fractions(None, beta, cfg)
 
 
-def density_profile_b(s: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      _pow=operator.pow) -> Callable:
+def density_profile_b(s: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Callable:
     """Vectorized theta -> p_s(beta; theta); finite for all beta in [0, 1]."""
-    return BOSON.density_profile(s, None, beta, cfg, _pow)
+    return BOSON.density_profile(s, None, beta, cfg)
 
 
 def angular_density_b(s: int, beta: float, theta,
@@ -68,8 +73,7 @@ def angular_density_b(s: int, beta: float, theta,
     """Angular distribution p_s(beta; theta), a float for a scalar theta and
     an array for a theta array, each element equal to its one-point value;
     integrates to 1 over the sphere for s = 0 (measure sin(theta) d(theta))."""
-    BOSON.check(beta, theta)
-    return like_theta(density_profile_b(s, beta, cfg, _pow=elementwise_pow)(theta), theta)
+    return BOSON.density(s, None, beta, theta, cfg)
 
 
 def local_polarization_b(s: int, beta: float, theta):

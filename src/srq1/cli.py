@@ -92,14 +92,14 @@ def _theta_rows(c, values):
 
 
 def _p(c):
-    if c.api.family.at_double_limit(c.beta, HALF_PI) and HALF_PI in c.thetas:
+    if c.api.family.at_double_limit(c.beta, c.thetas):
         c.extra["ambiguous"] = ("beta=1,theta=pi/2: double limit; "
                                 "fixed-beta theta-limit reported")
     return _theta_rows(c, c.api.density(c.s, c.zeta, c.beta, c.thetas, c.cfg))
 
 
 def _q_local(c):
-    if not (c.api.family.at_double_limit(c.beta, HALF_PI) and HALF_PI in c.thetas):
+    if not c.api.family.at_double_limit(c.beta, c.thetas):
         return _theta_rows(c, c.api.q_local(c.s, c.zeta, c.beta, c.thetas))
     # the double-limit point has no value; its cell reads "ambiguous", so the
     # rows are a list

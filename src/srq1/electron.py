@@ -9,32 +9,34 @@ The final state always has spin against the field, so zeta = +1 radiates
 through a spin flip and is suppressed by the factor d(+1; beta) = x0, while
 zeta = -1 has d = 1, and the two linear components switch places under
 zeta -> -zeta.  The shapes, densities, polarization fractions and power
-W_0 = d(zeta) (A(beta)/6) f(beta) are those of the ``family.ELECTRON``
-record.
-
-At beta = 1 the densities for theta != pi/2 are the closed-form limit
-profiles; at (beta = 1, theta = pi/2) the two iterated limits disagree by a
-factor 2 and the fixed-beta theta-limit values are served, flagged through
-``is_double_limit_point``.
+W_0 = d(zeta) (A(beta)/6) f(beta) are those of the ``ELECTRON`` record of
+``family.Family``.  At beta = 1 its densities are the closed-form limit
+profiles held here, except at theta = pi/2 (``is_double_limit_point``),
+where the two iterated limits disagree and the fixed-beta theta-limit
+values are served.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .family import ELECTRON, HALF_PI, PowerResult  # noqa: F401  (re-exported)
-from .family import _cos
-from .integrals import f_e  # noqa: F401  (re-exported)
-from .kinematics import elementwise_pow, like_theta
-from .kinematics import power_prefactor, validate_s  # noqa: F401  (re-exported)
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from . import integrals
+from .family import Family, PowerResult, _cos  # noqa: F401  (PowerResult re-exported)
+from .kinematics import like_theta, validate_s
+from .integrals import f_e  # noqa: F401  (only for bench/trace_layers to wrap)
+from .kinematics import power_prefactor  # noqa: F401  (only for bench/trace_layers)
 
 _TWO_E_MINUS_3 = 2.0 * math.e - 3.0
+
+# f and limit are looked up at each call, in ``integrals`` and here, so that a
+# wrapper installed there sees every call
+ELECTRON = Family(
+    xmap=(1.0, 1.0, 1.0), spin=True, shape_power=1, power_const=(1.0, 6.0),
+    f=lambda k, x, cfg: integrals.f_e(k, x, cfg),
+    limit=lambda s, zeta, theta: ultrarelativistic_density(s, zeta, theta))
 
 x0 = ELECTRON.x0
 spin_factor = ELECTRON.spin_factor
@@ -45,6 +47,8 @@ half_plane_fraction_e = ELECTRON.half_plane_fraction
 half_plane_fractions_e = ELECTRON.half_plane_fractions
 local_polarization_e = ELECTRON.local_polarization
 is_double_limit_point = ELECTRON.at_double_limit
+density_profile_e = ELECTRON.density_profile
+angular_density_e = ELECTRON.density  # p_2(zeta) = p_3(-zeta)
 
 
 @dataclass(frozen=True)
@@ -93,36 +97,3 @@ def limit_shape(theta):
     """Theta(theta) = (1 + |cos|)^-3 exp(2|cos|/(1 + |cos|)); theta may be
     an array."""
     return like_theta(_cos_and_limit_shape(theta)[2], theta)
-
-
-def density_profile_e(s: int, zeta: int, beta: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG, _pow=operator.pow) -> Callable:
-    """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
-    once.  For beta = 1 the limit profile is used for theta != pi/2 and the
-    fixed-beta theta-limit values at theta = pi/2 exactly; ``_pow`` is the
-    pow of the beta < 1 profile (see ``family``)."""
-    if beta != 1.0:
-        return ELECTRON.density_profile(s, zeta, beta, cfg, _pow)
-    ELECTRON.check(beta, zeta=zeta)
-    # theta-limit values at the ambiguous point: the limit profile, except
-    # that the linear component that survives the spin selection has twice
-    # the beta-first limit and the other one none
-    at_half_pi = ultrarelativistic_density(s, zeta, HALF_PI)
-    if s in (2, 3):
-        at_half_pi *= 2.0 if (s == 2) == (zeta == -1) else 0.0
-
-    def profile(theta):
-        theta = np.asarray(theta, dtype=float)
-        return np.where(theta == HALF_PI, at_half_pi, ultrarelativistic_density(s, zeta, theta))
-
-    return profile
-
-
-def angular_density_e(s: int, zeta: int, beta: float, theta,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Angular distribution p_s(zeta; beta; theta); p_2(zeta) = p_3(-zeta).
-    A float for a scalar theta and an array for a theta array, each element
-    equal to its one-point value."""
-    ELECTRON.check(beta, theta, zeta)
-    return like_theta(density_profile_e(s, zeta, beta, cfg, _pow=elementwise_pow)(theta),
-                      theta)

@@ -1,7 +1,7 @@
 """One model of the n = nu = 1 radiation, written once for both particles.
 
-A particle is a ``Family`` record.  With u = beta^2 sin^2(theta), or
-u = beta^2 for x0:
+A particle is a ``Family`` record; ``boson.BOSON`` and ``electron.ELECTRON``
+live with their particles.  With u = beta^2 sin^2(theta), or u = beta^2 for x0:
 
     r = sqrt(A - B u),   x = (sqrt(A) - r) / (sqrt(A) + r)
     straight = 1 - a x,  bent = (1 + x)^2 cos^2(theta) / straight
@@ -15,19 +15,25 @@ u = beta^2 for x0:
     electron  1, 1, 1         x0   1 - x   1   d(zeta)/6
 
 where d(+1) = x0 is the electron's spin-flip suppression and d(-1) = 1.
-The boson has no spin and ignores zeta.  The integrals f_k of each family
-are evaluated in ``integrals``, which holds their kernels.
+``spin`` marks the electron's column: a = x0, D(x) = 1 - x, and zeta
+selects phi_2/phi_3 and scales W_0; the boson ignores zeta.  A record reads
+its f_k through ``f`` (``integrals`` evaluates them).  The pole 1/(1 - x)
+leaves p_s no beta = 1 value, so there a spin record serves ``limit``, the
+closed-form limit profile, for theta != pi/2, and at theta = pi/2, where the
+two iterated limits disagree by a factor 2 (``at_double_limit``), the
+fixed-beta theta-limit values.
 
-Theta may be an array: ``local_polarization`` and the density profile
-evaluate a whole theta scan in one pass, as the CLI's theta scans do.  On
-arrays, numpy's pow (and ``np.exp``, against ``math.exp``) can differ from
-the scalar pow of a one-point call in the last bit, while sin, cos, sqrt
-and + - * / agree.  So the phi_s/profile body takes its pow as an argument:
-the CLI's theta scans use ``kinematics.elementwise_pow``, Python's float
-pow per element, and every array value is then the one-point value bit for
-bit (the electron's beta = 1 limit profile likewise takes ``math.exp`` per
-element).  The profile handed to ``analysis`` keeps numpy's array pow,
-whose last bits its printed maxima were computed with.
+Theta may be an array: ``local_polarization`` and the densities evaluate a
+whole theta scan in one pass, as the CLI's theta scans do.  On arrays,
+numpy's pow (and ``np.exp``, against ``math.exp``) can differ from the
+scalar pow of a one-point call in the last bit, while sin, cos, sqrt and
++ - * / agree.  So the phi_s/profile body takes its pow as an argument:
+``density``, the exact-point density of the CLI's theta scans, uses
+``kinematics.elementwise_pow``, Python's float pow per element, and every
+array value is then the one-point value bit for bit (the electron's limit
+profile likewise takes ``math.exp`` per element).  ``density_profile``, the
+profile handed to ``analysis``, keeps numpy's array pow, whose last bits its
+printed maxima were computed with.
 """
 
 from __future__ import annotations
@@ -39,12 +45,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import integrals, kinematics
+from . import kinematics
 from .errors import AmbiguousLimitError, DomainError
 from .quadrature import DEFAULT_CONFIG
 
 HALF_PI = math.pi / 2
-SQRT3 = math.sqrt(3.0)
 
 
 class PowerResult(NamedTuple):
@@ -80,20 +85,22 @@ def _phi(s, swap, x, a, theta, power):
 @dataclass(frozen=True)
 class Family:
     xmap: tuple         # (A, B, sqrt(A)) of the deformation map
-    coupled: bool       # a = x0 in straight = 1 - a x (else a = 1)
-    pole: bool          # the density carries 1/(1 - x)
+    spin: bool          # spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
-    spin: bool          # zeta = +1 swaps phi_2, phi_3 and scales W_0 by x0
     f: Callable         # (k, x, cfg) -> f_k(x)
+    limit: Callable | None  # spin 1/2: (s, zeta, theta) -> the beta = 1 density
 
     def check(self, beta, theta=None, zeta=None):
-        if not 0.0 <= beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {beta}")
+        kinematics.validate_beta(beta)
         if theta is not None:
             kinematics.validate_theta(theta)
         if self.spin and zeta is not None and zeta not in (1, -1):
             raise DomainError(f"zeta must be +1 or -1, got {zeta}")
+
+    def _swap(self, zeta) -> bool:
+        """True for zeta = +1 of spin 1/2: phi_2, phi_3 swap and W_0 scales by x0."""
+        return self.spin and zeta == 1
 
     def x0(self, beta: float) -> float:
         return float(_deform(beta * beta, *self.xmap))
@@ -106,8 +113,8 @@ class Family:
     def _phis(self, s, zeta, beta, theta):
         pow_ = kinematics.elementwise_pow
         x = _deform(beta * beta * pow_(np.sin(theta), 2), *self.xmap)
-        a = self.x0(beta) if self.coupled else 1.0
-        return _phi(s, self.spin and zeta == 1, x, a, theta, pow_)
+        a = self.x0(beta) if self.spin else 1.0
+        return _phi(s, self._swap(zeta), x, a, theta, pow_)
 
     def phi(self, s: int, zeta, beta: float, theta: float) -> float:
         """Polarization shape phi_s(zeta; beta, theta)."""
@@ -115,11 +122,10 @@ class Family:
         self.check(beta, theta, zeta)
         return float(self._phis(s, zeta, beta, theta)[0])
 
-    def at_double_limit(self, beta: float, theta: float) -> bool:
-        """True at (beta = 1, theta = pi/2) of a family whose density has the
-        1/(1 - x) pole: there the iterated limits of the densities disagree
-        by a factor 2."""
-        return self.pole and beta == 1.0 and theta == HALF_PI
+    def at_double_limit(self, beta: float, theta) -> bool:
+        """True at beta = 1 of a spin record if theta (a float or an array) holds
+        pi/2: there the iterated limits of the densities disagree by a factor 2."""
+        return self.spin and beta == 1.0 and bool(np.any(np.asarray(theta) == HALF_PI))
 
     def local_polarization(self, s: int, zeta, beta: float, theta):
         """Pointwise polarization fraction phi_s/phi_0 at a scalar theta (a
@@ -127,7 +133,7 @@ class Family:
         the double-limit point, where it depends on the order of the limits."""
         kinematics.validate_s(s)
         self.check(beta, theta, zeta)
-        if self.at_double_limit(beta, HALF_PI) and np.any(np.asarray(theta) == HALF_PI):
+        if self.at_double_limit(beta, theta):
             raise AmbiguousLimitError(
                 "local polarization at beta = 1, theta = pi/2 depends on the "
                 "order of the limits beta -> 1 and theta -> pi/2"
@@ -137,17 +143,43 @@ class Family:
         phi_s, phi0 = self._phis(s, zeta, beta, theta)
         return kinematics.like_theta(phi_s / phi0, theta)
 
-    def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG,
-                        _pow=operator.pow) -> Callable:
-        """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
-        once.  theta is not checked; with the pole, beta must stay below 1.
-        ``_pow`` is the pow of the profile body (see the module docstring)."""
+    def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> Callable:
+        """Vectorized theta -> p_s(zeta; beta; theta) with numpy's array pow,
+        normalization computed once; theta is not checked.  At beta = 1 a spin
+        record serves its limit profile (see the module docstring)."""
+        return self._profile(s, zeta, beta, cfg, operator.pow)
+
+    def density(self, s: int, zeta, beta: float, theta, cfg=DEFAULT_CONFIG):
+        """Angular distribution p_s(zeta; beta; theta), a float for a scalar
+        theta and an array for a theta array, each element equal to its
+        one-point value; integrates to 1 over the sphere for s = 0 (measure
+        sin(theta) d(theta))."""
+        self.check(beta, theta, zeta)
+        return kinematics.like_theta(
+            self._profile(s, zeta, beta, cfg, kinematics.elementwise_pow)(theta), theta)
+
+    def _profile(self, s, zeta, beta, cfg, _pow):
+        """``density_profile`` with ``_pow`` as the pow of the beta < 1 body."""
         kinematics.validate_s(s)
         self.check(beta, zeta=zeta)
+        swap, limit = self._swap(zeta), self.limit
+        if self.spin and beta == 1.0:
+            # theta-limit values at the double-limit point: the limit profile,
+            # except that the linear component that survives the spin selection
+            # has twice the beta-first limit and the other one none
+            at_half_pi = limit(s, zeta, HALF_PI)
+            if s in (2, 3):
+                at_half_pi *= 2.0 if (s == 2) != swap else 0.0
+
+            def limit_profile(theta):
+                theta = np.asarray(theta, dtype=float)
+                return np.where(theta == HALF_PI, at_half_pi, limit(s, zeta, theta))
+
+            return limit_profile
         x0 = self.x0(beta)
         norm = (1.0 + x0) ** 2 * self.f(0, x0, cfg)
-        b2, xmap, swap, pole = beta * beta, self.xmap, self.spin and zeta == 1, self.pole
-        a = x0 if self.coupled else 1.0
+        b2, xmap, pole = beta * beta, self.xmap, self.spin
+        a = x0 if self.spin else 1.0
 
         def profile(theta):
             theta = np.asarray(theta, dtype=float)
@@ -166,7 +198,7 @@ class Family:
         f1 = self.f(1, x0, cfg)
         f2 = self.f(2, x0, cfg)
         f0 = f2 + self.f(3, x0, cfg)
-        z = 1 if self.spin and zeta == 1 else -1
+        z = 1 if self._swap(zeta) else -1
         q1 = 0.5 + f1 / f0
         q2 = 0.5 * (1.0 + z - 2.0 * z * (f2 / f0))
         return {0: 1.0, 1: q1, -1: 1.0 - q1, 2: q2, 3: 1.0 - q2}
@@ -186,7 +218,7 @@ class Family:
     def spin_factor(self, zeta, beta: float) -> float:
         """d(zeta; beta): spin-flip suppression x0 for zeta = +1, else 1."""
         self.check(beta, zeta=zeta)
-        return self.x0(beta) if self.spin and zeta == 1 else 1.0
+        return self.x0(beta) if self._swap(zeta) else 1.0
 
     def total_power(self, zeta, beta: float, cfg=DEFAULT_CONFIG) -> PowerResult:
         """W_0 (units Q0; infinite at beta = 1) and the shape factor f(beta)."""
@@ -195,13 +227,3 @@ class Family:
         num, den = self.power_const
         power = num * self.spin_factor(zeta, beta) * kinematics.power_prefactor(beta) / den
         return PowerResult(power=power * shape, shape=shape)
-
-
-# f is looked up in ``integrals`` at each call, so that a wrapper installed
-# there sees every call
-BOSON = Family(
-    xmap=(3.0, 2.0, SQRT3), coupled=False, pole=False, shape_power=2,
-    power_const=(4.0, 81.0), spin=False, f=lambda k, x, cfg: integrals.f_b(k, x, cfg))
-ELECTRON = Family(
-    xmap=(1.0, 1.0, 1.0), coupled=True, pole=True, shape_power=1,
-    power_const=(1.0, 6.0), spin=True, f=lambda k, x, cfg: integrals.f_e(k, x, cfg))

@@ -10,12 +10,12 @@ with beta^2 = 1 - 1/gamma^2.  Only negative charge is modeled.  beta = 1 is
 representable (B is then infinite); field-based constructors never produce
 it and cannot be asked for it.
 
-``photon_frequency`` takes a scalar theta or a theta array; the array helpers
-here are shared by the density and polarization functions of ``family``,
-``boson`` and ``electron``.  Each ``**`` on an array goes through
-``elementwise_pow``: numpy's array pow may differ from the scalar pow of one
-point in the last bit, and a theta scan must give the same floats as a
-point-by-point evaluation.
+``photon_frequency`` takes a scalar theta or a theta array.  Its array
+helpers also serve ``family`` (densities, polarization) and ``electron``
+(limit profiles).  ``elementwise_pow`` takes Python's float pow per element:
+numpy's array pow may differ from the scalar pow of one point in the last
+bit, and a theta scan must give the same floats as a point-by-point
+evaluation.
 """
 
 from __future__ import annotations
@@ -35,6 +35,11 @@ def validate_s(s: int) -> int:
     if s not in VALID_S:
         raise DomainError(f"polarization label must be one of {VALID_S}, got {s}")
     return s
+
+
+def validate_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:
+        raise DomainError(f"beta must lie in [0, 1], got {beta}")
 
 
 def validate_theta(theta):
@@ -124,8 +129,7 @@ def state_from_field(spec: ParticleSpec, n: int, B: float) -> KinematicState:
 def state_from_beta(spec: ParticleSpec, n: int, beta: float) -> KinematicState:
     """State with given speed; inverts the level equation for B."""
     _check_level(n)
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    validate_beta(beta)
     m = 2 * _nbar(spec, n)
     if beta == 1.0:
         return KinematicState(beta=1.0, gamma=math.inf, B=math.inf, n=n)
@@ -156,8 +160,7 @@ def photon_frequency(spec: ParticleSpec, state: KinematicState, req: PhotonReque
 
 def power_prefactor(beta: float) -> float:
     """A(beta) = beta^6/(1 - beta^2); infinite at beta = 1."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
+    validate_beta(beta)
     if beta == 1.0:
         return math.inf
     return beta**6 / (1.0 - beta**2)

@@ -148,19 +148,25 @@ def test_double_limit_point():
     assert is_double_limit_point(1.0, HALF_PI)
     assert not is_double_limit_point(0.999, HALF_PI)
     assert not is_double_limit_point(1.0, 1.0)
+    # a theta array holds the point if any element is pi/2
+    assert is_double_limit_point(1.0, np.array([0.0, HALF_PI, math.pi]))
+    assert not is_double_limit_point(0.999, np.array([0.0, HALF_PI]))
+    assert not is_double_limit_point(1.0, np.array([0.0, 1.0, math.pi]))
+    assert not is_double_limit_point(1.0, np.array([]))
 
 
 def test_beta_one_profile_serves_theta_limit_at_half_pi():
-    # fixed-beta theta-limits: twice the iterated (beta-first) limit for the
-    # surviving linear component
-    p2 = density_profile_e(2, -1, 1.0)
-    assert float(p2(HALF_PI)) == pytest.approx(2.0 / TWO_E_MINUS_3, rel=1e-12)
-    assert float(density_profile_e(2, 1, 1.0)(HALF_PI)) == 0.0
-    assert float(density_profile_e(3, 1, 1.0)(HALF_PI)) == pytest.approx(
-        2.0 / TWO_E_MINUS_3, rel=1e-12)
-    assert float(density_profile_e(1, -1, 1.0)(HALF_PI)) == pytest.approx(
-        1.0 / TWO_E_MINUS_3, rel=1e-12)
+    # fixed-beta theta-limits, in units of 1/(2e - 3): the limit profile,
+    # except that the linear component that survives the spin selection has
+    # twice the iterated (beta-first) limit and the other one none
+    want = {(0, 1): 2.0, (0, -1): 2.0, (1, 1): 1.0, (1, -1): 1.0, (-1, 1): 1.0,
+            (-1, -1): 1.0, (2, 1): 0.0, (2, -1): 2.0, (3, 1): 2.0, (3, -1): 0.0}
+    for (s, zeta), units in want.items():
+        got = float(density_profile_e(s, zeta, 1.0)(HALF_PI))
+        assert got == pytest.approx(units / TWO_E_MINUS_3, rel=1e-12), (s, zeta)
+        assert angular_density_e(s, zeta, 1.0, HALF_PI) == got, (s, zeta)
     # away from pi/2 the beta = 1 profile is the limit profile
+    p2 = density_profile_e(2, -1, 1.0)
     assert float(p2(1.0)) == pytest.approx(
         ultrarelativistic_density(2, -1, 1.0), rel=1e-12)
 

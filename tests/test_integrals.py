@@ -143,13 +143,23 @@ def test_integrand_shares_subexpressions_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (fam is integrals._BOSON, k, x)
 
 
-def test_integrals_does_not_load_family():
-    # the f_k kernels live in integrals; family reads integrals, not the reverse
-    code = "import sys, srq1.integrals; print('srq1.family' in sys.modules)"
+def _loads(module):
+    """The srq1 modules that importing ``module`` loads, in a fresh process."""
+    code = f"import sys, {module}; print(*(m for m in sys.modules if m.startswith('srq1')))"
     src = str(Path(integrals.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert done.stdout == "False\n"
+    return set(done.stdout.split())
+
+
+def test_integrals_does_not_load_family():
+    # the f_k kernels live in integrals, below the particle model
+    assert "srq1.family" not in _loads("srq1.integrals")
+
+
+def test_family_loads_neither_integrals_nor_a_particle():
+    # the Family records live with their particles, which hand them f_k
+    assert not _loads("srq1.family") & {"srq1.integrals", "srq1.boson", "srq1.electron"}
 
 
 # float.hex of f_k(x) on every branch of the evaluator: the f_1 series
