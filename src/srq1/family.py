@@ -89,7 +89,7 @@ class Family:
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
     f: Callable         # (k, x, cfg) -> f_k(x)
-    limit: Callable | None  # spin 1/2: (s, zeta, theta) -> the beta = 1 density
+    limit: Callable | None  # (s, zeta, theta) -> the beta = 1 density; set iff spin
 
     def check(self, beta, theta=None, zeta=None):
         kinematics.validate_beta(beta)
@@ -145,8 +145,8 @@ class Family:
 
     def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> Callable:
         """Vectorized theta -> p_s(zeta; beta; theta) with numpy's array pow,
-        normalization computed once; theta is not checked.  At beta = 1 a spin
-        record serves its limit profile (see the module docstring)."""
+        normalization computed once; theta is not checked.  At beta = 1 a record
+        with a ``limit`` serves its limit profile (see the module docstring)."""
         return self._profile(s, zeta, beta, cfg, operator.pow)
 
     def density(self, s: int, zeta, beta: float, theta, cfg=DEFAULT_CONFIG):
@@ -163,7 +163,7 @@ class Family:
         kinematics.validate_s(s)
         self.check(beta, zeta=zeta)
         swap, limit = self._swap(zeta), self.limit
-        if self.spin and beta == 1.0:
+        if limit is not None and beta == 1.0:
             # theta-limit values at the double-limit point: the limit profile,
             # except that the linear component that survives the spin selection
             # has twice the beta-first limit and the other one none
@@ -178,14 +178,14 @@ class Family:
             return limit_profile
         x0 = self.x0(beta)
         norm = (1.0 + x0) ** 2 * self.f(0, x0, cfg)
-        b2, xmap, pole = beta * beta, self.xmap, self.spin
+        b2, xmap = beta * beta, self.xmap
         a = x0 if self.spin else 1.0
 
         def profile(theta):
             theta = np.asarray(theta, dtype=float)
             x = _deform(b2 * _pow(np.sin(theta), 2), *xmap)
             num = _pow(1.0 + x, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, _pow)[0]
-            return num / ((1.0 - x) * norm) if pole else num / norm
+            return num / ((1.0 - x) * norm) if self.spin else num / norm
 
         return profile
 

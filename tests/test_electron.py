@@ -163,7 +163,7 @@ def test_beta_one_profile_serves_theta_limit_at_half_pi():
             (-1, -1): 1.0, (2, 1): 0.0, (2, -1): 2.0, (3, 1): 2.0, (3, -1): 0.0}
     for (s, zeta), units in want.items():
         got = float(density_profile_e(s, zeta, 1.0)(HALF_PI))
-        assert got == pytest.approx(units / TWO_E_MINUS_3, rel=1e-12), (s, zeta)
+        assert got == pytest.approx(units / TWO_E_MINUS_3, rel=1e-12, abs=0.0), (s, zeta)
         assert angular_density_e(s, zeta, 1.0, HALF_PI) == got, (s, zeta)
     # away from pi/2 the beta = 1 profile is the limit profile
     p2 = density_profile_e(2, -1, 1.0)
