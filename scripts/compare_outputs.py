@@ -2,11 +2,12 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations) in a fresh ``srq1`` process and
-writes, per invocation, the sha256 of its stdout and of its stderr and its
-exit code to a JSON file.  ``diff`` compares two such files and exits 1 if
-any invocation differs.  ``--root`` names the checkout whose ``src/`` is
-run (default: this one), so one copy of this script records two trees:
+``bench/workloads.py`` (370 invocations), plus the 43 fixed ``EDGE_ARGV``,
+in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
+its stdout and of its stderr and its exit code to a JSON file.  ``diff``
+compares two such files and exits 1 if any invocation differs.  ``--root``
+names the checkout whose ``src/`` is run (default: this one), so one copy
+of this script records two trees:
 
     python3 scripts/compare_outputs.py record before.json --root ../parent
     python3 scripts/compare_outputs.py record after.json
@@ -35,6 +36,28 @@ sys.dont_write_bytecode = True  # leave bench/ as it is
 import workloads  # noqa: E402
 
 SEEDS = (0, 1)
+
+_UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-depth", "10"]
+_BETA_SCANS = [["scan", "--quantity", q, "--particle", p, *args]
+               for p in ("boson", "electron")
+               for q, args in (("eff_angle", ["--s", "3", "--zeta", "1"]),
+                               ("power", ["--zeta", "1"]),
+                               ("q_halfplane", ["--s", "2", "--zeta", "1"]),
+                               ("ratio", ["--zeta", "1"]))]
+_BETA_SCANS += [["polarization", "--particle", p, "--zeta", "1"] for p in ("boson", "electron")]
+# Edge calls beside the workloads: beta grids through 0 and through 1 (the
+# electron's beta = 1 width uses its limit profile), one-point grids, grids
+# whose quadratures cannot converge, and a shallow crossover.
+EDGE_ARGV = (
+    [[*a, "--beta", "0:1:6"] for a in _BETA_SCANS]
+    + [[*a, "--beta", "1:0.9:4"] for a in _BETA_SCANS]
+    + [[*a, "--beta", b] for a, b in zip(_BETA_SCANS, ("0", "1", "0.5", "1") * 3)]
+    + [[*a, "--beta", "0.2:0.95:4", *_UNREACHABLE] for a in _BETA_SCANS]
+    + [["table1", *_UNREACHABLE], ["crossover", "--max-depth", "10"],
+       ["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
+        "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
+        "--max-depth", "10"]]
+)
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -47,6 +70,8 @@ def _invocations(src: Path):
         for seed in SEEDS:
             for i, argv in enumerate(getattr(workloads, name)(seed, src)):
                 yield f"{name}/{seed}/{i}", argv
+    for i, argv in enumerate(EDGE_ARGV):
+        yield f"edge/{i}", argv
 
 
 def record(out: Path, root: Path) -> None:

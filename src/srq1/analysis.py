@@ -3,6 +3,15 @@
 Power ratio at equal gamma and level, its crossover speed, the reference
 table of shape factors, interior maxima of the angular densities with their
 large-gamma asymptotics, and RMS effective angular widths.
+
+The beta scans ``power_ratio_scan`` and ``effective_angle_scan`` (and
+``table1``) evaluate the integrals of ``GRID_CHUNK`` betas at a time
+together: the f_2, f_3 of each particle in one batch, and the weighted and
+plain width integrals of every beta in one more.  Each value keeps the bits
+of its one-beta evaluation, which is the scan of one beta, and the error
+raised is the one a beta-by-beta evaluation meets first: betas in grid
+order, the electron's f_k before the boson's in a ratio (the boson's first
+in ``table1``), and a width's f_2, f_3, weighted, then plain integral.
 """
 
 from __future__ import annotations
@@ -14,9 +23,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import boson, electron, family
-from .errors import ConvergenceError, DomainError
-from .family import HALF_PI
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
+from .errors import ConvergenceError, DomainError, checked
+from .family import GRID_CHUNK, HALF_PI
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive, quad_batch
 
 
 # golden-section interior-point ratios
@@ -33,9 +42,6 @@ class Particle(NamedTuple):
     profile: Callable      # (s, zeta, beta, cfg) -> (theta -> p_s)
     density: Callable      # (s, zeta, beta, theta, cfg) -> p_s, theta an array or not
     q_local: Callable      # (s, zeta, beta, theta) -> phi_s/phi_0
-    q_halfplane: Callable  # (s, zeta, beta, cfg) -> q_s
-    fractions: Callable    # (zeta, beta, cfg) -> {s: q_s}
-    power: Callable        # (zeta, beta, cfg) -> PowerResult
 
 
 PARTICLES = {
@@ -43,18 +49,12 @@ PARTICLES = {
         boson.BOSON,
         lambda s, zeta, beta, cfg: boson.density_profile_b(s, beta, cfg),
         lambda s, zeta, beta, theta, cfg: boson.angular_density_b(s, beta, theta, cfg),
-        lambda s, zeta, beta, theta: boson.local_polarization_b(s, beta, theta),
-        lambda s, zeta, beta, cfg: boson.half_plane_fraction_b(s, beta, cfg),
-        lambda zeta, beta, cfg: boson.half_plane_fractions_b(beta, cfg),
-        lambda zeta, beta, cfg: boson.total_power_b(beta, cfg)),
+        lambda s, zeta, beta, theta: boson.local_polarization_b(s, beta, theta)),
     "electron": Particle(
         electron.ELECTRON,
         lambda *args: electron.density_profile_e(*args),
         lambda *args: electron.angular_density_e(*args),
-        lambda *args: electron.local_polarization_e(*args),
-        lambda *args: electron.half_plane_fraction_e(*args),
-        lambda *args: electron.half_plane_fractions_e(*args),
-        lambda *args: electron.total_power_e(*args)),
+        lambda *args: electron.local_polarization_e(*args)),
 }
 
 
@@ -88,16 +88,27 @@ class EffectiveAngleReport:
     definition_id: str = "rms"
 
 
+def power_ratio_scan(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Yield ``power_ratio`` at each beta, in order.  The f_2, f_3 of both
+    particles at GRID_CHUNK betas at a time run as one batch per particle,
+    and the first error of a sequential evaluation (betas in order, the
+    electron's before the boson's) is raised when its beta is reached."""
+    if zeta not in (1, -1):
+        raise DomainError(f"zeta must be +1 or -1, got {zeta}")
+    shapes = zip(electron.ELECTRON.shape_integral_scan(betas, cfg),
+                 boson.BOSON.shape_integral_scan(betas, cfg))
+    for beta, (fe, fb) in zip(betas, shapes):
+        k_minus = 27.0 / 8.0 * fe / fb
+        yield k_minus if zeta == -1 else electron.x0(beta) * k_minus
+
+
 def power_ratio(zeta: int, beta: float,
                 cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Electron-to-boson total power ratio k(zeta; beta) at equal gamma, n = 1.
 
     k(-1; beta) = (27/8) f_e(beta)/f_b(beta); k(+1) = x0(beta) * k(-1).
     """
-    if zeta not in (1, -1):
-        raise DomainError(f"zeta must be +1 or -1, got {zeta}")
-    k_minus = 27.0 / 8.0 * electron.shape_integral_e(beta, cfg) / boson.shape_integral_b(beta, cfg)
-    return k_minus if zeta == -1 else electron.x0(beta) * k_minus
+    return next(power_ratio_scan(zeta, [beta], cfg))
 
 
 def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
@@ -123,11 +134,12 @@ def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float
 
 def table1(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[RatioRow]:
     """Shape factors and power ratios for beta = 0.0, 0.1, ..., 1.0."""
+    betas = [i / 10.0 for i in range(11)]
     rows = []
-    for i in range(11):
-        beta = i / 10.0
-        fb = boson.shape_integral_b(beta, cfg)
-        fe = electron.shape_integral_e(beta, cfg)
+    # the boson's errors come first, as in a sequential evaluation
+    shapes = zip(boson.BOSON.shape_integral_scan(betas, cfg),
+                 electron.ELECTRON.shape_integral_scan(betas, cfg))
+    for beta, (fb, fe) in zip(betas, shapes):
         k_minus = 27.0 / 8.0 * fe / fb
         rows.append(RatioRow(beta=beta, f_b=fb, f_e=fe, k_minus=k_minus,
                              k_plus=electron.x0(beta) * k_minus))
@@ -152,10 +164,14 @@ def _golden_max(f, a, b, tol=1e-10):
     return 0.5 * (a + b)
 
 
-def _density_profile(kind, s, zeta, beta, cfg):
+def _particle(kind):
     if kind not in PARTICLES:
         raise DomainError(f"kind must be 'boson' or 'electron', got {kind!r}")
-    return PARTICLES[kind].profile(s, -1 if zeta is None else zeta, beta, cfg)
+    return PARTICLES[kind]
+
+
+def _density_profile(kind, s, zeta, beta, cfg):
+    return _particle(kind).profile(s, -1 if zeta is None else zeta, beta, cfg)
 
 
 def max_angle(kind: str, s: int, zeta: int | None, beta: float,
@@ -206,6 +222,36 @@ def asymptotic_max_angle(s: int, gamma: float) -> float:
     raise DomainError(f"asymptotics are known for s in (0, 1, 3), got {s}")
 
 
+def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
+                         cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Yield the RMS width delta of ``effective_angle`` at each beta, in order.
+
+    The integrals of GRID_CHUNK betas at a time run as two batches: the
+    normalizations f_2, f_3 of their profiles, then the weighted and the
+    plain integral of each beta whose normalization converged.  The first
+    error of a sequential evaluation (betas in order; within a beta f_2, f_3,
+    weighted, plain) is raised when its beta is reached.
+    """
+    fam = _particle(kind).family
+    zeta = -1 if zeta is None else zeta
+    for start in range(0, len(betas), GRID_CHUNK):
+        profile, failed = fam.density_profiles(s, zeta, betas[start:start + GRID_CHUNK], cfg)
+        # integral 2j is the weighted and 2j + 1 the plain one of beta owner[2j]
+        owner = np.repeat(np.array([i for i, e in enumerate(failed) if e is None], int), 2)
+        weighted = np.arange(len(owner)) % 2 == 0
+
+        def integrand(rows, theta):
+            p = profile(owner[rows], theta)
+            return np.where(weighted[rows, None], (theta - HALF_PI) ** 2 * p, p) * np.sin(theta)
+
+        values = iter(quad_batch(integrand, [(0.0, math.pi)] * len(owner), cfg))
+        for error in failed:
+            if error is not None:
+                raise error
+            num, den = checked((next(values), next(values)))
+            yield math.sqrt(num / den)
+
+
 def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
                     cfg: QuadratureConfig = DEFAULT_CONFIG,
                     definition: str = "rms") -> EffectiveAngleReport:
@@ -222,20 +268,11 @@ def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
     """
     if definition not in ("rms", "peak"):
         raise DomainError(f"unknown width definition {definition!r}")
-    profile = _density_profile(kind, s, zeta, beta, cfg)
-
-    def plain(theta):
-        return profile(theta) * np.sin(theta)
-
     if definition == "rms":
-        def weighted(theta):
-            return (theta - HALF_PI) ** 2 * profile(theta) * np.sin(theta)
-
-        num = quad_adaptive(weighted, 0.0, math.pi, cfg)
-        den = quad_adaptive(plain, 0.0, math.pi, cfg)
-        delta = math.sqrt(num / den)
+        delta = next(effective_angle_scan(kind, s, zeta, [beta], cfg))
     else:
-        area = quad_adaptive(plain, 0.0, math.pi, cfg)
+        profile = _density_profile(kind, s, zeta, beta, cfg)
+        area = quad_adaptive(lambda theta: profile(theta) * np.sin(theta), 0.0, math.pi, cfg)
         grid = np.linspace(0.0, math.pi, 2001)
         i = int(np.asarray(profile(grid)).argmax())
         peak = float(profile(_golden_max(

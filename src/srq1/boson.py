@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import integrals
@@ -25,10 +26,8 @@ from .kinematics import power_prefactor, validate_s  # noqa: F401  (only for ben
 SQRT3 = math.sqrt(3.0)
 XBAR0_MAX = 2.0 - SQRT3
 
-# f is looked up in ``integrals`` at each call, so that a wrapper installed
-# there sees every call
 BOSON = Family(xmap=(3.0, 2.0, SQRT3), spin=False, shape_power=2, power_const=(4.0, 81.0),
-               f=lambda k, x, cfg: integrals.f_b(k, x, cfg), limit=None)
+               f=partial(integrals.f_values, integrals.BOSON_KERNEL), limit=None)
 
 xbar0 = BOSON.x0
 shape_integral_b = BOSON.shape_integral

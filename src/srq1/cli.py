@@ -122,8 +122,13 @@ def _max_angle(c):
              "none" if r.p_max is None else r.p_max] for r in reports]
 
 
+def _beta_rows(c, values):
+    """The [beta, value] rows of a beta scan's values, one per beta."""
+    return [[b, v] for b, v in zip(c.betas, values)]
+
+
 def _polarization(c):
-    qs = [c.api.fractions(c.zeta, b, c.cfg) for b in c.betas]
+    qs = c.api.family.half_plane_fractions_scan(c.zeta, c.betas, c.cfg)
     return [[b, q[1], q[-1], q[2], q[3]] for b, q in zip(c.betas, qs)]
 
 
@@ -142,16 +147,16 @@ QUANTITIES = {
                      _SCAN + ("beta", "units=m0*c^2/hbar"), _freq),
     "p": Quantity("theta beta", ("theta", "p"), _SCAN + ("beta",), _p),
     "q_local": Quantity("theta beta", ("theta", "q"), _SCAN + ("beta",), _q_local),
-    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c: [
-        [b, c.api.q_halfplane(c.s, c.zeta, b, c.cfg)] for b in c.betas]),
-    "power": Quantity("beta", ("beta", "power", "shape"), _SCAN + ("units=Q0",),
-                      lambda c: [[b, *c.api.power(c.zeta, b, c.cfg)] for b in c.betas]),
-    "ratio": Quantity("beta", ("beta", "k"), _SCAN, lambda c: [
-        [b, analysis.power_ratio(c.zeta, b, c.cfg)] for b in c.betas]),
+    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c: _beta_rows(
+        c, c.api.family.half_plane_fraction_scan(c.s, c.zeta, c.betas, c.cfg))),
+    "power": Quantity("beta", ("beta", "power", "shape"), _SCAN + ("units=Q0",), lambda c: [
+        [b, *r] for b, r in zip(c.betas, c.api.family.total_power_scan(c.zeta, c.betas, c.cfg))]),
+    "ratio": Quantity("beta", ("beta", "k"), _SCAN, lambda c: _beta_rows(
+        c, analysis.power_ratio_scan(c.zeta, c.betas, c.cfg))),
     "max_angle": Quantity("beta", ("beta", "exists", "theta_max", "p_max"), _SCAN, _max_angle),
     "eff_angle": Quantity("beta", ("beta", "delta"), _SCAN + ("definition_id=rms",),
-                          lambda c: [[b, c.angle(analysis.effective_angle(
-                              c.particle, c.s, c.zeta, b, c.cfg).delta)] for b in c.betas]),
+                          lambda c: _beta_rows(c, map(c.angle, analysis.effective_angle_scan(
+                              c.particle, c.s, c.zeta, c.betas, c.cfg)))),
     "table1": Quantity("", ("beta", "f_b", "f_e", "k_minus", "k_plus"),
                        ("units=dimensionless",), lambda c: [
                            [r.beta, r.f_b, r.f_e, r.k_minus, r.k_plus]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,11 +32,11 @@ from .kinematics import power_prefactor  # noqa: F401  (only for bench/trace_lay
 
 _TWO_E_MINUS_3 = 2.0 * math.e - 3.0
 
-# f and limit are looked up at each call, in ``integrals`` and here, so that a
-# wrapper installed there sees every call
+# limit is looked up here at each call, so that a wrapper installed here sees
+# every call
 ELECTRON = Family(
     xmap=(1.0, 1.0, 1.0), spin=True, shape_power=1, power_const=(1.0, 6.0),
-    f=lambda k, x, cfg: integrals.f_e(k, x, cfg),
+    f=partial(integrals.f_values, integrals.ELECTRON_KERNEL),
     limit=lambda s, zeta, theta: ultrarelativistic_density(s, zeta, theta))
 
 x0 = ELECTRON.x0

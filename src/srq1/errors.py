@@ -24,3 +24,12 @@ class AmbiguousLimitError(ValueError):
     Raised for electron local polarization at (beta = 1, theta = pi/2),
     where the limits beta -> 1 and theta -> pi/2 do not commute.
     """
+
+
+def checked(values):
+    """``values``, a sequence of results of which some may be the errors their
+    evaluation raised: the first such error is raised, in sequence order."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values

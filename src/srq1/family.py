@@ -34,6 +34,15 @@ array value is then the one-point value bit for bit (the electron's limit
 profile likewise takes ``math.exp`` per element).  ``density_profile``, the
 profile handed to ``analysis``, keeps numpy's array pow, whose last bits its
 printed maxima were computed with.
+
+A beta scan (``shape_integral_scan``, ``total_power_scan``,
+``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
+checks every beta, then evaluates the f_k of ``GRID_CHUNK`` betas at a time
+in one call of ``f``, so that their quadratures run together and the memory
+of a scan stays bounded at any grid length.  It yields beta by beta and
+raises a failed f_k when its beta is reached, in the order of a beta-by-beta
+evaluation.  The one-beta methods are scans of one beta, so the arithmetic
+after f_k is written once and the bits agree.
 """
 
 from __future__ import annotations
@@ -46,10 +55,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kinematics
-from .errors import AmbiguousLimitError, DomainError
+from .errors import AmbiguousLimitError, DomainError, checked
 from .quadrature import DEFAULT_CONFIG
 
 HALF_PI = math.pi / 2
+# beta scans evaluate the integrals of this many betas at a time, which bounds
+# their memory at any grid length
+GRID_CHUNK = 1024
 
 
 class PowerResult(NamedTuple):
@@ -88,7 +100,7 @@ class Family:
     spin: bool          # spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
-    f: Callable         # (k, x, cfg) -> f_k(x)
+    f: Callable         # (ks, xs, cfg) -> f_k(x) of each pair, or the error it raises
     limit: Callable | None  # (s, zeta, theta) -> the beta = 1 density; set iff spin
 
     def check(self, beta, theta=None, zeta=None):
@@ -158,72 +170,152 @@ class Family:
         return kinematics.like_theta(
             self._profile(s, zeta, beta, cfg, kinematics.elementwise_pow)(theta), theta)
 
+    def _f_rows(self, ks, betas, cfg):
+        """[(x0, [f_k(x0) for k in ks])] at each beta, all integrals in one
+        batch; an entry is the error its evaluation raises if it fails."""
+        x0s = [self.x0(beta) for beta in betas]
+        values = self.f(ks * len(x0s), [x0 for x0 in x0s for _ in ks], cfg)
+        return [(x0, values[i * len(ks):(i + 1) * len(ks)]) for i, x0 in enumerate(x0s)]
+
+    def _f_scan(self, ks, betas, cfg, zeta=None):
+        """Yield (x0, [f_k(x0) for k in ks]) at each beta in order, after
+        checking every beta.  The integrals of GRID_CHUNK betas at a time run
+        as one batch, and the first error in the order of a sequential
+        evaluation (betas, then ks) is raised when its beta is reached."""
+        for beta in betas:
+            self.check(beta, zeta=zeta)
+        for start in range(0, len(betas), GRID_CHUNK):
+            for x0, values in self._f_rows(ks, betas[start:start + GRID_CHUNK], cfg):
+                yield x0, checked(values)
+
+    def _limit_profile(self, s, zeta):
+        """The beta = 1 density of a record with a ``limit``, with the
+        theta-limit values at the double-limit point: the limit profile, except
+        that the linear component that survives the spin selection has twice
+        the beta-first limit and the other one none."""
+        at_half_pi = self.limit(s, zeta, HALF_PI)
+        if s in (2, 3):
+            at_half_pi *= 2.0 if (s == 2) != self._swap(zeta) else 0.0
+
+        def limit_profile(theta):
+            theta = np.asarray(theta, dtype=float)
+            return np.where(theta == HALF_PI, at_half_pi, self.limit(s, zeta, theta))
+
+        return limit_profile
+
+    def _body(self, s, swap, theta, b2, a, norm, _pow):
+        """p_s at theta for beta^2 = b2, coupling a and normalization norm,
+        each a float or a column per row of theta."""
+        x = _deform(b2 * _pow(np.sin(theta), 2), *self.xmap)
+        num = _pow(1.0 + x, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, _pow)[0]
+        return num / ((1.0 - x) * norm) if self.spin else num / norm
+
+    def _body_params(self, betas, cfg):
+        """Per beta: (beta^2, the coupling a, the normalization) of its body;
+        None at the beta = 1 of a record with a ``limit``, whose profile is
+        the limit profile; or the error that its normalization f_2, f_3
+        raises.  The normalizations of all betas run as one batch."""
+        params = [None] * len(betas)
+        inside = [i for i, beta in enumerate(betas) if self.limit is None or beta != 1.0]
+        for i, (x0, fk) in zip(inside, self._f_rows((2, 3), [betas[i] for i in inside], cfg)):
+            error = next((v for v in fk if isinstance(v, Exception)), None)
+            params[i] = error or (betas[i] * betas[i], x0 if self.spin else 1.0,
+                                  (1.0 + x0) ** 2 * (fk[0] + fk[1]))
+        return params
+
     def _profile(self, s, zeta, beta, cfg, _pow):
         """``density_profile`` with ``_pow`` as the pow of the beta < 1 body."""
         kinematics.validate_s(s)
         self.check(beta, zeta=zeta)
-        swap, limit = self._swap(zeta), self.limit
-        if limit is not None and beta == 1.0:
-            # theta-limit values at the double-limit point: the limit profile,
-            # except that the linear component that survives the spin selection
-            # has twice the beta-first limit and the other one none
-            at_half_pi = limit(s, zeta, HALF_PI)
-            if s in (2, 3):
-                at_half_pi *= 2.0 if (s == 2) != swap else 0.0
+        (params,) = checked(self._body_params([beta], cfg))
+        if params is None:
+            return self._limit_profile(s, zeta)
+        swap, (b2, a, norm) = self._swap(zeta), params
+        return lambda theta: self._body(s, swap, np.asarray(theta, dtype=float), b2, a, norm,
+                                        _pow)
 
-            def limit_profile(theta):
-                theta = np.asarray(theta, dtype=float)
-                return np.where(theta == HALF_PI, at_half_pi, limit(s, zeta, theta))
+    def density_profiles(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
+        """The ``density_profile`` of each beta as one function
+        ``profile(rows, theta)``: row i of the (n, 15) array theta at
+        ``betas[rows[i]]``, each value that of the beta's own profile.  Returned
+        with, per beta, the error that its normalization f_2, f_3 raises, or
+        None; the normalizations of all betas run as one batch."""
+        kinematics.validate_s(s)
+        for beta in betas:
+            self.check(beta, zeta=zeta)
+        swap = self._swap(zeta)
+        setup = self._body_params(betas, cfg)
+        at_limit = np.array([p is None for p in setup], bool)
+        failed = [p if isinstance(p, Exception) else None for p in setup]
+        params = np.array([p if isinstance(p, tuple) else (1.0,) * 3 for p in setup]).reshape(-1, 3)
+        limit_profile = self._limit_profile(s, zeta) if at_limit.any() else None
 
-            return limit_profile
-        x0 = self.x0(beta)
-        norm = (1.0 + x0) ** 2 * self.f(0, x0, cfg)
-        b2, xmap = beta * beta, self.xmap
-        a = x0 if self.spin else 1.0
+        def profile(rows, theta):
+            values = np.empty_like(theta)
+            lim = at_limit[rows]
+            if lim.any():
+                values[lim] = limit_profile(theta[lim])
+            body = ~lim
+            b2, a, norm = params[rows[body]].T[:, :, None]
+            values[body] = self._body(s, swap, theta[body], b2, a, norm, operator.pow)
+            return values
 
-        def profile(theta):
-            theta = np.asarray(theta, dtype=float)
-            x = _deform(b2 * _pow(np.sin(theta), 2), *xmap)
-            num = _pow(1.0 + x, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, _pow)[0]
-            return num / ((1.0 - x) * norm) if self.spin else num / norm
+        return profile, failed
 
-        return profile
+    def half_plane_fraction_scan(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Yield q_s(zeta; beta) at each beta, in order (see ``_f_scan``)."""
+        kinematics.validate_s(s)
+        if s == 0:
+            yield from (1.0 for _ in self._f_scan((), betas, cfg, zeta))
+        else:
+            yield from (q[s] for q in self.half_plane_fractions_scan(zeta, betas, cfg))
+
+    def half_plane_fractions_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Yield {s: q_s(zeta; beta)} at each beta, in order (see ``_f_scan``),
+        from one evaluation of f_1, f_2, f_3 per beta."""
+        z = 1 if self._swap(zeta) else -1
+        for x0, (f1, f2, f3) in self._f_scan((1, 2, 3), betas, cfg, zeta):
+            f0 = f2 + f3
+            q1 = 0.5 + f1 / f0
+            q2 = 0.5 * (1.0 + z - 2.0 * z * (f2 / f0))
+            yield {0: 1.0, 1: q1, -1: 1.0 - q1, 2: q2, 3: 1.0 - q2}
 
     def half_plane_fractions(self, zeta, beta: float, cfg=DEFAULT_CONFIG) -> dict:
-        """{s: q_s(zeta; beta)} from one evaluation of f_1, f_2, f_3: the share
-        of the power of component s radiated into 0 <= theta <= pi/2, with
-        q_0 = 1, q_2 + q_3 = 1, q_g + q_{-g} = 1 and q_2(zeta) = q_3(-zeta)."""
-        self.check(beta, zeta=zeta)
-        x0 = self.x0(beta)
-        f1 = self.f(1, x0, cfg)
-        f2 = self.f(2, x0, cfg)
-        f0 = f2 + self.f(3, x0, cfg)
-        z = 1 if self._swap(zeta) else -1
-        q1 = 0.5 + f1 / f0
-        q2 = 0.5 * (1.0 + z - 2.0 * z * (f2 / f0))
-        return {0: 1.0, 1: q1, -1: 1.0 - q1, 2: q2, 3: 1.0 - q2}
+        """{s: q_s(zeta; beta)}: the share of the power of component s radiated
+        into 0 <= theta <= pi/2, with q_0 = 1, q_2 + q_3 = 1, q_g + q_{-g} = 1
+        and q_2(zeta) = q_3(-zeta)."""
+        return next(self.half_plane_fractions_scan(zeta, [beta], cfg))
 
     def half_plane_fraction(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> float:
         """q_s(zeta; beta) of ``half_plane_fractions``."""
-        kinematics.validate_s(s)
-        self.check(beta, zeta=zeta)
-        return 1.0 if s == 0 else self.half_plane_fractions(zeta, beta, cfg)[s]
+        return next(self.half_plane_fraction_scan(s, zeta, [beta], cfg))
+
+    def _shape_scan(self, betas, cfg, zeta=None):
+        """Yield (x0, f(beta)) at each beta, in order (see ``_f_scan``)."""
+        for x0, (f2, f3) in self._f_scan((2, 3), betas, cfg, zeta):
+            yield x0, 3.0 * (1.0 + x0) ** self.shape_power / 8.0 * (f2 + f3)
+
+    def shape_integral_scan(self, betas, cfg=DEFAULT_CONFIG):
+        """Yield f(beta) at each beta, in order (see ``_f_scan``)."""
+        yield from (shape for _, shape in self._shape_scan(betas, cfg))
 
     def shape_integral(self, beta: float, cfg=DEFAULT_CONFIG) -> float:
         """f(beta) = 3 (1 + x0)^m f_0(x0) / 8; equals 1 at beta = 0."""
-        self.check(beta)
-        x0 = self.x0(beta)
-        return 3.0 * (1.0 + x0) ** self.shape_power / 8.0 * self.f(0, x0, cfg)
+        return next(self.shape_integral_scan([beta], cfg))
 
     def spin_factor(self, zeta, beta: float) -> float:
         """d(zeta; beta): spin-flip suppression x0 for zeta = +1, else 1."""
         self.check(beta, zeta=zeta)
         return self.x0(beta) if self._swap(zeta) else 1.0
 
+    def total_power_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Yield ``total_power`` at each beta, in order (see ``_f_scan``)."""
+        num, den = self.power_const
+        swap = self._swap(zeta)
+        for beta, (x0, shape) in zip(betas, self._shape_scan(betas, cfg, zeta)):
+            power = num * (x0 if swap else 1.0) * kinematics.power_prefactor(beta) / den
+            yield PowerResult(power=power * shape, shape=shape)
+
     def total_power(self, zeta, beta: float, cfg=DEFAULT_CONFIG) -> PowerResult:
         """W_0 (units Q0; infinite at beta = 1) and the shape factor f(beta)."""
-        self.check(beta, zeta=zeta)
-        shape = self.shape_integral(beta, cfg)
-        num, den = self.power_const
-        power = num * self.spin_factor(zeta, beta) * kinematics.power_prefactor(beta) / den
-        return PowerResult(power=power * shape, shape=shape)
+        return next(self.total_power_scan(zeta, [beta], cfg))

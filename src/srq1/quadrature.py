@@ -1,17 +1,29 @@
-"""Adaptive Gauss-Kronrod quadrature on a finite interval.
+"""Adaptive Gauss-Kronrod quadrature on finite intervals, many integrals at once.
 
 A 15-point Kronrod rule with its embedded 7-point Gauss rule provides the
-local estimate and error; the interval with the largest error estimate is
-bisected until the summed error meets the global tolerance.  Subdivision
-order is fixed, so results are deterministic for a given configuration.
+local estimate and error of a panel; the panel with the largest error
+estimate is bisected until the summed error meets the global tolerance.
+Subdivision order is fixed, so results are deterministic for a given
+configuration.
 
-The integrand is called once on the 15 nodes of the whole interval, then
-once per bisection on the 30 nodes of both halves (left half first), which
-halves the number of calls.  This gives the same bits as two 15-node calls:
-the node arithmetic is elementwise, the integrands are elementwise array
-expressions, and the (2, 15) @ (15, 2) product that reduces both halves
-sums in the same order as the separate 15-term dot products (a test pins
-this; a matrix-vector product does not).
+``quad_batch`` runs a batch of independent integrals in lockstep.  Each
+integral keeps its own heap of panels, tolerance test, frozen error and
+result, exactly as if it ran alone (``quad_adaptive`` is the batch of one).
+A round first evaluates the whole interval of every integral, then each
+round takes one bisection from every integral that is not finished, and
+the two halves of all of them share one integrand call on an (n, 15) node
+array and one (n, 15) @ (15, 2) product.  This gives the bits of evaluating
+each panel on its own:
+
+- the nodes and the integrands are elementwise array expressions, so a
+  node's value does not depend on the other rows of the call;
+- the rows of an (n, 15) @ (15, 2) product with n >= 2 sum in the order of
+  the separate 15-term dot products, for every n (a test pins n = 2 to
+  4096, on prefixes and on gathered rows).  A (1, 15) product goes to a
+  matrix-vector kernel and differs in the last bit, so a lone panel (the
+  first of a batch of one) is reduced by the two dot products themselves;
+- an integral's sequence of pops, pushes and sums does not depend on when
+  its panels are evaluated.
 """
 
 from __future__ import annotations
@@ -72,72 +84,120 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    y = f(0.5 * (a + b) + half * _NODES)
-    kronrod = half * float(_KRONROD_W @ y)
-    gauss = half * float(_GAUSS_W @ y)
-    return kronrod, abs(kronrod - gauss)
+def _panels(f, rows, centre, half):
+    """[kronrod, gauss] of each panel, given by lists of centres and half
+    widths, row r of integral rows[r], from one integrand call."""
+    if len(rows) == 1:  # reduced by the two dot products: see the module docstring
+        half = half[0]
+        y = f(rows, centre[0] + half * _NODES.reshape(1, 15))[0]
+        return [[half * float(_KRONROD_W @ y), half * float(_GAUSS_W @ y)]]
+    half = np.array(half).reshape(-1, 1)
+    y = f(rows, np.array(centre).reshape(-1, 1) + half * _NODES)
+    return (half * (y @ _WEIGHTS)).tolist()
 
 
-def _gk15_halves(f, lo, mid, hi):
-    """GK15 estimates and errors of [lo, mid] and [mid, hi] from one call."""
-    centre = np.array([0.5 * (lo + mid), 0.5 * (mid + hi)])
-    half = np.array([0.5 * (mid - lo), 0.5 * (hi - mid)])
-    y = f((centre[:, None] + half[:, None] * _NODES).ravel())
-    (lk, lg), (rk, rg) = (half[:, None] * (np.reshape(y, (2, 15)) @ _WEIGHTS)).tolist()
-    return lk, abs(lk - lg), rk, abs(rk - rg)
+class _Integral:
+    """The refinement state of one integral of a batch: worst-error-first
+    bisection with a global error budget; the (lo, hi) entries of its heap
+    break ties deterministically."""
+
+    __slots__ = ("index", "sign", "a", "b", "heap", "total", "total_err", "frozen_err")
+
+    def __init__(self, index, sign, a, b):
+        self.index, self.sign, self.a, self.b = index, sign, a, b
+        self.frozen_err = 0.0
+
+    def result(self, cfg):
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(self.total))
+        if self.total_err > tol and self.frozen_err > 0.0:
+            return ConvergenceError(
+                f"quadrature did not converge at max_depth={cfg.max_depth}: "
+                f"residual error bound {self.total_err:.3e} exceeds tolerance {tol:.3e}",
+                estimate=self.sign * self.total,
+                error_bound=self.total_err,
+            )
+        return self.sign * self.total
+
+
+def quad_batch(f, intervals, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """Integrate integral i over [a, b] = ``intervals[i]`` for every i, in lockstep.
+
+    ``f(rows, t)`` takes an (n, 15) array ``t`` of nodes, row r belonging to
+    integral ``rows[r]`` (a list of ints), and returns the (n, 15) values,
+    elementwise, so that a node's value does not depend on the other nodes of
+    the call.  Each integrand must be finite on its interval.  Returns, per
+    integral, its value, or the ConvergenceError (carrying the best estimate
+    and an error bound) that ``quad_adaptive`` raises for it when some
+    subinterval still fails its tolerance share at ``max_depth``.
+    """
+    abs_tol, rel_tol, max_depth = cfg.abs_tol, cfg.rel_tol, cfg.max_depth
+    results = [0.0] * len(intervals)
+    # (integral, the panel it bisects, or None for its whole interval) of each
+    # integral whose panels the next round evaluates
+    waiting, rows, centre, half = [], [], [], []
+    for i, (a, b) in enumerate(intervals):
+        if b != a:
+            sign = 1.0
+            if b < a:
+                a, b, sign = b, a, -1.0
+            waiting.append((_Integral(i, sign, a, b), None))
+            rows.append(i)
+            centre.append(0.5 * (a + b))
+            half.append(0.5 * (b - a))
+    while waiting:
+        panels = iter(_panels(f, rows, centre, half))
+        evaluated, waiting, rows, centre, half = waiting, [], [], [], []
+        for q, split in evaluated:
+            left, left_g = next(panels)
+            if split is None:
+                total_err = abs(left - left_g)
+                heap = q.heap = [(-total_err, q.a, q.b, left, 0)]
+                total = left
+            else:
+                neg_err, lo, mid, hi, est, depth = split
+                right, right_g = next(panels)
+                left_err, right_err = abs(left - left_g), abs(right - right_g)
+                total = q.total + (left + right - est)
+                total_err = q.total_err + (left_err + right_err + neg_err)
+                heap = q.heap
+                heapq.heappush(heap, (-left_err, lo, mid, left, depth + 1))
+                heapq.heappush(heap, (-right_err, mid, hi, right, depth + 1))
+            q.total, q.total_err, frozen_err, split = total, total_err, q.frozen_err, None
+            while heap:
+                tol = max(abs_tol, rel_tol * abs(total))
+                if total_err <= tol or frozen_err > tol:
+                    break
+                neg_err, lo, hi, est, depth = heapq.heappop(heap)
+                if -neg_err <= 0.0:
+                    break  # remaining refinable error is zero; nothing to gain
+                if depth >= max_depth or hi - lo <= 1e-15 * (q.b - q.a):
+                    # cannot refine further; its error stays in the budget
+                    frozen_err += -neg_err
+                    continue
+                mid = 0.5 * (lo + hi)
+                split = (neg_err, lo, mid, hi, est, depth)
+                break
+            q.frozen_err = frozen_err
+            if split is None:
+                results[q.index] = q.result(cfg)
+                continue
+            waiting.append((q, split))
+            rows += (q.index, q.index)
+            centre += (0.5 * (lo + mid), 0.5 * (mid + hi))
+            half += (0.5 * (mid - lo), 0.5 * (hi - mid))
+    return results
 
 
 def quad_adaptive(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Integrate ``f`` over [a, b] to the tolerances in ``cfg``.
+    """Integrate ``f`` over [a, b] to the tolerances in ``cfg``: the batch of
+    one of ``quad_batch``.
 
     ``f`` must be vectorized and finite on [a, b]: it is called with an
-    array of 15 nodes (the whole interval) or 30 nodes (the two halves of a
-    bisected panel) and returns their values, elementwise, so that a node's
-    value does not depend on the other nodes of the call.  Raises
+    (n, 15) array of nodes and returns their values, elementwise.  Raises
     ConvergenceError (carrying the best estimate and an error bound) if
     some subinterval still fails its tolerance share at ``max_depth``.
     """
-    if b == a:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    span = b - a
-    whole, err0 = _gk15(f, a, b)
-
-    # worst-error-first refinement with a global error budget; the (lo, hi)
-    # tuple entries break ties deterministically
-    heap = [(-err0, a, b, whole, 0)]
-    total = whole
-    total_err = err0
-    frozen_err = 0.0
-    while heap:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if total_err <= tol or frozen_err > tol:
-            break
-        neg_err, lo, hi, est, depth = heapq.heappop(heap)
-        if -neg_err <= 0.0:
-            break  # remaining refinable error is zero; nothing to gain
-        width = hi - lo
-        if depth >= cfg.max_depth or width <= 1e-15 * span:
-            # cannot refine further; its error stays in the budget
-            frozen_err += -neg_err
-            continue
-        mid = 0.5 * (lo + hi)
-        left_est, left_err, right_est, right_err = _gk15_halves(f, lo, mid, hi)
-        total += left_est + right_est - est
-        total_err += left_err + right_err + neg_err
-        heapq.heappush(heap, (-left_err, lo, mid, left_est, depth + 1))
-        heapq.heappush(heap, (-right_err, mid, hi, right_est, depth + 1))
-    tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    if total_err > tol and frozen_err > 0.0:
-        raise ConvergenceError(
-            f"quadrature did not converge at max_depth={cfg.max_depth}: "
-            f"residual error bound {total_err:.3e} exceeds tolerance {tol:.3e}",
-            estimate=sign * total,
-            error_bound=total_err,
-        )
-    return sign * total
+    (value,) = quad_batch(lambda rows, t: f(t), [(a, b)], cfg)
+    if isinstance(value, ConvergenceError):
+        raise value
+    return value

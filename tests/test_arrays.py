@@ -17,7 +17,8 @@ import pytest
 
 from srq1 import boson, electron, kinematics
 from srq1.cli import run_cli
-from srq1.errors import AmbiguousLimitError
+from srq1.errors import AmbiguousLimitError, ConvergenceError
+from srq1.quadrature import QuadratureConfig
 
 HALF_PI = math.pi / 2
 _RNG = np.random.default_rng(20261018)
@@ -190,3 +191,34 @@ def test_scan_next_to_the_double_limit_prints_its_known_values(zeta, fmt):
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run_cli(_NEAR_HALF_PI + ["--zeta", zeta, "--format", fmt]) == 0
     assert out.getvalue() == NEAR_HALF_PI[zeta, fmt]
+
+
+def test_density_profiles_rows_match_each_profile():
+    # one call for the profiles of a whole beta grid (the width scans) gives
+    # each row the bits of its beta's own analysis profile, beta = 1 included
+    rows = _RNG.integers(0, len(BETAS), 40)
+    theta = _RNG.uniform(0.0, math.pi, (40, 15))
+    theta[:8, 0] = HALF_PI
+    for fam, zetas in ((boson.BOSON, (None,)), (electron.ELECTRON, ZETAS)):
+        for zeta in zetas:
+            for s in S_VALUES:
+                profile, failed = fam.density_profiles(s, zeta, list(BETAS))
+                assert failed == [None] * len(BETAS)
+                got = profile(rows, theta)
+                for r, b in enumerate(rows):
+                    want = fam.density_profile(s, zeta, BETAS[b])(theta[r])
+                    assert got[r].tobytes() == want.tobytes(), (fam.spin, zeta, s, BETAS[b])
+
+
+def test_density_profiles_report_each_failed_normalization():
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    for fam in (boson.BOSON, electron.ELECTRON):
+        _, failed = fam.density_profiles(0, -1, list(BETAS), cfg)
+        for beta, error in zip(BETAS, failed):
+            if fam.limit is not None and beta == 1.0:  # the limit profile needs no f_k
+                assert error is None
+                continue
+            with pytest.raises(ConvergenceError) as want:
+                fam.density_profile(0, -1, beta, cfg)
+            assert (str(error), error.estimate, error.error_bound) == (
+                str(want.value), want.value.estimate, want.value.error_bound)

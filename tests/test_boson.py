@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from srq1.boson import (XBAR0_MAX, angular_density_b, boson_deformation,
+from srq1.boson import (BOSON, XBAR0_MAX, angular_density_b, boson_deformation,
                         density_profile_b, half_plane_fraction_b,
                         local_polarization_b, phi_b, shape_integral_b,
                         total_power_b, xbar0)
 from srq1.errors import DomainError
+from srq1.family import GRID_CHUNK
 
 import oracles
 
@@ -139,3 +141,18 @@ def test_domain_errors():
         angular_density_b(4, 0.5, 0.5)
     with pytest.raises(DomainError):
         half_plane_fraction_b(2, -0.5)
+
+
+def test_beta_scan_memory_is_bounded_by_its_chunk():
+    # the integrals of a beta scan run GRID_CHUNK betas at a time, so a scan
+    # 8 times longer peaks at about the memory of one chunk
+    def peak(n):
+        betas = [0.999 * i / (n - 1) for i in range(n)]
+        tracemalloc.start()
+        powers = list(BOSON.total_power_scan(None, betas))
+        used = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(powers) == n
+        return used
+
+    assert peak(8 * GRID_CHUNK) < 2 * peak(GRID_CHUNK)

@@ -212,6 +212,46 @@ def test_exit_code_convergence_error():
     assert "convergence error" in err
 
 
+# Scans whose quadratures cannot converge, with the stderr recorded while each
+# integral was still evaluated on its own: the message is that of the first
+# integral to fail in the order betas in grid order; within a beta f_1, f_2,
+# f_3, then the width's weighted and plain integrals; electron before boson in
+# ratio, boson before electron in table1.
+_UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-depth", "10"]
+FIRST_FAILURE = [
+    ([*q, "--particle", p, *s, "--beta", "0.2:0.95:4", *_UNREACHABLE], bound, "1.000e-300")
+    for p, bound in (("boson", "3.456e-15"), ("electron", "3.437e-15"))
+    for q, s in ((["scan", "--quantity", "power"], []),
+                 (["scan", "--quantity", "q_halfplane"], ["--s", "2"]),
+                 (["polarization"], []),
+                 (["scan", "--quantity", "eff_angle"], ["--s", "3"]))
+] + [
+    (["scan", "--quantity", "ratio", "--particle", p, "--beta", "0.2:0.95:4", *_UNREACHABLE],
+     "3.437e-15", "1.000e-300") for p in ("boson", "electron")
+] + [
+    (["table1", *_UNREACHABLE], "3.442e-15", "1.000e-300"),
+    (["scan", "--quantity", "ratio", "--beta", "0.95:0.2:4", *_UNREACHABLE],
+     "2.668e-15", "1.000e-300"),
+    (["scan", "--quantity", "eff_angle", "--s", "0", "--beta", "0.95:0.2:4", *_UNREACHABLE],
+     "3.447e-15", "1.000e-300"),
+    # beta 2 of 4 fails in the plain width integral, beta 4 in its f_2
+    (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
+      "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
+      "--max-depth", "10"], "1.321e-10", "1.000e-10"),
+    (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "1",
+      "--beta", "0.99999:0.9999999:4", "--abs-tol", "1e-8", "--rel-tol", "1e-8",
+      "--max-depth", "10"], "8.544e-08", "1.000e-08"),
+]
+
+
+@pytest.mark.parametrize("argv, bound, tol", FIRST_FAILURE,
+                         ids=[" ".join(a) for a, _, _ in FIRST_FAILURE])
+def test_first_failing_integral_is_reported(argv, bound, tol):
+    assert run(argv) == (2, "", "convergence error: quadrature did not converge at "
+                                f"max_depth=10: residual error bound {bound} exceeds "
+                                f"tolerance {tol}\n")
+
+
 def test_determinism_byte_identical():
     argv = ["scan", "--quantity", "p", "--particle", "electron", "--s", "1",
             "--beta", "0.95", "--theta", "0:pi:91"]

@@ -118,16 +118,16 @@ def test_domain_errors():
             f_b(k, 1.0)
 
 
-def _integrand_reference(fam, k, x):
-    # the f_2/f_3 integrand written without shared subexpressions
+def _integrand_reference(kernel, k, x):
+    # the f_2/f_3 integrand of one x and k, written without shared subexpressions
     def g(t):
         num = 1.0 - x * t * t
         if k == 3:
             num = num * t * t
-        elif k == 2 and fam.k2_square:
+        elif k == 2 and kernel.k2_square:
             num = num * (1.0 + x * t * t) ** 2
         weight = np.exp(-x * (1.0 - t * t) / (1.0 - x * x * t * t))
-        return num / (1.0 - x * x * t * t) ** fam.u_power * weight
+        return num / (1.0 - x * x * t * t) ** kernel.u_power * weight
 
     return g
 
@@ -135,12 +135,47 @@ def _integrand_reference(fam, k, x):
 def test_integrand_shares_subexpressions_bit_for_bit():
     rng = np.random.default_rng(11)
     t = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0]])
-    for fam in (integrals._BOSON, integrals._ELECTRON):
+    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for k in (2, 3):
             for x in [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]:
-                got = integrals._integrand(fam, k, float(x))(t)
-                want = _integrand_reference(fam, k, float(x))(t)
-                assert got.tobytes() == want.tobytes(), (fam is integrals._BOSON, k, x)
+                got = integrals._integrand(kernel, float(x), k == 3, t)
+                want = _integrand_reference(kernel, k, float(x))(t)
+                assert got.tobytes() == want.tobytes(), (kernel is integrals.BOSON_KERNEL, k, x)
+
+
+def test_integrand_rows_of_mixed_x_and_k_bit_for_bit():
+    # one call on rows of mixed x and k, as a batch of f_2 and f_3 pairs makes
+    # it, gives each row the bits of the one-integral form on its own nodes
+    rng = np.random.default_rng(11)
+    xs = [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]
+    pairs = [(k, float(x)) for x in xs for k in (2, 3)]
+    t = rng.uniform(0.0, 1.0, (len(pairs), 15))
+    t[:, :2] = 0.0, 1.0
+    x = np.array([x for _, x in pairs])[:, None]
+    k3 = np.array([k == 3 for k, _ in pairs])[:, None]
+    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
+        got = integrals._integrand(kernel, x, k3, t)
+        for row, (k, xr) in enumerate(pairs):
+            want = _integrand_reference(kernel, k, xr)(t[row])
+            assert got[row].tobytes() == want.tobytes(), (kernel is integrals.BOSON_KERNEL, k, xr)
+        # one x shared by an f_2 and an f_3 row, as in f_0 or a one-beta batch
+        for xr in xs:
+            got = integrals._integrand(kernel, float(xr), np.array([[False], [True]]), t[:2])
+            for row, k in enumerate((2, 3)):
+                want = _integrand_reference(kernel, k, float(xr))(t[row])
+                assert got[row].tobytes() == want.tobytes(), (kernel is integrals.BOSON_KERNEL, k, xr)
+
+
+def test_f_values_reports_domain_errors_per_pair():
+    got = integrals.f_values(integrals.BOSON_KERNEL, [0, 4, 2, 3, 1],
+                             [0.5, 0.5, 1.5, float("nan"), 0.5])
+    messages = [str(v) for v in got[:4]]
+    assert messages == ["integral index must be 1, 2 or 3, got 0",
+                        "integral index must be 1, 2 or 3, got 4",
+                        "argument must lie in [0, 1], got 1.5",
+                        "argument must lie in [0, 1], got nan"]
+    assert all(isinstance(v, DomainError) for v in got[:4])
+    assert got[4] == f_b(1, 0.5)
 
 
 def _loads(module):

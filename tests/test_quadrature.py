@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from srq1 import analysis, integrals, quadrature
+from srq1.family import GRID_CHUNK
 from srq1.errors import ConvergenceError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
@@ -58,7 +59,7 @@ def test_config_validation():
         QuadratureConfig(max_depth=5)
 
 
-# --- the paired bisection against the sequential loop it replaced ---------
+# --- the lockstep batch against the sequential loop it replaced -----------
 
 def _gk15_reference(f, a, b):
     half = 0.5 * (b - a)
@@ -69,7 +70,7 @@ def _gk15_reference(f, a, b):
 
 
 def _quad_reference(f, a, b, cfg=DEFAULT_CONFIG):
-    # the adaptive loop with one 15-node call per half of a bisected panel
+    # the adaptive loop with one 15-node call per panel, one integral at a time
     if b == a:
         return 0.0
     sign = 1.0
@@ -121,20 +122,27 @@ def _recorded(f):
     return g, calls
 
 
+def _hex(value):
+    if isinstance(value, ConvergenceError):
+        return str(value), value.estimate.hex(), value.error_bound.hex()
+    return value.hex()
+
+
 def _outcome(quad, f, a, b, cfg):
     try:
         return quad(f, a, b, cfg).hex()
     except ConvergenceError as exc:
-        return str(exc), exc.estimate.hex(), exc.error_bound.hex()
+        return _hex(exc)
 
 
 def assert_same_as_reference(f, a, b, cfg=DEFAULT_CONFIG):
     """Same float.hex (or the same ConvergenceError) as the sequential loop,
-    from the same nodes in the same order: 15, then 30 (two panels) per call."""
+    from the same nodes in the same order: one panel, then the two halves of
+    a bisection per call."""
     f_new, new = _recorded(f)
     f_ref, ref = _recorded(f)
     assert _outcome(quad_adaptive, f_new, a, b, cfg) == _outcome(_quad_reference, f_ref, a, b, cfg)
-    assert [t.size for t in new] == [15] + [30] * (len(new) - 1)
+    assert [t.shape for t in new] == [(1, 15)] + [(2, 15)] * (len(new) - 1)
     assert len(ref) == 2 * len(new) - 1
     assert new[0].tobytes() == ref[0].tobytes()
     for i, t in enumerate(new[1:]):
@@ -142,69 +150,166 @@ def assert_same_as_reference(f, a, b, cfg=DEFAULT_CONFIG):
     return len(ref)  # GK15 panels
 
 
+def _member(f, i):
+    """Integral i of a batch integrand f(rows, t), as a function of 15 nodes."""
+    return lambda t: f(np.full(1, i), np.reshape(t, (1, 15)))[0]
+
+
+def assert_batch_matches_reference(f, intervals, cfg=DEFAULT_CONFIG):
+    """Every member of ``quad_batch`` has the float.hex, or the error message,
+    estimate and bound, of the sequential loop on its own."""
+    got = [_hex(v) for v in quadrature.quad_batch(f, intervals, cfg)]
+    want = [_outcome(_quad_reference, _member(f, i), a, b, cfg)
+            for i, (a, b) in enumerate(intervals)]
+    assert got == want
+    return got
+
+
+def _kernel_integrand(kernel, k, x):
+    return lambda t: integrals._integrand(kernel, x, k == 3, t)
+
+
 def test_paired_bisection_matches_reference_on_f2_f3():
     rng = np.random.default_rng(2024)
     xs = [0.0, 0.5, 0.99, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 12)]
-    for fam in (integrals._BOSON, integrals._ELECTRON):
+    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for k in (2, 3):
             for x in xs:
-                assert_same_as_reference(integrals._integrand(fam, k, float(x)), 0.0, 1.0)
+                assert_same_as_reference(_kernel_integrand(kernel, k, float(x)), 0.0, 1.0)
 
 
 def test_paired_bisection_pins_the_panel_count():
     # electron f_2 next to its boundary switch: 43 GK15 panels in 22 calls
-    g = integrals._integrand(integrals._ELECTRON, 2, 1.0 - 1e-6)
+    g = _kernel_integrand(integrals.ELECTRON_KERNEL, 2, 1.0 - 1e-6)
     assert assert_same_as_reference(g, 0.0, 1.0) == 43
 
 
 def test_paired_bisection_matches_reference_on_effective_angle(monkeypatch):
-    integrands = []
+    batches = []
 
-    def capture(f, a, b, cfg=DEFAULT_CONFIG):
-        integrands.append((f, a, b, cfg))
-        return quad_adaptive(f, a, b, cfg)
+    def capture(f, intervals, cfg=DEFAULT_CONFIG):
+        batches.append((f, intervals, cfg))
+        return quadrature.quad_batch(f, intervals, cfg)
 
-    monkeypatch.setattr(analysis, "quad_adaptive", capture)
+    monkeypatch.setattr(analysis, "quad_batch", capture)
+    betas = [0.0, 0.6, 0.95, 1.0]
     for kind, zetas in (("boson", (None,)), ("electron", (1, -1))):
         for zeta in zetas:
             for s in (0, 1, 2, 3):
-                for beta in (0.0, 0.6, 0.95):
-                    analysis.effective_angle(kind, s, zeta, beta)
-    assert len(integrands) == 2 * 3 * 4 * 3  # weighted and plain
-    for f, a, b, cfg in integrands:
-        assert_same_as_reference(f, a, b, cfg)
+                list(analysis.effective_angle_scan(kind, s, zeta, betas))
+    assert len(batches) == 3 * 4
+    for f, intervals, cfg in batches:
+        assert len(intervals) == 2 * len(betas)  # weighted and plain of each beta
+        assert_batch_matches_reference(f, intervals, cfg)
 
 
 def test_paired_bisection_matches_reference_reversed():
     assert_same_as_reference(lambda t: np.exp(t) * np.cos(30.0 * t), 2.0, -1.0)
 
 
+def _hard_integrands():
+    for eps in (1e-10, 1e-14, 1e-20):
+        yield lambda t, eps=eps: 1.0 / np.sqrt(t * t + eps)
+        yield lambda t, eps=eps: np.log(t + eps)
+
+
 def test_paired_bisection_matches_reference_on_convergence_errors():
     failures = 0
     for max_depth in (10, 14, 20):
         cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_depth=max_depth)
-        for eps in (1e-10, 1e-14, 1e-20):
-            for f in (lambda t: 1.0 / np.sqrt(t * t + eps), lambda t: np.log(t + eps)):
-                try:
-                    quad_adaptive(f, 0.0, 1.0, cfg)
-                except ConvergenceError:
-                    failures += 1
-                assert_same_as_reference(f, 0.0, 1.0, cfg)
+        for f in _hard_integrands():
+            try:
+                quad_adaptive(f, 0.0, 1.0, cfg)
+            except ConvergenceError:
+                failures += 1
+            assert_same_as_reference(f, 0.0, 1.0, cfg)
     assert failures >= 6
+
+
+def test_batch_matches_reference_member_by_member():
+    # easy and hard integrals mixed, with reversed and empty intervals: each
+    # member keeps its own heap, so the batch changes no bit of any result
+    funcs = [lambda t: np.exp(t) * np.cos(30.0 * t), lambda t: t * t,
+             *_hard_integrands(), lambda t: np.sin(50 * t) ** 2 / (1 + t)]
+    intervals = [(0.0, 1.0), (2.0, -1.0), (0.5, 0.5), (0.0, math.pi)]
+    members = [(f, ab) for f in funcs for ab in intervals if f is funcs[0] or ab[0] == 0.0]
+
+    def f(rows, t):
+        out = np.empty_like(t)
+        for i in np.unique(rows):
+            mine = rows == i
+            out[mine] = members[i][0](t[mine])
+        return out
+
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_depth=14)
+    got = assert_batch_matches_reference(f, [ab for _, ab in members], cfg)
+    assert 3 <= sum(isinstance(v, tuple) for v in got) < len(got) - 3
+    assert got[2] == (0.0).hex()  # the empty interval
+    # a batch of one is the sequential loop as well
+    for i, (g, ab) in enumerate(members):
+        assert [_hex(v) for v in quadrature.quad_batch(lambda rows, t: g(t), [ab], cfg)] == [got[i]]
+
+
+def test_f_values_batch_matches_one_quadrature_per_pair():
+    rng = np.random.default_rng(3)
+    xs = [0.0, 0.3, 0.99, 1.0 - 2e-6, *rng.uniform(0.0, 0.999, 6)]
+    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
+        for cfg in (DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_depth=10)):
+            ks = [k for x in xs for k in (1, 2, 3)]
+            got = integrals.f_values(kernel, ks, [x for x in xs for _ in (1, 2, 3)], cfg)
+            for k, x, value in zip(ks, [x for x in xs for _ in (1, 2, 3)], got):
+                if k == 1:
+                    want = kernel.f1(x).hex()
+                else:
+                    want = _outcome(_quad_reference, _kernel_integrand(kernel, k, x), 0.0, 1.0, cfg)
+                    if not isinstance(want, tuple):
+                        want = (kernel.prefactors[k - 2](x) * float.fromhex(want)).hex()
+                assert _hex(value) == want, (k, x)
 
 
 def test_pair_reduction_equals_separate_dots():
     # the (2, 15) @ (15, 2) product must add up each column in the order of a
     # 15-term dot product; a BLAS whose kernels differ fails here
     rng = np.random.default_rng(5)
-    weights = np.stack((quadrature._KRONROD_W, quadrature._GAUSS_W), axis=1)
     for _ in range(4000):
         y = rng.standard_normal(30) * 10.0 ** rng.uniform(-300, 300, 30)
         dots = [float(w @ half) for half in (y[:15], y[15:])
                 for w in (quadrature._KRONROD_W, quadrature._GAUSS_W)]
-        assert (y.reshape(2, 15) @ weights).ravel().tolist() == dots
+        assert (y.reshape(2, 15) @ quadrature._WEIGHTS).ravel().tolist() == dots
         lo, mid, hi = sorted(rng.uniform(-3.0, 3.0, 3))
-        halves = quadrature._gk15_halves(lambda t: y, lo, mid, hi)
+        panels = quadrature._panels(lambda rows, t: y.reshape(2, 15), [0, 0],
+                                    [0.5 * (lo + mid), 0.5 * (mid + hi)],
+                                    [0.5 * (mid - lo), 0.5 * (hi - mid)])
         ref = (_gk15_reference(lambda t: y[:15], lo, mid)
                + _gk15_reference(lambda t: y[15:], mid, hi))
-        assert [v.hex() for v in halves] == [v.hex() for v in ref]
+        got = [v for k, g in panels for v in (k, abs(k - g))]
+        assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
+def test_row_reduction_equals_separate_dots():
+    # every row of an (n, 15) @ (15, 2) product, n >= 2, is the pair of 15-term
+    # dots, for every n a batch of GRID_CHUNK betas can reach, on prefixes and
+    # on gathered rows
+    n_max = 4 * GRID_CHUNK  # two integrals per beta, two halves per bisection
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((n_max, 15)) * 10.0 ** rng.uniform(-300, 300, (n_max, 15))
+    dots = np.array([[float(w @ row) for w in (quadrature._KRONROD_W, quadrature._GAUSS_W)]
+                     for row in y])
+    order = rng.permutation(n_max)
+    for n in range(2, n_max + 1):
+        assert np.array_equal(y[:n] @ quadrature._WEIGHTS, dots[:n]), n
+        rows = order[:n]
+        assert np.array_equal(y[rows] @ quadrature._WEIGHTS, dots[rows]), n
+
+
+def test_lone_panel_is_reduced_as_a_dot():
+    # a (1, 15) product is a matrix-vector one that differs from the dots in
+    # the last bit, so the engine reduces a lone panel by the dots themselves
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        y = rng.standard_normal(15) * 10.0 ** rng.uniform(-300, 300, 15)
+        a, b = sorted(rng.uniform(-3.0, 3.0, 2))
+        ((k, g),) = quadrature._panels(lambda rows, t: y.reshape(1, 15), [0],
+                                       [0.5 * (a + b)], [0.5 * (b - a)])
+        assert (k.hex(), abs(k - g).hex()) == tuple(
+            v.hex() for v in _gk15_reference(lambda t: y, a, b))
