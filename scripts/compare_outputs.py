@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 43 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 86 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -57,6 +57,25 @@ EDGE_ARGV = (
        ["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
         "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
         "--max-depth", "10"]]
+)
+# Theta scans of the angular densities next to and at beta = 1 (the limit
+# profile), the frequency, one point, and electron and boson maxima.
+_S = ("0", "1", "-1", "2", "3")
+_THETA = ["--theta", "0:pi:100001"]
+EDGE_ARGV += (
+    [["scan", "--quantity", "p", "--particle", "electron", "--s", s, "--zeta", z,
+      "--beta", "1", *_THETA] for s in _S for z in ("1", "-1")]
+    + [["limits", "--s", s, *_THETA] for s in _S]
+    + [["scan", "--quantity", "p", "--particle", p, "--s", s, "--beta", "0.999999", *_THETA]
+       for p in ("boson", "electron") for s in _S]
+    + [["scan", "--quantity", "p", "--particle", "boson", "--s", s, "--beta", "1", *_THETA]
+       for s in _S]
+    + [["scan", "--quantity", "freq", "--particle", p, "--beta", b, *_THETA]
+       for p in ("boson", "electron") for b in ("0.5", "0.999999", "1")]
+    + [["scan", "--quantity", "p", "--particle", "electron", "--s", "0", "--beta", "0.9",
+        "--theta", "0.3"]]
+    + [["maxima", "--particle", p, "--s", s, "--beta", "0.5:0.999:40"]
+       for p in ("boson", "electron") for s in ("0", "1", "3")]
 )
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -6,10 +6,10 @@ One argparse parser is built, at import, from the COMMANDS table.  A theta
 scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
 handed to the writers as one (theta, value) float array; only a q_local
 grid through the double-limit point keeps list rows, for its "ambiguous"
-cell.  Each ``**`` in it is Python's float pow per element and the limit
-profile's exp is ``math.exp`` per element, so every value equals that of a
-one-point call bit for bit (see ``family``); maxima and eff_angle keep the
-analysis profile with numpy's array pow.
+cell.  Every value equals that of a one-point call bit for bit (see
+``family``): p, limits and freq take numpy's pow and ``np.exp``, the pow
+of the profile that maxima and eff_angle read, and only q_local squares
+with Python's float pow per element.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
 ``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.

@@ -63,13 +63,10 @@ def electron_deformation(beta: float, theta: float) -> ElectronDeformation:
 
 
 def _cos_and_limit_shape(theta):
-    # cos with the snap at pi/2 of family._cos; Theta is formed per element
-    # with math.exp and Python's pow, which np.exp and numpy's array pow do
-    # not match in every last bit
+    # cos with the snap at pi/2 of family._cos, |cos| and Theta
     c = _cos(theta)
     a = np.abs(c)
-    shape = [math.exp(2.0 * v / (1.0 + v)) / (1.0 + v) ** 3 for v in np.ravel(a).tolist()]
-    return c, a, np.array(shape).reshape(a.shape)
+    return c, a, np.exp(2.0 * a / (1.0 + a)) / np.power(1.0 + a, 3)
 
 
 def ultrarelativistic_density(s: int, zeta: int, theta):

@@ -24,16 +24,14 @@ two iterated limits disagree by a factor 2 (``at_double_limit``), the
 fixed-beta theta-limit values.
 
 Theta may be an array: ``local_polarization`` and the densities evaluate a
-whole theta scan in one pass, as the CLI's theta scans do.  On arrays,
-numpy's pow (and ``np.exp``, against ``math.exp``) can differ from the
-scalar pow of a one-point call in the last bit, while sin, cos, sqrt and
-+ - * / agree.  So the phi_s/profile body takes its pow as an argument:
-``density``, the exact-point density of the CLI's theta scans, uses
-``kinematics.elementwise_pow``, Python's float pow per element, and every
-array value is then the one-point value bit for bit (the electron's limit
-profile likewise takes ``math.exp`` per element).  ``density_profile``, the
-profile handed to ``analysis``, keeps numpy's array pow, whose last bits its
-printed maxima were computed with.
+whole theta scan in one pass, as the CLI's theta scans do.  The density
+body is written once, with numpy's pow and ``np.exp``: ``density`` is
+``density_profile``, the profile handed to ``analysis``, applied to theta.
+Numpy's ufuncs give a scalar, a 0-d array and every element of an array
+the same bits, so each array value is its one-point value.  C's pow, that
+of Python's float ``**`` and of ``**`` on a numpy scalar, can differ from
+numpy's pow in the last bit; ``local_polarization`` and ``phi`` still square
+with it per element (``_phis``), whose bits their printed values keep.
 
 A beta scan (``shape_integral_scan``, ``total_power_scan``,
 ``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
@@ -48,7 +46,6 @@ after f_k is written once and the bits agree.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -80,12 +77,12 @@ def _cos(theta):
     return np.where(np.abs(c) < 1e-15, 0.0, c)
 
 
-def _phi(s, swap, x, a, theta, power):
+def _phi(s, swap, x, a, theta, opx2):
     """(phi_s, phi_0) at deformation x; a is the coupling in 1 - a x and
-    power(v, n) computes v ** n."""
+    opx2 the square (1 + x)^2."""
     cos = _cos(theta)
     straight = 1.0 - a * x
-    bent = power(1.0 + x, 2) * cos * cos / straight
+    bent = opx2 * cos * cos / straight
     phi0 = straight + bent
     if s in (2, 3):
         return (straight if (s == 2) != swap else bent), phi0
@@ -123,10 +120,12 @@ class Family:
         return self.x0(beta), float(_deform(beta * beta * s * s, *self.xmap))
 
     def _phis(self, s, zeta, beta, theta):
+        """(phi_s, phi_0) with Python's float pow per element: the bits that
+        ``phi`` and ``local_polarization`` print, which numpy's pow moves."""
         pow_ = kinematics.elementwise_pow
         x = _deform(beta * beta * pow_(np.sin(theta), 2), *self.xmap)
         a = self.x0(beta) if self.spin else 1.0
-        return _phi(s, self._swap(zeta), x, a, theta, pow_)
+        return _phi(s, self._swap(zeta), x, a, theta, pow_(1.0 + x, 2))
 
     def phi(self, s: int, zeta, beta: float, theta: float) -> float:
         """Polarization shape phi_s(zeta; beta, theta)."""
@@ -156,10 +155,16 @@ class Family:
         return kinematics.like_theta(phi_s / phi0, theta)
 
     def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> Callable:
-        """Vectorized theta -> p_s(zeta; beta; theta) with numpy's array pow,
-        normalization computed once; theta is not checked.  At beta = 1 a record
-        with a ``limit`` serves its limit profile (see the module docstring)."""
-        return self._profile(s, zeta, beta, cfg, operator.pow)
+        """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
+        once; theta is not checked.  At beta = 1 a record with a ``limit``
+        serves its limit profile (see the module docstring)."""
+        kinematics.validate_s(s)
+        self.check(beta, zeta=zeta)
+        (params,) = checked(self._body_params([beta], cfg))
+        if params is None:
+            return self._limit_profile(s, zeta)
+        swap, (b2, a, norm) = self._swap(zeta), params
+        return lambda theta: self._body(s, swap, np.asarray(theta, dtype=float), b2, a, norm)
 
     def density(self, s: int, zeta, beta: float, theta, cfg=DEFAULT_CONFIG):
         """Angular distribution p_s(zeta; beta; theta), a float for a scalar
@@ -167,8 +172,7 @@ class Family:
         one-point value; integrates to 1 over the sphere for s = 0 (measure
         sin(theta) d(theta))."""
         self.check(beta, theta, zeta)
-        return kinematics.like_theta(
-            self._profile(s, zeta, beta, cfg, kinematics.elementwise_pow)(theta), theta)
+        return kinematics.like_theta(self.density_profile(s, zeta, beta, cfg)(theta), theta)
 
     def _f_rows(self, ks, betas, cfg):
         """[(x0, [f_k(x0) for k in ks])] at each beta, all integrals in one
@@ -203,11 +207,14 @@ class Family:
 
         return limit_profile
 
-    def _body(self, s, swap, theta, b2, a, norm, _pow):
+    def _body(self, s, swap, theta, b2, a, norm):
         """p_s at theta for beta^2 = b2, coupling a and normalization norm,
-        each a float or a column per row of theta."""
-        x = _deform(b2 * _pow(np.sin(theta), 2), *self.xmap)
-        num = _pow(1.0 + x, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, _pow)[0]
+        each a float or a column per row of theta.  The cube is np.power: ``**``
+        on a numpy scalar would take C's pow (see the module docstring)."""
+        sin = np.sin(theta)
+        x = _deform(b2 * (sin * sin), *self.xmap)
+        opx = 1.0 + x
+        num = np.power(opx, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, opx * opx)[0]
         return num / ((1.0 - x) * norm) if self.spin else num / norm
 
     def _body_params(self, betas, cfg):
@@ -222,17 +229,6 @@ class Family:
             params[i] = error or (betas[i] * betas[i], x0 if self.spin else 1.0,
                                   (1.0 + x0) ** 2 * (fk[0] + fk[1]))
         return params
-
-    def _profile(self, s, zeta, beta, cfg, _pow):
-        """``density_profile`` with ``_pow`` as the pow of the beta < 1 body."""
-        kinematics.validate_s(s)
-        self.check(beta, zeta=zeta)
-        (params,) = checked(self._body_params([beta], cfg))
-        if params is None:
-            return self._limit_profile(s, zeta)
-        swap, (b2, a, norm) = self._swap(zeta), params
-        return lambda theta: self._body(s, swap, np.asarray(theta, dtype=float), b2, a, norm,
-                                        _pow)
 
     def density_profiles(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
         """The ``density_profile`` of each beta as one function
@@ -257,7 +253,7 @@ class Family:
                 values[lim] = limit_profile(theta[lim])
             body = ~lim
             b2, a, norm = params[rows[body]].T[:, :, None]
-            values[body] = self._body(s, swap, theta[body], b2, a, norm, operator.pow)
+            values[body] = self._body(s, swap, theta[body], b2, a, norm)
             return values
 
         return profile, failed

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, checked
+from .errors import DomainError, checked
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
 from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
 
@@ -127,7 +127,7 @@ def f_values(kernel, ks, xs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
         results = quad_batch(lambda rows, t: _integrand(kernel, x(rows), k3(rows), t),
                              [(0.0, 1.0)] * len(quads), cfg)
         for i, value in zip(quads, results):
-            values[i] = value if isinstance(value, ConvergenceError) else (
+            values[i] = value if isinstance(value, Exception) else (
                 kernel.prefactors[ks[i] - 2](xs[i]) * value)
     return values
 

@@ -10,12 +10,11 @@ with beta^2 = 1 - 1/gamma^2.  Only negative charge is modeled.  beta = 1 is
 representable (B is then infinite); field-based constructors never produce
 it and cannot be asked for it.
 
-``photon_frequency`` takes a scalar theta or a theta array.  Its array
-helpers also serve ``family`` (densities, polarization) and ``electron``
-(limit profiles).  ``elementwise_pow`` takes Python's float pow per element:
-numpy's array pow may differ from the scalar pow of one point in the last
-bit, and a theta scan must give the same floats as a point-by-point
-evaluation.
+``photon_frequency`` takes a scalar theta or a theta array and squares
+sin(theta) as a product, so that both give the same bits.  Its array
+helpers also serve ``family`` and ``electron``.  ``elementwise_pow`` takes
+Python's float pow per element, whose bits numpy's pow does not promise;
+only ``family``'s phi_s, behind ``phi`` and ``local_polarization``, uses it.
 """
 
 from __future__ import annotations
@@ -154,8 +153,9 @@ def photon_frequency(spec: ParticleSpec, state: KinematicState, req: PhotonReque
     validate_theta(req.theta)
     r = req.nu / _nbar(spec, state.n)
     b2 = state.beta**2
-    sin2 = elementwise_pow(np.sin(req.theta), 2)
-    return like_theta(r * state.gamma * b2 / (1.0 + np.sqrt(1.0 - r * b2 * sin2)), req.theta)
+    sin = np.sin(req.theta)
+    return like_theta(r * state.gamma * b2 / (1.0 + np.sqrt(1.0 - r * b2 * (sin * sin))),
+                      req.theta)
 
 
 def power_prefactor(beta: float) -> float:

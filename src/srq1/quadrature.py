@@ -126,9 +126,10 @@ def quad_batch(f, intervals, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     integral ``rows[r]`` (a list of ints), and returns the (n, 15) values,
     elementwise, so that a node's value does not depend on the other nodes of
     the call.  Each integrand must be finite on its interval.  Returns, per
-    integral, its value, or the ConvergenceError (carrying the best estimate
-    and an error bound) that ``quad_adaptive`` raises for it when some
-    subinterval still fails its tolerance share at ``max_depth``.
+    integral, its value, or the error that ``quad_adaptive`` raises for it:
+    a ConvergenceError (carrying the best estimate and an error bound) when
+    some subinterval still fails its tolerance share at ``max_depth``, or a
+    DomainError as soon as its error sum is not finite.
     """
     abs_tol, rel_tol, max_depth = cfg.abs_tol, cfg.rel_tol, cfg.max_depth
     results = [0.0] * len(intervals)
@@ -162,6 +163,9 @@ def quad_batch(f, intervals, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
                 heap = q.heap
                 heapq.heappush(heap, (-left_err, lo, mid, left, depth + 1))
                 heapq.heappush(heap, (-right_err, mid, hi, right, depth + 1))
+            if not total_err < np.inf:  # a node value is inf or nan
+                results[q.index] = DomainError(f"integrand is not finite on [{q.a}, {q.b}]")
+                continue
             q.total, q.total_err, frozen_err, split = total, total_err, q.frozen_err, None
             while heap:
                 tol = max(abs_tol, rel_tol * abs(total))
@@ -195,9 +199,10 @@ def quad_adaptive(f, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     ``f`` must be vectorized and finite on [a, b]: it is called with an
     (n, 15) array of nodes and returns their values, elementwise.  Raises
     ConvergenceError (carrying the best estimate and an error bound) if
-    some subinterval still fails its tolerance share at ``max_depth``.
+    some subinterval still fails its tolerance share at ``max_depth``, and
+    DomainError if ``f`` is not finite at a node.
     """
     (value,) = quad_batch(lambda rows, t: f(t), [(a, b)], cfg)
-    if isinstance(value, ConvergenceError):
+    if isinstance(value, Exception):
         raise value
     return value

@@ -15,10 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from srq1 import boson, electron, kinematics
+from srq1 import analysis, boson, electron, kinematics
 from srq1.cli import run_cli
 from srq1.errors import AmbiguousLimitError, ConvergenceError
-from srq1.quadrature import QuadratureConfig
+from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 HALF_PI = math.pi / 2
 _RNG = np.random.default_rng(20261018)
@@ -73,18 +73,17 @@ def test_photon_frequency(spec, beta):
         spec, state, kinematics.PhotonRequest(1, t)))
 
 
-# One-point values of the point-by-point code, at points where numpy's
-# array pow (np.exp for the limit profile) would round differently; the
-# comparisons above hold for either choice, these pins only for the right one.
+# One-point values of the local polarization, which squares with Python's
+# float pow per element, at points where numpy's pow would round
+# differently; the comparisons above hold for either choice, these pins only
+# for the right one.  The densities, the limit profile and the frequency take
+# numpy's pow and need no pin.  The ids keep the test names these two pins
+# had in a list that also held density pins.
 PINNED = [
-    ("angular_density_b", (1, 0.7, 0.04948505349978825), "0x1.5f54a187f8fafp-1"),
-    ("angular_density_b", (1, 0.7, 0.07161679919643149), "0x1.5f16fb326b915p-1"),
-    ("angular_density_e", (3, 1, 0.999999, 0.01970322167786832), "0x1.1da9c6cb38c87p-3"),
-    ("angular_density_e", (3, 1, 0.999999, 0.02262993026007064), "0x1.1dae5031a9cbdp-3"),
-    ("local_polarization_b", (1, 0.5, 2.6500939082230475), "0x1.75e1a5e34536ep-9"),
-    ("local_polarization_e", (2, -1, 0.9, 2.035090840988652), "0x1.7055abbcf00c4p-1"),
-    ("ultrarelativistic_density", (0, -1, 0.0028896027135477758), "0x1.1d99a651d937cp-2"),
-    ("ultrarelativistic_density", (0, -1, 0.04605411250086979), "0x1.1de6eb0c5d3d8p-2"),
+    pytest.param("local_polarization_b", (1, 0.5, 2.6500939082230475), "0x1.75e1a5e34536ep-9",
+                 id="local_polarization_b-args4-0x1.75e1a5e34536ep-9"),
+    pytest.param("local_polarization_e", (2, -1, 0.9, 2.035090840988652),
+                 "0x1.7055abbcf00c4p-1", id="local_polarization_e-args5-0x1.7055abbcf00c4p-1"),
 ]
 
 
@@ -95,13 +94,33 @@ def test_pinned_point_values(name, args, value):
     assert f(*args[:-1], np.array([args[-1]]))[0] == float.fromhex(value)
 
 
-def test_pinned_photon_frequency():
-    spec = kinematics.electron(1)
-    state = kinematics.state_from_beta(spec, 1, 0.8)
-    theta = 2.035090840988652
-    for t in (theta, np.array([theta])):
-        omega = kinematics.photon_frequency(spec, state, kinematics.PhotonRequest(1, t))
-        assert np.all(omega == float.fromhex("0x1.417b010fa703cp-1"))
+# The CLI's density and the profile that analysis maximizes and integrates:
+# at beta = 0, next to beta = 1 and at beta = 1 (limit profile), with pi/2
+# on the grid
+PROFILE_BETAS = (0.0, 1.0 - 1e-6, 1.0)
+PARTICLE_ZETAS = [("boson", -1), ("electron", 1), ("electron", -1)]
+
+
+@pytest.mark.parametrize("beta", PROFILE_BETAS)
+@pytest.mark.parametrize("kind, zeta", PARTICLE_ZETAS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_density_is_the_analysis_profile(s, kind, zeta, beta):
+    api = analysis.PARTICLES[kind]
+    profile = api.profile(s, zeta, beta, DEFAULT_CONFIG)
+    got = api.density(s, zeta, beta, THETAS, DEFAULT_CONFIG)
+    assert got.tobytes() == profile(THETAS).tobytes()
+    for t in THETAS.tolist():
+        assert api.density(s, zeta, beta, t, DEFAULT_CONFIG).hex() == float(profile(t)).hex()
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("kind, zeta", PARTICLE_ZETAS)
+@pytest.mark.parametrize("s", S_VALUES)
+def test_analysis_profile_at_a_number_is_its_array_element(s, kind, zeta, beta):
+    # max_angle reads the profile at single angles (its endpoints and the
+    # reported maximum) as well as on grids
+    profile = analysis.PARTICLES[kind].profile(s, zeta, beta, DEFAULT_CONFIG)
+    assert_same_bits(lambda t: kinematics.like_theta(profile(t), t))
 
 
 def test_array_theta_is_validated_once_naming_the_first_bad_value():

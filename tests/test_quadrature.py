@@ -1,12 +1,13 @@
 import heapq
 import math
+import time
 
 import numpy as np
 import pytest
 
 from srq1 import analysis, integrals, quadrature
 from srq1.family import GRID_CHUNK
-from srq1.errors import ConvergenceError
+from srq1.errors import ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
 from oracles import midpoint_riemann
@@ -48,6 +49,26 @@ def test_convergence_error_carries_estimate():
     err = exc_info.value
     assert err.estimate is not None and math.isfinite(err.estimate)
     assert err.error_bound > 0
+
+
+def test_nan_integrand_raises_at_once_naming_its_interval():
+    start = time.perf_counter()
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=r"\[-0\.5, 1\.0\]"):
+        quad_adaptive(lambda t: np.log(t + 1e-2), -0.5, 1.0)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_nan_member_leaves_the_finite_member_of_its_batch_alone():
+    g = lambda t: np.exp(t) * np.cos(30.0 * t)
+
+    def f(rows, t):
+        with np.errstate(invalid="ignore"):
+            return np.where(np.array(rows)[:, None] == 0, g(t), np.log(t + 1e-2))
+
+    cfg = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+    finite, failed = quadrature.quad_batch(f, [(0.0, 1.0), (-0.5, 1.0)], cfg)
+    assert finite.hex() == quad_adaptive(g, 0.0, 1.0, cfg).hex()
+    assert isinstance(failed, DomainError)
 
 
 def test_config_validation():
