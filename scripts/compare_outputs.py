@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 86 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 143 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -76,6 +76,22 @@ EDGE_ARGV += (
         "--theta", "0.3"]]
     + [["maxima", "--particle", p, "--s", s, "--beta", "0.5:0.999:40"]
        for p in ("boson", "electron") for s in ("0", "1", "3")]
+)
+# maxima over grids that put the electron's beta = 1 limit rows beside body
+# rows in one lockstep chunk, rows next to beta = 1, one-point grids, degrees
+# as JSON, and grids whose normalizations cannot converge: at the first beta,
+# and at a later one, after a beta = 1 row (which needs none) or after a row
+# whose f_2, f_3 take the x -> 1 expansion (which needs no quadrature).
+_MAXIMA = ([["maxima", "--particle", "boson", "--s", s] for s in ("0", "1", "3")]
+           + [["maxima", "--particle", "electron", "--s", s, "--zeta", z]
+              for s in ("0", "1", "3") for z in ("1", "-1")])
+EDGE_ARGV += (
+    [[*a, "--beta", b] for a in _MAXIMA
+     for b in ("0:1:6", "1:0.9:4", "1", "0", "0.999999999:1:3")]
+    + [[*a, "--beta", "0.2:0.95:4", *_UNREACHABLE] for a in _MAXIMA]
+    + [[*_MAXIMA[4], "--beta", "0.75:0.995:25", "--angle-unit", "deg", "--format", "json"],
+       [*_MAXIMA[3], "--beta", "1:0.9:4", *_UNREACHABLE],
+       [*_MAXIMA[6], "--beta", "0.99999999999999:0.9:3", *_UNREACHABLE]]
 )
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 

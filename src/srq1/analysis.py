@@ -4,14 +4,16 @@ Power ratio at equal gamma and level, its crossover speed, the reference
 table of shape factors, interior maxima of the angular densities with their
 large-gamma asymptotics, and RMS effective angular widths.
 
-The beta scans ``power_ratio_scan`` and ``effective_angle_scan`` (and
-``table1``) evaluate the integrals of ``GRID_CHUNK`` betas at a time
-together: the f_2, f_3 of each particle in one batch, and the weighted and
-plain width integrals of every beta in one more.  Each value keeps the bits
-of its one-beta evaluation, which is the scan of one beta, and the error
-raised is the one a beta-by-beta evaluation meets first: betas in grid
-order, the electron's f_k before the boson's in a ratio (the boson's first
-in ``table1``), and a width's f_2, f_3, weighted, then plain integral.
+The beta scans ``power_ratio_scan``, ``effective_angle_scan`` and
+``max_angle_scan`` (and ``table1``) evaluate ``GRID_CHUNK`` betas at a time
+together: the f_2, f_3 of each particle in one batch, the weighted and
+plain width integrals of every beta in one more, and the refinement scans
+of the maxima in lockstep, one (n, 361) profile call per level.  Each value
+keeps the bits of its one-beta evaluation, which is the scan of one beta,
+and the error raised is the one a beta-by-beta evaluation meets first:
+betas in grid order, the electron's f_k before the boson's in a ratio (the
+boson's first in ``table1``), and a width's f_2, f_3, weighted, then plain
+integral.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive, quad_ba
 # golden-section interior-point ratios
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# points of each refinement scan of max_angle
+_SCAN_POINTS = 361
 
 
 class Particle(NamedTuple):
@@ -174,6 +178,62 @@ def _density_profile(kind, s, zeta, beta, cfg):
     return _particle(kind).profile(s, -1 if zeta is None else zeta, beta, cfg)
 
 
+def _row_linspace(a, b):
+    """Row i is np.linspace(a[i], b[i], 361), bit for bit: k * step + a[i] with
+    step = (b[i] - a[i]) / 360, and b[i] last.  np.linspace(a, b, 361, axis=1)
+    is not: once any bracket has shrunk to a point, it forms k / 360 * (b - a)
+    in every row."""
+    step = (b - a) / (_SCAN_POINTS - 1)
+    grid = np.arange(_SCAN_POINTS, dtype=float) * step[:, None] + a[:, None]
+    grid[:, -1] = b
+    return grid
+
+
+def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
+                   cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Yield the ``max_angle`` report of each beta, in order.
+
+    The betas of GRID_CHUNK at a time are located in lockstep: one batch of
+    normalizations, one profile call for p(0) and p(pi/2) of every beta, one
+    call on an (n, 361) grid per refinement level, whose row i refines beta
+    i's bracket exactly as a one-beta scan would, and one call for p_max.  The
+    error of the first beta whose normalization fails is raised when that
+    beta is reached.
+    """
+    if s not in (0, 1, 3):
+        raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
+    fam = _particle(kind).family
+    for start in range(0, len(betas), GRID_CHUNK):
+        chunk = betas[start:start + GRID_CHUNK]
+        profile, failed = fam.density_profiles(s, -1 if zeta is None else zeta, chunk, cfg)
+        rows = np.array([i for i, e in enumerate(failed) if e is None], int)
+        row = np.arange(len(rows))
+        p_lo, p_hi = profile(rows, np.tile([0.0, HALF_PI], (len(rows), 1))).T
+        a, b = np.zeros(len(rows)), np.full(len(rows), HALF_PI)
+        best_t, best_p = np.zeros(len(rows)), p_lo
+        for _ in range(8):
+            grid = _row_linspace(a, b)
+            vals = profile(rows, grid)
+            i = vals.argmax(axis=1)
+            better = vals[row, i] > best_p
+            best_t = np.where(better, grid[row, i], best_t)
+            best_p = np.where(better, vals[row, i], best_p)
+            a = grid[row, np.maximum(i - 1, 0)]
+            b = grid[row, np.minimum(i + 1, _SCAN_POINTS - 1)]
+
+        exists = ((0.0 < best_t) & (best_t < HALF_PI) & (best_p > p_lo + 1e-12)
+                  & (best_p > p_hi + 1e-12))
+        theta = 0.5 * (a + b)
+        found = zip(exists.tolist(), theta.tolist(), profile(rows, theta[:, None])[:, 0].tolist())
+        for beta, error in zip(chunk, failed):
+            if error is not None:
+                raise error
+            ok, theta_max, p_max = next(found)
+            yield ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
+                                 theta_max=theta_max if ok else None,
+                                 p_max=p_max if ok else None, exists=ok)
+
+
 def max_angle(kind: str, s: int, zeta: int | None, beta: float,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExtremumReport:
     """Locate an interior maximum of p_s on (0, pi/2), if any.
@@ -183,30 +243,10 @@ def max_angle(kind: str, s: int, zeta: int | None, beta: float,
     interior maximum is declared only if some refined interior value
     exceeds both endpoint values by more than 1e-12.  Eight scans shrink
     the bracket by 180^8 to a few ulps, and its midpoint is theta_max.
+    This is ``max_angle_scan`` of one beta, which runs the scans of a whole
+    beta grid in lockstep.
     """
-    if s not in (0, 1, 3):
-        raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
-    profile = _density_profile(kind, s, zeta, beta, cfg)
-    p_lo = float(profile(0.0))
-    p_hi = float(profile(HALF_PI))
-
-    a, b = 0.0, HALF_PI
-    best_t, best_p = 0.0, p_lo
-    for _ in range(8):
-        grid = np.linspace(a, b, 361)
-        vals = np.asarray(profile(grid))
-        i = int(vals.argmax())
-        if vals[i] > best_p:
-            best_t, best_p = float(grid[i]), float(vals[i])
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-
-    exists = (0.0 < best_t < HALF_PI and best_p > p_lo + 1e-12
-              and best_p > p_hi + 1e-12)
-    theta = 0.5 * (a + b) if exists else None
-    return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta, theta_max=theta,
-                          p_max=float(profile(theta)) if exists else None,
-                          exists=exists)
+    return next(max_angle_scan(kind, s, zeta, [beta], cfg))
 
 
 def asymptotic_max_angle(s: int, gamma: float) -> float:

@@ -117,7 +117,7 @@ def _freq(c):
 
 
 def _max_angle(c):
-    reports = [analysis.max_angle(c.particle, c.s, c.zeta, b, c.cfg) for b in c.betas]
+    reports = analysis.max_angle_scan(c.particle, c.s, c.zeta, c.betas, c.cfg)
     return [[r.beta, r.exists, "none" if r.theta_max is None else c.angle(r.theta_max),
              "none" if r.p_max is None else r.p_max] for r in reports]
 

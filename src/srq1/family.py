@@ -232,10 +232,11 @@ class Family:
 
     def density_profiles(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
         """The ``density_profile`` of each beta as one function
-        ``profile(rows, theta)``: row i of the (n, 15) array theta at
+        ``profile(rows, theta)``: row i of the (n, k) array theta at
         ``betas[rows[i]]``, each value that of the beta's own profile.  Returned
         with, per beta, the error that its normalization f_2, f_3 raises, or
-        None; the normalizations of all betas run as one batch."""
+        None; the normalizations of all betas run as one batch.  A call
+        without a beta = 1 limit row evaluates the body on theta as it is."""
         kinematics.validate_s(s)
         for beta in betas:
             self.check(beta, zeta=zeta)
@@ -246,14 +247,17 @@ class Family:
         params = np.array([p if isinstance(p, tuple) else (1.0,) * 3 for p in setup]).reshape(-1, 3)
         limit_profile = self._limit_profile(s, zeta) if at_limit.any() else None
 
+        def body(rows, theta):
+            b2, a, norm = params[rows].T[:, :, None]
+            return self._body(s, swap, theta, b2, a, norm)
+
         def profile(rows, theta):
-            values = np.empty_like(theta)
             lim = at_limit[rows]
-            if lim.any():
-                values[lim] = limit_profile(theta[lim])
-            body = ~lim
-            b2, a, norm = params[rows[body]].T[:, :, None]
-            values[body] = self._body(s, swap, theta[body], b2, a, norm)
+            if not lim.any():
+                return body(rows, theta)
+            values = np.empty_like(theta)
+            values[lim] = limit_profile(theta[lim])
+            values[~lim] = body(rows[~lim], theta[~lim])
             return values
 
         return profile, failed

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from srq1 import analysis
-from srq1.analysis import (asymptotic_max_angle, crossover_beta,
-                           effective_angle, max_angle, power_ratio, table1)
+from srq1.analysis import (ExtremumReport, asymptotic_max_angle, crossover_beta,
+                           effective_angle, max_angle, max_angle_scan, power_ratio, table1)
 from srq1.electron import x0
-from srq1.errors import DomainError
+from srq1.errors import ConvergenceError, DomainError
+from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 HALF_PI = math.pi / 2
 
@@ -89,6 +90,112 @@ def test_no_divergent_peaking():
     assert rep.exists and rep.p_max < 2.0
 
 
+def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG):
+    # max_angle one beta at a time, as it was before the lockstep: eight
+    # separate 361-point scans of the beta's own profile
+    if s not in (0, 1, 3):
+        raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
+    profile = analysis._density_profile(kind, s, zeta, beta, cfg)
+    p_lo = float(profile(0.0))
+    p_hi = float(profile(HALF_PI))
+
+    a, b = 0.0, HALF_PI
+    best_t, best_p = 0.0, p_lo
+    for _ in range(8):
+        grid = np.linspace(a, b, 361)
+        vals = np.asarray(profile(grid))
+        i = int(vals.argmax())
+        if vals[i] > best_p:
+            best_t, best_p = float(grid[i]), float(vals[i])
+        a = grid[max(i - 1, 0)]
+        b = grid[min(i + 1, len(grid) - 1)]
+
+    exists = (0.0 < best_t < HALF_PI and best_p > p_lo + 1e-12
+              and best_p > p_hi + 1e-12)
+    theta = 0.5 * (a + b) if exists else None
+    return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta, theta_max=theta,
+                          p_max=float(profile(theta)) if exists else None,
+                          exists=exists)
+
+
+def _bits(report):
+    hex_ = lambda v: None if v is None else float(v).hex()  # noqa: E731
+    return (report.beta, report.exists, type(report.exists), hex_(report.theta_max),
+            hex_(report.p_max))
+
+
+def _reports(reports):
+    """The bits of each report of an iterable, then the error that ended it."""
+    got = []
+    try:
+        for report in reports:
+            got.append(_bits(report))
+    except (ConvergenceError, DomainError) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+_KIND_ZETAS = [("boson", None), ("electron", -1), ("electron", 1), ("electron", None)]
+
+
+@pytest.mark.parametrize("kind, zeta", _KIND_ZETAS)
+@pytest.mark.parametrize("s", (0, 1, 3))
+def test_max_angle_scan_matches_the_per_beta_loop(s, kind, zeta, monkeypatch):
+    # beta = 1 limit rows, a row next to it, and seeded body rows share the
+    # lockstep calls; every report keeps the bits of its one-beta scan, also
+    # when the grid spans several chunks
+    rng = np.random.default_rng(1700 + s)
+    betas = [0.0, 1.0, 1.0 - 1e-9, 0.9, *rng.uniform(0.0, 1.0, 10).tolist(),
+             *(1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 4)).tolist(), 1.0, 0.0]
+    want = [_bits(_max_angle_reference(kind, s, zeta, b)) for b in betas]
+    assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
+    assert [_bits(max_angle(kind, s, zeta, b)) for b in betas] == want
+    monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
+    assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
+    # the electron has interior maxima among them, except the pi component
+    # of the spin flip; the boson has none
+    has_maxima = kind == "electron" and not (s == 3 and zeta == 1)
+    assert any(w[1] for w in want) == has_maxima
+
+
+@pytest.mark.parametrize("kind, zeta, betas", [
+    ("boson", None, [0.2, 0.5, 0.95]),
+    ("electron", -1, [1.0, 0.99999999999999, 0.9, 0.95]),
+    ("electron", 1, [0.99999999999999, 1.0, 0.3]),
+])
+def test_max_angle_scan_raises_the_first_failing_beta(kind, zeta, betas):
+    # unreachable tolerances: the limit row and the x -> 1 expansion need no
+    # quadrature, so their reports come first; the first quadrature fails
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+
+    def reference():
+        for beta in betas:
+            yield _max_angle_reference(kind, 0, zeta, beta, cfg)
+
+    want = _reports(reference())
+    assert want[1] is not None and want[1][0] is ConvergenceError
+    assert _reports(max_angle_scan(kind, 0, zeta, betas, cfg)) == want
+
+
+def test_row_linspace_is_the_scalar_linspace():
+    # the bracket of each beta's next scan is row i of _row_linspace; its
+    # bits are those of np.linspace(a_i, b_i, 361), also for brackets a few
+    # ulps wide and ones shrunk to a point (where np.linspace(a, b, 361,
+    # axis=1) would change how every other row is formed)
+    rng = np.random.default_rng(17)
+    a = rng.uniform(0.0, HALF_PI, 64)
+    b = np.minimum(a + 10.0 ** -rng.uniform(0.0, 16.0, 64), HALF_PI)
+    ulps = rng.integers(0, 5, 16)
+    a[:16] = rng.uniform(0.0, HALF_PI, 16)
+    b[:16] = a[:16] + ulps * np.spacing(a[:16])
+    a[16], b[16] = 0.0, HALF_PI
+    assert (a == b).any() and (a < b).any()
+    grid = analysis._row_linspace(a, b)
+    assert grid.shape == (64, 361)
+    for i in range(64):
+        assert grid[i].tobytes() == np.linspace(a[i], b[i], 361).tobytes(), i
+
+
 def test_asymptotic_max_angle_values():
     assert asymptotic_max_angle(0, 10.0) == pytest.approx(HALF_PI - 0.02, abs=1e-12)
     assert asymptotic_max_angle(1, 10.0) == pytest.approx(
@@ -136,3 +243,6 @@ def test_bad_kind():
         max_angle("muon", 0, None, 0.9)
     with pytest.raises(DomainError):
         max_angle("electron", 2, -1, 0.9)
+    # s is checked before the particle
+    with pytest.raises(DomainError, match="extrema are tracked"):
+        max_angle("muon", 2, None, 0.9)

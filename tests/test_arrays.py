@@ -117,8 +117,8 @@ def test_density_is_the_analysis_profile(s, kind, zeta, beta):
 @pytest.mark.parametrize("kind, zeta", PARTICLE_ZETAS)
 @pytest.mark.parametrize("s", S_VALUES)
 def test_analysis_profile_at_a_number_is_its_array_element(s, kind, zeta, beta):
-    # max_angle reads the profile at single angles (its endpoints and the
-    # reported maximum) as well as on grids
+    # the peak width of effective_angle reads the profile at single angles
+    # (its golden-section search) as well as on a grid
     profile = analysis.PARTICLES[kind].profile(s, zeta, beta, DEFAULT_CONFIG)
     assert_same_bits(lambda t: kinematics.like_theta(profile(t), t))
 

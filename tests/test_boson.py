@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from srq1.analysis import max_angle_scan
 from srq1.boson import (BOSON, XBAR0_MAX, angular_density_b, boson_deformation,
                         density_profile_b, half_plane_fraction_b,
                         local_polarization_b, phi_b, shape_integral_b,
@@ -156,3 +157,18 @@ def test_beta_scan_memory_is_bounded_by_its_chunk():
         return used
 
     assert peak(8 * GRID_CHUNK) < 2 * peak(GRID_CHUNK)
+
+
+def test_max_angle_scan_memory_is_bounded_by_its_chunk():
+    # max_angle_scan refines GRID_CHUNK betas at a time on (n, 361) grids, so
+    # a scan 4 times longer peaks at about the memory of one chunk
+    def peak(n):
+        betas = [0.999 * i / (n - 1) for i in range(n)]
+        tracemalloc.start()
+        found = sum(1 for _ in max_angle_scan("boson", 0, None, betas))
+        used = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert found == n
+        return used
+
+    assert peak(4 * GRID_CHUNK) < 2 * peak(GRID_CHUNK)
