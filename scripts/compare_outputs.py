@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 143 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 173 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -93,6 +93,13 @@ EDGE_ARGV += (
        [*_MAXIMA[3], "--beta", "1:0.9:4", *_UNREACHABLE],
        [*_MAXIMA[6], "--beta", "0.99999999999999:0.9:3", *_UNREACHABLE]]
 )
+# RMS widths of every s next to and at beta = 1, where the electron's widths
+# shrink to about 1/gamma around the orbit plane.
+EDGE_ARGV += [
+    ["scan", "--quantity", "eff_angle", "--particle", p, "--s", s, *z, "--beta", b]
+    for p, z in (("boson", []), ("electron", ["--zeta", "1"]), ("electron", ["--zeta", "-1"]))
+    for s in _S for b in ("0.999999:0.999999999999:5", "0.9:1:3")
+]
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

@@ -8,12 +8,13 @@ The beta scans ``power_ratio_scan``, ``effective_angle_scan`` and
 ``max_angle_scan`` (and ``table1``) evaluate ``GRID_CHUNK`` betas at a time
 together: the f_2, f_3 of each particle in one batch, the weighted and
 plain width integrals of every beta in one more, and the refinement scans
-of the maxima in lockstep, one (n, 361) profile call per level.  Each value
-keeps the bits of its one-beta evaluation, which is the scan of one beta,
-and the error raised is the one a beta-by-beta evaluation meets first:
-betas in grid order, the electron's f_k before the boson's in a ratio (the
-boson's first in ``table1``), and a width's f_2, f_3, weighted, then plain
-integral.
+of the maxima in lockstep, one (n, 361) profile call per level.  A width
+integrates over [0, pi/2] only, on pieces graded toward pi/2 at 1/gamma,
+and s = +-1 takes the width of s = 0.  Each value keeps the bits of its
+one-beta evaluation, which is the scan of one beta, and the error raised
+is the one a beta-by-beta evaluation meets first: betas in grid order, the
+electron's f_k before the boson's in a ratio (the boson's first in
+``table1``), and a width's f_2, f_3, weighted pieces, then plain pieces.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import boson, electron, family
+from . import boson, electron, family, kinematics
 from .errors import ConvergenceError, DomainError, checked
 from .family import GRID_CHUNK, HALF_PI
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive, quad_batch
@@ -198,7 +199,7 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     call on an (n, 361) grid per refinement level, whose row i refines beta
     i's bracket exactly as a one-beta scan would, and one call for p_max.  The
     error of the first beta whose normalization fails is raised when that
-    beta is reached.
+    beta is reached.  A beta = 1 limit profile has no interior maximum.
     """
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
@@ -229,6 +230,9 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
             if error is not None:
                 raise error
             ok, theta_max, p_max = next(found)
+            # a beta = 1 limit profile depends on theta through |cos theta|
+            # alone and rises toward pi/2: it has no interior maximum
+            ok = ok and not (fam.limit is not None and beta == 1.0)
             yield ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
                                  theta_max=theta_max if ok else None,
                                  p_max=p_max if ok else None, exists=ok)
@@ -262,34 +266,65 @@ def asymptotic_max_angle(s: int, gamma: float) -> float:
     raise DomainError(f"asymptotics are known for s in (0, 1, 3), got {s}")
 
 
+def _width_pieces(beta):
+    """The (lo, hi) pieces of [0, pi/2] that a width integrates, from 0 up:
+    cuts at pi/2 - w 4^k while w 4^k < 0.5, with w = min(0.1, 1/gamma) (0.1
+    at beta = 1), graded toward the orbit plane where the electron's
+    densities narrow to about 1/gamma."""
+    w = 0.1 if beta == 1.0 else min(0.1, math.sqrt((1.0 - beta) * (1.0 + beta)))
+    cuts = []
+    while w < 0.5:
+        cuts.append(HALF_PI - w)
+        w *= 4.0
+    edges = [0.0, *reversed(cuts), HALF_PI]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
                          cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Yield the RMS width delta of ``effective_angle`` at each beta, in order.
 
-    The integrals of GRID_CHUNK betas at a time run as two batches: the
-    normalizations f_2, f_3 of their profiles, then the weighted and the
-    plain integral of each beta whose normalization converged.  The first
-    error of a sequential evaluation (betas in order; within a beta f_2, f_3,
-    weighted, plain) is raised when its beta is reached.
+    p_0, p_2 and p_3 are even about pi/2, at the beta = 1 limit too, and so
+    is the weight (theta - pi/2)^2, so both integrals run over [0, pi/2]
+    only.  p_{+-1} = p_0/2 +- a term odd about pi/2, so s = +-1 integrates
+    p_0 and its width is delta_0, bit for bit.  The integrals of GRID_CHUNK
+    betas at a time run as two batches: the normalizations f_2, f_3 of their
+    profiles, then, for each beta whose normalization converged, the
+    weighted and the plain integral on each of its ``_width_pieces``.  A
+    beta's sums add its pieces from theta = 0 up.  The first error of a
+    sequential evaluation (betas in order; within a beta f_2, f_3, the
+    weighted pieces, then the plain pieces) is raised when its beta is
+    reached.
     """
     fam = _particle(kind).family
+    kinematics.validate_s(s)
+    s = 0 if s in (1, -1) else s
     zeta = -1 if zeta is None else zeta
     for start in range(0, len(betas), GRID_CHUNK):
-        profile, failed = fam.density_profiles(s, zeta, betas[start:start + GRID_CHUNK], cfg)
-        # integral 2j is the weighted and 2j + 1 the plain one of beta owner[2j]
-        owner = np.repeat(np.array([i for i, e in enumerate(failed) if e is None], int), 2)
-        weighted = np.arange(len(owner)) % 2 == 0
+        chunk = betas[start:start + GRID_CHUNK]
+        profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
+        # a converged beta's weighted pieces, then its plain pieces, in order
+        intervals, owner, weighted = [], [], []
+        for i, (beta, error) in enumerate(zip(chunk, failed)):
+            if error is None:
+                beta_pieces = _width_pieces(beta)
+                n = len(beta_pieces)
+                intervals += beta_pieces * 2
+                owner += [i] * (2 * n)
+                weighted += [True] * n + [False] * n
+        owner, weighted = np.array(owner, int), np.array(weighted, bool)
 
         def integrand(rows, theta):
             p = profile(owner[rows], theta)
             return np.where(weighted[rows, None], (theta - HALF_PI) ** 2 * p, p) * np.sin(theta)
 
-        values = iter(quad_batch(integrand, [(0.0, math.pi)] * len(owner), cfg))
-        for error in failed:
+        values = iter(quad_batch(integrand, intervals, cfg))
+        for beta, error in zip(chunk, failed):
             if error is not None:
                 raise error
-            num, den = checked((next(values), next(values)))
-            yield math.sqrt(num / den)
+            n = len(_width_pieces(beta))
+            parts = checked([next(values) for _ in range(2 * n)])
+            yield math.sqrt(sum(parts[:n]) / sum(parts[n:]))
 
 
 def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
@@ -301,7 +336,8 @@ def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
 
         delta^2 = int (theta - pi/2)^2 p_s dOmega / int p_s dOmega
 
-    over [0, pi].  definition="peak" is the equivalent half-width
+    over [0, pi], which ``effective_angle_scan`` evaluates over [0, pi/2].
+    definition="peak" is the equivalent half-width
     int p_s sin(theta) dtheta / (2 max_theta p_s): the half-width of the
     rectangular profile with the same area and peak height.  The convention
     used is recorded in ``definition_id``.

@@ -10,6 +10,8 @@ from srq1.electron import x0
 from srq1.errors import ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
+import oracles
+
 HALF_PI = math.pi / 2
 
 
@@ -142,12 +144,14 @@ _KIND_ZETAS = [("boson", None), ("electron", -1), ("electron", 1), ("electron", 
 @pytest.mark.parametrize("s", (0, 1, 3))
 def test_max_angle_scan_matches_the_per_beta_loop(s, kind, zeta, monkeypatch):
     # beta = 1 limit rows, a row next to it, and seeded body rows share the
-    # lockstep calls; every report keeps the bits of its one-beta scan, also
-    # when the grid spans several chunks
+    # lockstep calls; every body report keeps the bits of its one-beta scan,
+    # also when the grid spans several chunks.  The electron's beta = 1 limit
+    # profiles rise toward pi/2 and have no interior maximum.
     rng = np.random.default_rng(1700 + s)
     betas = [0.0, 1.0, 1.0 - 1e-9, 0.9, *rng.uniform(0.0, 1.0, 10).tolist(),
              *(1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 4)).tolist(), 1.0, 0.0]
-    want = [_bits(_max_angle_reference(kind, s, zeta, b)) for b in betas]
+    want = [(b, False, bool, None, None) if kind == "electron" and b == 1.0
+            else _bits(_max_angle_reference(kind, s, zeta, b)) for b in betas]
     assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
     assert [_bits(max_angle(kind, s, zeta, b)) for b in betas] == want
     monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
@@ -212,6 +216,27 @@ def test_effective_angle_closed_form():
     rep = effective_angle("boson", 0, None, 0.0)
     assert rep.definition_id == "rms"
     assert rep.delta == pytest.approx(math.sqrt(math.pi**2 / 4 - 17.0 / 9.0), abs=1e-9)
+
+
+# 1 - beta from 0.5 down to 1e-12, the electron's widths narrowing to about
+# 1/gamma around pi/2, and both ends of the beta range
+_WIDTH_BETAS = [0.0, 0.5, *(1.0 - 10.0**-k for k in range(1, 13)), 1.0]
+
+
+@pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
+@pytest.mark.parametrize("s", (0, 1, -1, 2, 3))
+def test_effective_angle_scan_matches_the_graded_oracle(kind, zeta, s):
+    got = list(analysis.effective_angle_scan(kind, s, zeta, _WIDTH_BETAS))
+    want = [oracles.rms_width(kind, s, zeta, b) for b in _WIDTH_BETAS]
+    assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
+def test_circular_widths_are_the_total_width(kind, zeta):
+    # p_{+-1} = p_0/2 +- a term odd about pi/2 under an even weight
+    widths = [[d.hex() for d in analysis.effective_angle_scan(kind, s, zeta, _WIDTH_BETAS)]
+              for s in (0, 1, -1)]
+    assert widths[1] == widths[0] and widths[2] == widths[0]
 
 
 def test_effective_angle_rms_trends():

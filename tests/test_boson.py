@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srq1.analysis import max_angle_scan
+from srq1 import analysis
+from srq1.analysis import effective_angle_scan, max_angle_scan
 from srq1.boson import (BOSON, XBAR0_MAX, angular_density_b, boson_deformation,
                         density_profile_b, half_plane_fraction_b,
                         local_polarization_b, phi_b, shape_integral_b,
@@ -172,3 +173,22 @@ def test_max_angle_scan_memory_is_bounded_by_its_chunk():
         return used
 
     assert peak(4 * GRID_CHUNK) < 2 * peak(GRID_CHUNK)
+
+
+def test_effective_angle_scan_memory_is_bounded_by_its_chunk(monkeypatch):
+    # effective_angle_scan integrates the graded width pieces of GRID_CHUNK
+    # betas at a time, up to 8 pieces per electron beta next to 1, so a scan
+    # 4 times longer peaks at about the memory of one chunk (a smaller chunk
+    # keeps the electron's x -> 1 quadratures short)
+    monkeypatch.setattr(analysis, "GRID_CHUNK", 128)
+
+    def peak(n):
+        betas = [1.0 - 10.0 ** -(2.0 + 7.0 * i / (n - 1)) for i in range(n)]
+        tracemalloc.start()
+        found = sum(1 for _ in effective_angle_scan("electron", 0, -1, betas))
+        used = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert found == n
+        return used
+
+    assert peak(4 * 128) < 2 * peak(128)

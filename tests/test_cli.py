@@ -215,8 +215,8 @@ def test_exit_code_convergence_error():
 # Scans whose quadratures cannot converge, with the stderr recorded while each
 # integral was still evaluated on its own: the message is that of the first
 # integral to fail in the order betas in grid order; within a beta f_1, f_2,
-# f_3, then the width's weighted and plain integrals; electron before boson in
-# ratio, boson before electron in table1.
+# f_3, then the width's weighted pieces and its plain pieces; electron before
+# boson in ratio, boson before electron in table1.
 _UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-depth", "10"]
 FIRST_FAILURE = [
     ([*q, "--particle", p, *s, "--beta", "0.2:0.95:4", *_UNREACHABLE], bound, "1.000e-300")
@@ -234,13 +234,14 @@ FIRST_FAILURE = [
      "2.668e-15", "1.000e-300"),
     (["scan", "--quantity", "eff_angle", "--s", "0", "--beta", "0.95:0.2:4", *_UNREACHABLE],
      "3.447e-15", "1.000e-300"),
-    # beta 2 of 4 fails in the plain width integral, beta 4 in its f_2
+    # the beta = 1 limit profile needs no f_2, f_3: beta 1 of 4 fails in its
+    # first weighted width piece, and betas 2 to 4 in their f_2, which run first
+    (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
+      "--beta", "1:0.9:4", *_UNREACHABLE], "2.677e-16", "1.000e-300"),
+    # the widths of betas 1 to 3 converge, beta 4 fails in its f_2
     (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
       "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
-      "--max-depth", "10"], "1.321e-10", "1.000e-10"),
-    (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "1",
-      "--beta", "0.99999:0.9999999:4", "--abs-tol", "1e-8", "--rel-tol", "1e-8",
-      "--max-depth", "10"], "8.544e-08", "1.000e-08"),
+      "--max-depth", "10"], "1.011e-06", "1.262e-08"),
 ]
 
 

@@ -213,14 +213,18 @@ def test_paired_bisection_matches_reference_on_effective_angle(monkeypatch):
         return quadrature.quad_batch(f, intervals, cfg)
 
     monkeypatch.setattr(analysis, "quad_batch", capture)
-    betas = [0.0, 0.6, 0.95, 1.0]
+    # 1 - 1e-6 grades [0, pi/2] down to pieces of about 1/gamma = 1.4e-3
+    betas = [0.0, 0.6, 0.95, 1.0 - 1e-6, 1.0]
     for kind, zetas in (("boson", (None,)), ("electron", (1, -1))):
         for zeta in zetas:
             for s in (0, 1, 2, 3):
                 list(analysis.effective_angle_scan(kind, s, zeta, betas))
     assert len(batches) == 3 * 4
+    # the weighted pieces of each beta, then its plain pieces
+    pieces = [analysis._width_pieces(b) * 2 for b in betas]
+    assert [len(p) for p in pieces] == [6, 6, 6, 12, 6]
     for f, intervals, cfg in batches:
-        assert len(intervals) == 2 * len(betas)  # weighted and plain of each beta
+        assert intervals == [piece for p in pieces for piece in p]
         assert_batch_matches_reference(f, intervals, cfg)
 
 
