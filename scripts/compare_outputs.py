@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 173 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 185 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -16,6 +16,15 @@ of this script records two trees:
 The argv lists come from this checkout's ``bench/workloads.py``, which is
 only imported; the figures workload reads ``FIGURE_SCANS`` from the
 ``--root`` tree's sources.
+
+The improve-only check: ``record --text`` also keeps each stdout, under
+``.bench_out/<record name>/``, and ``diff --oracle`` reads the two stdouts of
+every invocation whose stdout differs.  It runs the ``check_all`` of
+``bench/checks.py`` on each, with ``checks.close`` replaced by a recorder
+(nothing in ``bench/`` changes), and prints every cell that changed with its
+abscissa, both printed values, the oracle value, both relative errors, and
+whether the change is closer, equal or farther.  It exits 1 if any cell is
+farther or cannot be compared, or if any exit code, stderr or argv changed.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 sys.dont_write_bytecode = True  # leave bench/ as it is
 
+import checks  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (0, 1)
@@ -100,6 +111,16 @@ EDGE_ARGV += [
     for p, z in (("boson", []), ("electron", ["--zeta", "1"]), ("electron", ["--zeta", "-1"]))
     for s in _S for b in ("0.999999:0.999999999999:5", "0.9:1:3")
 ]
+# q_local at beta = 1 on theta within 1e-8 of pi/2, where sin^2(theta) rounds
+# to 1, and on a 100 001-point grid, whose rows next to pi/2 lie in the same
+# regime.
+EDGE_ARGV += [
+    ["scan", "--quantity", "q_local", "--particle", "electron", "--s", s, "--zeta", z,
+     "--beta", "1", *theta]
+    for ss, theta in ((("1", "-1", "2", "3"), ["--theta", "1.5707963267:1.5707963269:9"]),
+                      (("1", "2"), _THETA))
+    for s in ss for z in ("1", "-1")
+]
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -116,35 +137,126 @@ def _invocations(src: Path):
         yield f"edge/{i}", argv
 
 
-def record(out: Path, root: Path) -> None:
+def _text_path(texts: Path, key: str) -> Path:
+    return texts / (key.replace("/", "_") + ".out")
+
+
+def record(out: Path, root: Path, text: bool = False) -> None:
     src = root.resolve() / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    texts = ROOT / ".bench_out" / out.stem if text else None
+    if texts:
+        texts.mkdir(parents=True, exist_ok=True)
 
     def run(item):
         key, argv = item
         done = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=env,
                               capture_output=True, check=False)
+        if texts:
+            _text_path(texts, key).write_bytes(done.stdout)
         return key, {"argv": argv, "exit": done.returncode,
                      "stdout": _digest(done.stdout), "stderr": _digest(done.stderr)}
 
     with ThreadPoolExecutor(2) as pool:  # two srq1 processes at a time
         entries = dict(pool.map(run, _invocations(src)))
-    out.write_text(json.dumps({"root": str(root), "entries": entries}, indent=1) + "\n")
+    doc = {"root": str(root), "entries": entries}
+    if texts:
+        doc["texts"] = str(texts)
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{len(entries)} invocations recorded in {out}")
 
 
-def diff(a: Path, b: Path) -> int:
-    ea, eb = (json.loads(p.read_text())["entries"] for p in (a, b))
-    changed = 0
+def _cells(argv, text, cache):
+    """The verdict of ``checks.check_all`` on one output read as exit 0, and every
+    (name, printed, reference, abscissa) that its checks compared, with
+    ``checks.close`` recording instead of raising."""
+    seen = []
+
+    def recorder(name, printed, ref, *_, where=None, **__):
+        printed = np.asarray(printed, dtype=float)
+        ref = np.broadcast_to(np.asarray(ref, dtype=float), printed.shape)
+        where = np.arange(printed.size) if where is None else np.asarray(where, dtype=float)
+        seen.append((name, printed.ravel(), ref.ravel(), where.ravel()))
+
+    close, checks.close = checks.close, recorder
+    try:
+        (verdict,) = checks.check_all([argv], [0], [text], cache)
+    finally:
+        checks.close = close
+    return verdict, seen
+
+
+def _error(printed, ref):
+    """|printed - ref|, 0 where both are the same infinity, inf where nan."""
+    with np.errstate(invalid="ignore"):
+        err = np.abs(printed - ref)
+    same_inf = np.isinf(printed) & (printed == ref)
+    return np.where(same_inf, 0.0, np.where(np.isnan(err), np.inf, err))
+
+
+def _relative(err, ref):
+    return err / abs(ref) if ref != 0.0 else err
+
+
+def _oracle_diff(key, argv, texts, cache) -> tuple[int, int]:
+    """Print each cell of one invocation whose printed value changed; return
+    (number of changed cells, number that are farther or not comparable)."""
+    (va, ca), (vb, cb) = (_cells(argv, text, cache) for text in texts)
+    if not vb.ok and (va.ok or va.message != vb.message):
+        print(f"{key}: check fails: {vb.message}: {argv}")
+        return 0, 1
+    if [(c[0], c[1].size) for c in ca] != [(c[0], c[1].size) for c in cb]:
+        print(f"{key}: cells not comparable ({va.message or 'ok'} -> "
+              f"{vb.message or 'ok'}): {argv}")
+        return 0, 1
+    changed = bad = 0
+    for (name, pa, ra, wa), (_, pb, rb, _) in zip(ca, cb):
+        moved = ~((pa == pb) | (np.isnan(pa) & np.isnan(pb)))
+        ea, eb = _error(pa, ra), _error(pb, rb)
+        for i in np.flatnonzero(moved):
+            verdict = "closer" if eb[i] < ea[i] else "equal" if eb[i] == ea[i] else "farther"
+            changed += 1
+            bad += verdict == "farther"
+            print(f"{key}: {name} at {float(wa[i])!r}: {pa[i]:.9g} -> {pb[i]:.9g}, "
+                  f"oracle {float(rb[i])!r}, error {_relative(ea[i], ra[i]):.2e} -> "
+                  f"{_relative(eb[i], rb[i]):.2e}, {verdict}: {argv}")
+    if not changed:
+        print(f"{key}: stdout changed outside the checked cells: {argv}")
+        return 0, 1
+    return changed, bad
+
+
+def diff(a: Path, b: Path, oracle: bool = False) -> int:
+    """Without ``oracle`` exit 1 if any invocation differs; with it, only if a
+    changed cell is farther from the oracle or an exit code, a stderr or an
+    argv changed (see the module docstring)."""
+    docs = [json.loads(p.read_text()) for p in (a, b)]
+    ea, eb = (d["entries"] for d in docs)
+    if oracle and not all("texts" in d for d in docs):
+        raise SystemExit("diff --oracle needs two records made with record --text")
+    cache = checks.oracle.Cache()
+    changed = failures = cells = 0
     for key in sorted(ea.keys() | eb.keys()):
         x, y = ea.get(key), eb.get(key)
         fields = ["missing"] if x is None or y is None else [
             f for f in ("argv", "exit", "stdout", "stderr") if x[f] != y[f]]
-        if fields:
-            changed += 1
-            print(f"{key}: {', '.join(fields)} differ: {(x or y)['argv']}")
+        if not fields:
+            continue
+        changed += 1
+        print(f"{key}: {', '.join(fields)} differ: {(x or y)['argv']}")
+        bad = not oracle or fields != ["stdout"]
+        if oracle and fields[0] == "stdout":  # present on both sides, same argv and exit
+            texts = [_text_path(Path(d["texts"]), key).read_text() for d in docs]
+            n, farther = _oracle_diff(key, x["argv"], texts, cache)
+            cells += n
+            bad = bad or farther > 0
+        failures += bad
     print(f"{changed} of {len(ea.keys() | eb.keys())} invocations differ")
-    return 1 if changed else 0
+    if oracle:
+        print(f"{cells} changed cells checked against the oracle; "
+              f"{failures} invocations farther, not comparable or changed in "
+              "exit code, stderr or argv")
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -153,14 +265,19 @@ def main(argv=None) -> int:
     rec = commands.add_parser("record", help="record the digests of one tree")
     rec.add_argument("out", type=Path)
     rec.add_argument("--root", type=Path, default=ROOT, help="checkout whose src/ is run")
+    rec.add_argument("--text", action="store_true",
+                     help="also keep each stdout under .bench_out/<record name>/")
     dif = commands.add_parser("diff", help="compare two records")
     dif.add_argument("a", type=Path)
     dif.add_argument("b", type=Path)
+    dif.add_argument("--oracle", action="store_true",
+                     help="pass changed stdouts whose every changed cell is no farther "
+                          "from bench/oracle.py")
     args = parser.parse_args(argv)
     if args.command == "record":
-        record(args.out, args.root)
+        record(args.out, args.root, args.text)
         return 0
-    return diff(args.a, args.b)
+    return diff(args.a, args.b, args.oracle)
 
 
 if __name__ == "__main__":

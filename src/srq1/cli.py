@@ -7,9 +7,7 @@ scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
 handed to the writers as one (theta, value) float array; only a q_local
 grid through the double-limit point keeps list rows, for its "ambiguous"
 cell.  Every value equals that of a one-point call bit for bit (see
-``family``): p, limits and freq take numpy's pow and ``np.exp``, the pow
-of the profile that maxima and eff_angle read, and only q_local squares
-with Python's float pow per element.
+``family``); p is the profile that maxima and eff_angle read.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
 ``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.

@@ -21,17 +21,16 @@ its f_k through ``f`` (``integrals`` evaluates them).  The pole 1/(1 - x)
 leaves p_s no beta = 1 value, so there a spin record serves ``limit``, the
 closed-form limit profile, for theta != pi/2, and at theta = pi/2, where the
 two iterated limits disagree by a factor 2 (``at_double_limit``), the
-fixed-beta theta-limit values.
+fixed-beta theta-limit values.  Its beta = 1 local polarization is the
+ratio of its limit profiles, phi_s/phi_0 off pi/2.
 
 Theta may be an array: ``local_polarization`` and the densities evaluate a
 whole theta scan in one pass, as the CLI's theta scans do.  The density
 body is written once, with numpy's pow and ``np.exp``: ``density`` is
 ``density_profile``, the profile handed to ``analysis``, applied to theta.
 Numpy's ufuncs give a scalar, a 0-d array and every element of an array
-the same bits, so each array value is its one-point value.  C's pow, that
-of Python's float ``**`` and of ``**`` on a numpy scalar, can differ from
-numpy's pow in the last bit; ``local_polarization`` and ``phi`` still square
-with it per element (``_phis``), whose bits their printed values keep.
+the same bits, so each array value is its one-point value.  phi_s, behind
+``phi`` and ``local_polarization``, squares by products as the body does.
 
 A beta scan (``shape_integral_scan``, ``total_power_scan``,
 ``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
@@ -72,23 +71,22 @@ def _deform(u, A, B, sqrt_A):
 
 
 def _cos(theta):
-    # cos(float(pi/2)) is ~6e-17, not 0; snap so theta = pi/2 is exact
-    c = np.cos(theta)
-    return np.where(np.abs(c) < 1e-15, 0.0, c)
+    # cos(float(pi/2)) is ~6e-17, not 0; snap theta = pi/2 alone to exact 0
+    return np.where(theta == HALF_PI, 0.0, np.cos(theta))
 
 
-def _phi(s, swap, x, a, theta, opx2):
-    """(phi_s, phi_0) at deformation x; a is the coupling in 1 - a x and
-    opx2 the square (1 + x)^2."""
+def _phi(s, swap, x, a, theta):
+    """(phi_s, phi_0) at deformation x; a is the coupling in 1 - a x."""
     cos = _cos(theta)
+    opx = 1.0 + x
     straight = 1.0 - a * x
-    bent = opx2 * cos * cos / straight
+    bent = opx * opx * cos * cos / straight
     phi0 = straight + bent
     if s in (2, 3):
         return (straight if (s == 2) != swap else bent), phi0
     if s == 0:
         return phi0, phi0
-    return 0.5 * phi0 + s * (1.0 + x) * cos, phi0
+    return 0.5 * phi0 + s * opx * cos, phi0
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,11 @@ class Family:
         return self.x0(beta), float(_deform(beta * beta * s * s, *self.xmap))
 
     def _phis(self, s, zeta, beta, theta):
-        """(phi_s, phi_0) with Python's float pow per element: the bits that
-        ``phi`` and ``local_polarization`` print, which numpy's pow moves."""
-        pow_ = kinematics.elementwise_pow
-        x = _deform(beta * beta * pow_(np.sin(theta), 2), *self.xmap)
+        """(phi_s, phi_0) at theta, a float or an array."""
+        sin = np.sin(theta)
+        x = _deform(beta * beta * (sin * sin), *self.xmap)
         a = self.x0(beta) if self.spin else 1.0
-        return _phi(s, self._swap(zeta), x, a, theta, pow_(1.0 + x, 2))
+        return _phi(s, self._swap(zeta), x, a, theta)
 
     def phi(self, s: int, zeta, beta: float, theta: float) -> float:
         """Polarization shape phi_s(zeta; beta, theta)."""
@@ -140,8 +137,10 @@ class Family:
 
     def local_polarization(self, s: int, zeta, beta: float, theta):
         """Pointwise polarization fraction phi_s/phi_0 at a scalar theta (a
-        float) or a theta array (an array); AmbiguousLimitError if theta holds
-        the double-limit point, where it depends on the order of the limits."""
+        float) or a theta array (an array), the ratio of the limit profiles at
+        the beta = 1 of a record with a ``limit``; AmbiguousLimitError if theta
+        holds the double-limit point, where it depends on the order of the
+        limits."""
         kinematics.validate_s(s)
         self.check(beta, theta, zeta)
         if self.at_double_limit(beta, theta):
@@ -151,6 +150,8 @@ class Family:
             )
         if s == 0:
             return kinematics.like_theta(np.ones(np.shape(theta)), theta)
+        if self.limit is not None and beta == 1.0:
+            return self.limit(s, zeta, theta) / self.limit(0, zeta, theta)
         phi_s, phi0 = self._phis(s, zeta, beta, theta)
         return kinematics.like_theta(phi_s / phi0, theta)
 
@@ -210,11 +211,11 @@ class Family:
     def _body(self, s, swap, theta, b2, a, norm):
         """p_s at theta for beta^2 = b2, coupling a and normalization norm,
         each a float or a column per row of theta.  The cube is np.power: ``**``
-        on a numpy scalar would take C's pow (see the module docstring)."""
+        on a numpy scalar would take C's pow, whose last bit can differ."""
         sin = np.sin(theta)
         x = _deform(b2 * (sin * sin), *self.xmap)
         opx = 1.0 + x
-        num = np.power(opx, 3) * np.exp(-x) * _phi(s, swap, x, a, theta, opx * opx)[0]
+        num = np.power(opx, 3) * np.exp(-x) * _phi(s, swap, x, a, theta)[0]
         return num / ((1.0 - x) * norm) if self.spin else num / norm
 
     def _body_params(self, betas, cfg):

@@ -12,14 +12,11 @@ it and cannot be asked for it.
 
 ``photon_frequency`` takes a scalar theta or a theta array and squares
 sin(theta) as a product, so that both give the same bits.  Its array
-helpers also serve ``family`` and ``electron``.  ``elementwise_pow`` takes
-Python's float pow per element, whose bits numpy's pow does not promise;
-only ``family``'s phi_s, behind ``phi`` and ``local_polarization``, uses it.
+helpers also serve ``family`` and ``electron``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,14 +45,6 @@ def validate_theta(theta):
     if not inside.all():
         bad = theta if t.ndim == 0 else float(t[inside.argmin()])
         raise DomainError(f"theta must lie in [0, pi], got {bad}")
-
-
-def elementwise_pow(v, n):
-    """v ** n with Python's float pow, one element at a time: the same bits as
-    the scalar pow of each point, which numpy's array pow does not promise."""
-    flat = np.ravel(v).tolist()
-    return np.fromiter(map(pow, flat, itertools.repeat(n)), float, len(flat)).reshape(
-        np.shape(v))
 
 
 def like_theta(values, theta):

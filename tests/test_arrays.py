@@ -73,27 +73,6 @@ def test_photon_frequency(spec, beta):
         spec, state, kinematics.PhotonRequest(1, t)))
 
 
-# One-point values of the local polarization, which squares with Python's
-# float pow per element, at points where numpy's pow would round
-# differently; the comparisons above hold for either choice, these pins only
-# for the right one.  The densities, the limit profile and the frequency take
-# numpy's pow and need no pin.  The ids keep the test names these two pins
-# had in a list that also held density pins.
-PINNED = [
-    pytest.param("local_polarization_b", (1, 0.5, 2.6500939082230475), "0x1.75e1a5e34536ep-9",
-                 id="local_polarization_b-args4-0x1.75e1a5e34536ep-9"),
-    pytest.param("local_polarization_e", (2, -1, 0.9, 2.035090840988652),
-                 "0x1.7055abbcf00c4p-1", id="local_polarization_e-args5-0x1.7055abbcf00c4p-1"),
-]
-
-
-@pytest.mark.parametrize("name, args, value", PINNED)
-def test_pinned_point_values(name, args, value):
-    f = getattr(boson if name.endswith("_b") else electron, name)
-    assert f(*args) == float.fromhex(value)
-    assert f(*args[:-1], np.array([args[-1]]))[0] == float.fromhex(value)
-
-
 # The CLI's density and the profile that analysis maximizes and integrates:
 # at beta = 0, next to beta = 1 and at beta = 1 (limit profile), with pi/2
 # on the grid
@@ -138,7 +117,7 @@ DOUBLE_LIMIT = {
     # literal output of the point-by-point evaluation
     "q_local": "# quantity=q_local\n" + _HEAD
     + "theta,q\n0,1\n0.523598776,1\n1.04719755,1\n1.57079633,ambiguous\n"
-    "2.0943951,0\n2.61799388,5.98049537e-17\n3.14159265,0\n",
+    "2.0943951,0\n2.61799388,0\n3.14159265,0\n",
     "p": "# quantity=p\n" + _HEAD
     + "# ambiguous=beta=1,theta=pi/2: double limit; fixed-beta theta-limit reported\n"
     "theta,p\n0,0.278905275\n0.523598776,0.319604672\n1.04719755,0.473705155\n"
@@ -146,25 +125,28 @@ DOUBLE_LIMIT = {
 }
 
 
-@pytest.mark.parametrize("quantity", sorted(DOUBLE_LIMIT))
-def test_double_limit_scan_warns_nothing(quantity):
-    argv = ["scan", "--quantity", quantity, "--particle", "electron", "--zeta", "1",
-            "--s", "1", "--beta", "1", "--theta", "0:pi:7"]
+def _run_quietly(argv):
+    """stdout of a CLI call that must exit 0, write no stderr and warn nothing."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         assert run_cli(argv) == 0
     assert err.getvalue() == ""
-    assert out.getvalue() == DOUBLE_LIMIT[quantity]
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("quantity", sorted(DOUBLE_LIMIT))
+def test_double_limit_scan_warns_nothing(quantity):
+    argv = ["scan", "--quantity", quantity, "--particle", "electron", "--zeta", "1",
+            "--s", "1", "--beta", "1", "--theta", "0:pi:7"]
+    assert _run_quietly(argv) == DOUBLE_LIMIT[quantity]
 
 
 # ---------- theta within 1e-8 of pi/2 at beta = 1, not snapped to it ----------
 
-# Literal output of a known fault, kept visible until it is fixed: sin^2
-# rounds to 1, x = 1, and phi_s/phi_0 is 0/inf (zeta -1, s 2) or inf/inf
-# (zeta +1, s 2), so every row reads 0 or nan.  The nan table is the writers'
-# non-finite case: JSON writes it as a list.
+# There sin^2(theta) rounds to 1, so the body formula would meet x = 1 and
+# divide 0 or inf by inf; the ratio of the limit profiles is exactly 1/2.
 _NEAR_HALF_PI = ("scan --quantity q_local --particle electron --s 2 --beta 1 "
                  "--theta 1.5707963267:1.5707963269:9").split()
 _NEAR_HEAD = ("# quantity=q_local\n# version=0.1.0\n# abs_tol=1e-10\n# rel_tol=1e-10\n"
@@ -193,23 +175,32 @@ _NEAR_JSON = """{{
 }}
 """
 NEAR_HALF_PI = {
-    ("-1", "csv"): _NEAR_HEAD.format("-1") + "1.57079633,0\n" * 9,
-    ("1", "csv"): _NEAR_HEAD.format("1") + "1.57079633,nan\n" * 9,
-    ("-1", "json"): _NEAR_JSON.format("-1", ",\n".join(
-        ["    [\n      1.57079633,\n      0.0\n    ]"] * 9)),
-    ("1", "json"): _NEAR_JSON.format("1", ",\n".join(
-        ["    [\n      1.57079633,\n      \"nan\"\n    ]"] * 9)),
+    (zeta, "csv"): _NEAR_HEAD.format(zeta) + "1.57079633,0.5\n" * 9 for zeta in ("1", "-1")
+} | {
+    (zeta, "json"): _NEAR_JSON.format(zeta, ",\n".join(
+        ["    [\n      1.57079633,\n      0.5\n    ]"] * 9)) for zeta in ("1", "-1")
 }
 
 
 @pytest.mark.parametrize("zeta, fmt", sorted(NEAR_HALF_PI))
 def test_scan_next_to_the_double_limit_prints_its_known_values(zeta, fmt):
-    out = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert run_cli(_NEAR_HALF_PI + ["--zeta", zeta, "--format", fmt]) == 0
-    assert out.getvalue() == NEAR_HALF_PI[zeta, fmt]
+    got = _run_quietly(_NEAR_HALF_PI + ["--zeta", zeta, "--format", fmt])
+    assert got == NEAR_HALF_PI[zeta, fmt]
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("s", (1, -1, 2, 3))
+def test_beta_1_q_local_is_exact_on_a_fine_grid(s, zeta):
+    # 1/2 for the linear components; (1 + s sign cos)/2 for the circular ones,
+    # pi/2 at row 50 000 being the ambiguous cell
+    out = _run_quietly(["scan", "--quantity", "q_local", "--particle", "electron",
+                        "--s", str(s), "--zeta", str(zeta), "--beta", "1",
+                        "--theta", "0:pi:100001"])
+    lines = out.splitlines()
+    q = [line.split(",")[1] for line in lines[lines.index("theta,q") + 1:]]
+    assert len(q) == 100001 and q[50000] == "ambiguous"
+    below, above = {1: ("1", "0"), -1: ("0", "1")}.get(s, ("0.5", "0.5"))
+    assert set(q[:50000]) == {below} and set(q[50001:]) == {above}
 
 
 def test_density_profiles_rows_match_each_profile():

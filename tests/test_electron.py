@@ -171,6 +171,20 @@ def test_beta_one_profile_serves_theta_limit_at_half_pi():
         ultrarelativistic_density(2, -1, 1.0), rel=1e-12)
 
 
+def test_only_the_exact_half_pi_is_snapped():
+    # one ulp below pi/2 (a degree grid's radians(90)) cos is 6e-17, not 0:
+    # the bent component keeps its ~1e-30 (the 30-digit bench oracle gives
+    # 6.000201743860896e-30), and the circular limit profile takes its left
+    # limit, twice the pi/2 convention value
+    theta = HALF_PI - 2.0**-52
+    p3 = angular_density_e(3, -1, 0.9986060042137479, theta)
+    assert p3 == pytest.approx(6.000201743860896e-30, rel=1e-9)
+    assert ultrarelativistic_density(1, -1, theta) == pytest.approx(
+        2.0 / TWO_E_MINUS_3, rel=1e-15)
+    assert ultrarelativistic_density(1, -1, HALF_PI) == pytest.approx(
+        1.0 / TWO_E_MINUS_3, rel=1e-15)
+
+
 def test_local_polarization():
     beta = 0.8
     for theta in np.linspace(0.0, math.pi, 21):
@@ -180,8 +194,13 @@ def test_local_polarization():
                 local_polarization_e(3, zeta, beta, t) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(AmbiguousLimitError):
         local_polarization_e(2, -1, 1.0, HALF_PI)
-    # fine at beta = 1 away from the ambiguous angle
-    assert 0.0 <= local_polarization_e(2, -1, 1.0, 1.0) <= 1.0
+    # at beta = 1 away from the ambiguous angle: the ratio of the limit profiles
+    for zeta in (1, -1):
+        for t in (1.0, HALF_PI - 1e-9, HALF_PI + 1e-9, 2.5):
+            assert local_polarization_e(2, zeta, 1.0, t) == 0.5
+            assert local_polarization_e(3, zeta, 1.0, t) == 0.5
+            assert local_polarization_e(1, zeta, 1.0, t) == (1.0 if t < HALF_PI else 0.0)
+            assert local_polarization_e(-1, zeta, 1.0, t) == (0.0 if t < HALF_PI else 1.0)
 
 
 def test_domain_errors():

@@ -313,15 +313,19 @@ def test_pair_reduction_equals_separate_dots():
 
 def test_row_reduction_equals_separate_dots():
     # every row of an (n, 15) @ (15, 2) product, n >= 2, is the pair of 15-term
-    # dots, for every n a batch of GRID_CHUNK betas can reach, on prefixes and
-    # on gathered rows
-    n_max = 4 * GRID_CHUNK  # two integrals per beta, two halves per bisection
+    # dots, on prefixes and on gathered rows, for the n a batch of GRID_CHUNK
+    # betas can reach: every n of the f_k batches (two integrals per beta, two
+    # halves per bisection), and a sample up to the width batches (a weighted
+    # and a plain integral per piece, most pieces next to beta = 1)
+    n_fk = 4 * GRID_CHUNK
+    n_max = 4 * len(analysis._width_pieces(np.nextafter(1.0, 0.0))) * GRID_CHUNK
     rng = np.random.default_rng(8)
     y = rng.standard_normal((n_max, 15)) * 10.0 ** rng.uniform(-300, 300, (n_max, 15))
     dots = np.array([[float(w @ row) for w in (quadrature._KRONROD_W, quadrature._GAUSS_W)]
                      for row in y])
     order = rng.permutation(n_max)
-    for n in range(2, n_max + 1):
+    sizes = [*range(2, n_fk + 1), *sorted(rng.integers(n_fk + 1, n_max, 55)), n_max]
+    for n in sizes:
         assert np.array_equal(y[:n] @ quadrature._WEIGHTS, dots[:n]), n
         rows = order[:n]
         assert np.array_equal(y[rows] @ quadrature._WEIGHTS, dots[rows]), n
