@@ -15,6 +15,9 @@ one-beta evaluation, which is the scan of one beta, and the error raised
 is the one a beta-by-beta evaluation meets first: betas in grid order, the
 electron's f_k before the boson's in a ratio (the boson's first in
 ``table1``), and a width's f_2, f_3, weighted pieces, then plain pieces.
+The maxima and widths read p_s from the profiles of
+``Family.density_profiles``, the peak width from its one-beta
+``density_profile``.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ _SCAN_POINTS = 361
 
 
 class Particle(NamedTuple):
-    """A particle's public functions with the electron's signatures (the
-    boson's drop zeta).  Each is looked up on its module at every call, so
-    a wrapper or test double installed there sees the call."""
+    """A particle's record and its public functions with the electron's
+    signatures (the boson's drop zeta).  Each function is looked up on its
+    module at every call, so a wrapper or test double installed there sees
+    the call."""
 
     family: family.Family
-    profile: Callable      # (s, zeta, beta, cfg) -> (theta -> p_s)
     density: Callable      # (s, zeta, beta, theta, cfg) -> p_s, theta an array or not
     q_local: Callable      # (s, zeta, beta, theta) -> phi_s/phi_0
 
@@ -52,12 +55,10 @@ class Particle(NamedTuple):
 PARTICLES = {
     "boson": Particle(
         boson.BOSON,
-        lambda s, zeta, beta, cfg: boson.density_profile_b(s, beta, cfg),
         lambda s, zeta, beta, theta, cfg: boson.angular_density_b(s, beta, theta, cfg),
         lambda s, zeta, beta, theta: boson.local_polarization_b(s, beta, theta)),
     "electron": Particle(
         electron.ELECTRON,
-        lambda *args: electron.density_profile_e(*args),
         lambda *args: electron.angular_density_e(*args),
         lambda *args: electron.local_polarization_e(*args)),
 }
@@ -175,10 +176,6 @@ def _particle(kind):
     return PARTICLES[kind]
 
 
-def _density_profile(kind, s, zeta, beta, cfg):
-    return _particle(kind).profile(s, -1 if zeta is None else zeta, beta, cfg)
-
-
 def _row_linspace(a, b):
     """Row i is np.linspace(a[i], b[i], 361), bit for bit: k * step + a[i] with
     step = (b[i] - a[i]) / 360, and b[i] last.  np.linspace(a, b, 361, axis=1)
@@ -232,7 +229,7 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
             ok, theta_max, p_max = next(found)
             # a beta = 1 limit profile depends on theta through |cos theta|
             # alone and rises toward pi/2: it has no interior maximum
-            ok = ok and not (fam.limit is not None and beta == 1.0)
+            ok = ok and not fam.at_limit(beta)
             yield ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
                                  theta_max=theta_max if ok else None,
                                  p_max=p_max if ok else None, exists=ok)
@@ -347,7 +344,8 @@ def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
     if definition == "rms":
         delta = next(effective_angle_scan(kind, s, zeta, [beta], cfg))
     else:
-        profile = _density_profile(kind, s, zeta, beta, cfg)
+        profile = _particle(kind).family.density_profile(
+            s, -1 if zeta is None else zeta, beta, cfg)
         area = quad_adaptive(lambda theta: profile(theta) * np.sin(theta), 0.0, math.pi, cfg)
         grid = np.linspace(0.0, math.pi, 2001)
         i = int(np.asarray(profile(grid)).argmax())

@@ -26,7 +26,7 @@ from .kinematics import power_prefactor, validate_s  # noqa: F401  (only for ben
 SQRT3 = math.sqrt(3.0)
 XBAR0_MAX = 2.0 - SQRT3
 
-BOSON = Family(xmap=(3.0, 2.0, SQRT3), spin=False, shape_power=2, power_const=(4.0, 81.0),
+BOSON = Family(xmap=(3.0, 2.0, SQRT3), shape_power=2, power_const=(4.0, 81.0),
                f=partial(integrals.f_values, integrals.BOSON_KERNEL), limit=None)
 
 xbar0 = BOSON.x0
@@ -56,10 +56,6 @@ def half_plane_fraction_b(s: int, beta: float,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Fraction q_s of the total power radiated into 0 <= theta <= pi/2."""
     return BOSON.half_plane_fraction(s, None, beta, cfg)
-
-
-def half_plane_fractions_b(beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> dict:
-    return BOSON.half_plane_fractions(None, beta, cfg)
 
 
 def density_profile_b(s: int, beta: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> Callable:

@@ -35,7 +35,7 @@ _TWO_E_MINUS_3 = 2.0 * math.e - 3.0
 # limit is looked up here at each call, so that a wrapper installed here sees
 # every call
 ELECTRON = Family(
-    xmap=(1.0, 1.0, 1.0), spin=True, shape_power=1, power_const=(1.0, 6.0),
+    xmap=(1.0, 1.0, 1.0), shape_power=1, power_const=(1.0, 6.0),
     f=partial(integrals.f_values, integrals.ELECTRON_KERNEL),
     limit=lambda s, zeta, theta: ultrarelativistic_density(s, zeta, theta))
 
@@ -45,7 +45,6 @@ phi_e = ELECTRON.phi
 shape_integral_e = ELECTRON.shape_integral
 total_power_e = ELECTRON.total_power
 half_plane_fraction_e = ELECTRON.half_plane_fraction
-half_plane_fractions_e = ELECTRON.half_plane_fractions
 local_polarization_e = ELECTRON.local_polarization
 is_double_limit_point = ELECTRON.at_double_limit
 density_profile_e = ELECTRON.density_profile

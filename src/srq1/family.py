@@ -15,22 +15,25 @@ live with their particles.  With u = beta^2 sin^2(theta), or u = beta^2 for x0:
     electron  1, 1, 1         x0   1 - x   1   d(zeta)/6
 
 where d(+1) = x0 is the electron's spin-flip suppression and d(-1) = 1.
-``spin`` marks the electron's column: a = x0, D(x) = 1 - x, and zeta
-selects phi_2/phi_3 and scales W_0; the boson ignores zeta.  A record reads
-its f_k through ``f`` (``integrals`` evaluates them).  The pole 1/(1 - x)
-leaves p_s no beta = 1 value, so there a spin record serves ``limit``, the
-closed-form limit profile, for theta != pi/2, and at theta = pi/2, where the
-two iterated limits disagree by a factor 2 (``at_double_limit``), the
-fixed-beta theta-limit values.  Its beta = 1 local polarization is the
-ratio of its limit profiles, phi_s/phi_0 off pi/2.
+The pole 1/(1 - x) of the electron's column leaves its p_s no beta = 1
+value, so its record carries ``limit``, the closed-form limit profile, and
+``spin`` is that a record has one: a = x0, D(x) = 1 - x, and zeta selects
+phi_2/phi_3 and scales W_0; the boson ignores zeta.  A record reads its f_k
+through ``f`` (``integrals`` evaluates them).  At beta = 1 (``at_limit``)
+a spin record serves the limit profile for theta != pi/2, and at theta =
+pi/2, where the two iterated limits disagree by a factor 2
+(``at_double_limit``), the fixed-beta theta-limit values.  There phi_s is
+the ratio of its limit profiles times phi_0 = 4|cos|/(1 + |cos|), so the
+local polarization is that ratio off pi/2.
 
 Theta may be an array: ``local_polarization`` and the densities evaluate a
 whole theta scan in one pass, as the CLI's theta scans do.  The density
-body is written once, with numpy's pow and ``np.exp``: ``density`` is
-``density_profile``, the profile handed to ``analysis``, applied to theta.
-Numpy's ufuncs give a scalar, a 0-d array and every element of an array
-the same bits, so each array value is its one-point value.  phi_s, behind
-``phi`` and ``local_polarization``, squares by products as the body does.
+body is written once, with numpy's pow and ``np.exp``, in the profiles of
+``density_profiles``: ``density_profile`` is its profile of one beta, and
+``density`` is that profile applied to theta.  Numpy's ufuncs give a
+scalar, a 0-d array and every element of an array the same bits, so each
+array value is its one-point value.  phi_s, behind ``phi`` and
+``local_polarization``, squares by products as the body does.
 
 A beta scan (``shape_integral_scan``, ``total_power_scan``,
 ``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
@@ -92,11 +95,20 @@ def _phi(s, swap, x, a, theta):
 @dataclass(frozen=True)
 class Family:
     xmap: tuple         # (A, B, sqrt(A)) of the deformation map
-    spin: bool          # spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
     f: Callable         # (ks, xs, cfg) -> f_k(x) of each pair, or the error it raises
-    limit: Callable | None  # (s, zeta, theta) -> the beta = 1 density; set iff spin
+    limit: Callable | None  # (s, zeta, theta) -> the beta = 1 density; None without the pole
+
+    @property
+    def spin(self) -> bool:
+        """Spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales.  Its pole
+        at beta = 1 is why a record has a ``limit``."""
+        return self.limit is not None
+
+    def at_limit(self, beta: float) -> bool:
+        """True at beta = 1 of a record with a ``limit``, which serves it."""
+        return self.limit is not None and beta == 1.0
 
     def check(self, beta, theta=None, zeta=None):
         kinematics.validate_beta(beta)
@@ -118,7 +130,13 @@ class Family:
         return self.x0(beta), float(_deform(beta * beta * s * s, *self.xmap))
 
     def _phis(self, s, zeta, beta, theta):
-        """(phi_s, phi_0) at theta, a float or an array."""
+        """(phi_s, phi_0) at theta, a float or an array.  ``at_limit`` phi_s is
+        the ratio of the limit profiles times phi_0, which is 0 at pi/2 where
+        the body formula is 0/0."""
+        if self.at_limit(beta):
+            c = np.abs(_cos(theta))
+            phi0 = 4.0 * c / (1.0 + c)
+            return self.limit(s, zeta, theta) / self.limit(0, zeta, theta) * phi0, phi0
         sin = np.sin(theta)
         x = _deform(beta * beta * (sin * sin), *self.xmap)
         a = self.x0(beta) if self.spin else 1.0
@@ -131,16 +149,15 @@ class Family:
         return float(self._phis(s, zeta, beta, theta)[0])
 
     def at_double_limit(self, beta: float, theta) -> bool:
-        """True at beta = 1 of a spin record if theta (a float or an array) holds
-        pi/2: there the iterated limits of the densities disagree by a factor 2."""
-        return self.spin and beta == 1.0 and bool(np.any(np.asarray(theta) == HALF_PI))
+        """True ``at_limit`` if theta (a float or an array) holds pi/2: there
+        the iterated limits of the densities disagree by a factor 2."""
+        return self.at_limit(beta) and bool(np.any(np.asarray(theta) == HALF_PI))
 
     def local_polarization(self, s: int, zeta, beta: float, theta):
         """Pointwise polarization fraction phi_s/phi_0 at a scalar theta (a
-        float) or a theta array (an array), the ratio of the limit profiles at
-        the beta = 1 of a record with a ``limit``; AmbiguousLimitError if theta
-        holds the double-limit point, where it depends on the order of the
-        limits."""
+        float) or a theta array (an array), the ratio of the limit profiles
+        ``at_limit``; AmbiguousLimitError if theta holds the double-limit
+        point, where it depends on the order of the limits."""
         kinematics.validate_s(s)
         self.check(beta, theta, zeta)
         if self.at_double_limit(beta, theta):
@@ -150,22 +167,15 @@ class Family:
             )
         if s == 0:
             return kinematics.like_theta(np.ones(np.shape(theta)), theta)
-        if self.limit is not None and beta == 1.0:
-            return self.limit(s, zeta, theta) / self.limit(0, zeta, theta)
         phi_s, phi0 = self._phis(s, zeta, beta, theta)
         return kinematics.like_theta(phi_s / phi0, theta)
 
     def density_profile(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> Callable:
-        """Vectorized theta -> p_s(zeta; beta; theta), normalization computed
-        once; theta is not checked.  At beta = 1 a record with a ``limit``
-        serves its limit profile (see the module docstring)."""
-        kinematics.validate_s(s)
-        self.check(beta, zeta=zeta)
-        (params,) = checked(self._body_params([beta], cfg))
-        if params is None:
-            return self._limit_profile(s, zeta)
-        swap, (b2, a, norm) = self._swap(zeta), params
-        return lambda theta: self._body(s, swap, np.asarray(theta, dtype=float), b2, a, norm)
+        """Vectorized theta -> p_s(zeta; beta; theta) of any shape, the
+        ``density_profiles`` of one beta; theta is not checked."""
+        profile, failed = self.density_profiles(s, zeta, [beta], cfg)
+        checked(failed)
+        return lambda theta: profile(0, np.asarray(theta, dtype=float))
 
     def density(self, s: int, zeta, beta: float, theta, cfg=DEFAULT_CONFIG):
         """Angular distribution p_s(zeta; beta; theta), a float for a scalar
@@ -193,21 +203,6 @@ class Family:
             for x0, values in self._f_rows(ks, betas[start:start + GRID_CHUNK], cfg):
                 yield x0, checked(values)
 
-    def _limit_profile(self, s, zeta):
-        """The beta = 1 density of a record with a ``limit``, with the
-        theta-limit values at the double-limit point: the limit profile, except
-        that the linear component that survives the spin selection has twice
-        the beta-first limit and the other one none."""
-        at_half_pi = self.limit(s, zeta, HALF_PI)
-        if s in (2, 3):
-            at_half_pi *= 2.0 if (s == 2) != self._swap(zeta) else 0.0
-
-        def limit_profile(theta):
-            theta = np.asarray(theta, dtype=float)
-            return np.where(theta == HALF_PI, at_half_pi, self.limit(s, zeta, theta))
-
-        return limit_profile
-
     def _body(self, s, swap, theta, b2, a, norm):
         """p_s at theta for beta^2 = b2, coupling a and normalization norm,
         each a float or a column per row of theta.  The cube is np.power: ``**``
@@ -218,47 +213,46 @@ class Family:
         num = np.power(opx, 3) * np.exp(-x) * _phi(s, swap, x, a, theta)[0]
         return num / ((1.0 - x) * norm) if self.spin else num / norm
 
-    def _body_params(self, betas, cfg):
-        """Per beta: (beta^2, the coupling a, the normalization) of its body;
-        None at the beta = 1 of a record with a ``limit``, whose profile is
-        the limit profile; or the error that its normalization f_2, f_3
-        raises.  The normalizations of all betas run as one batch."""
-        params = [None] * len(betas)
-        inside = [i for i, beta in enumerate(betas) if self.limit is None or beta != 1.0]
-        for i, (x0, fk) in zip(inside, self._f_rows((2, 3), [betas[i] for i in inside], cfg)):
-            error = next((v for v in fk if isinstance(v, Exception)), None)
-            params[i] = error or (betas[i] * betas[i], x0 if self.spin else 1.0,
-                                  (1.0 + x0) ** 2 * (fk[0] + fk[1]))
-        return params
-
     def density_profiles(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
-        """The ``density_profile`` of each beta as one function
-        ``profile(rows, theta)``: row i of the (n, k) array theta at
-        ``betas[rows[i]]``, each value that of the beta's own profile.  Returned
-        with, per beta, the error that its normalization f_2, f_3 raises, or
-        None; the normalizations of all betas run as one batch.  A call
-        without a beta = 1 limit row evaluates the body on theta as it is."""
+        """The p_s(zeta; beta; theta) of each beta as one function
+        ``profile(rows, theta)``: for an int ``rows``, theta of any shape at
+        ``betas[rows]``; for 1-D rows, row i of the (n, k) array theta at
+        ``betas[rows[i]]``.  Returned with, per beta, the error that its
+        normalization f_2, f_3 raises, or None; the normalizations of all
+        betas run as one batch.  ``at_limit`` a beta takes the limit profile,
+        which needs no f_k, and a call without a limit row evaluates the body
+        on theta as it is."""
         kinematics.validate_s(s)
         for beta in betas:
             self.check(beta, zeta=zeta)
         swap = self._swap(zeta)
-        setup = self._body_params(betas, cfg)
-        at_limit = np.array([p is None for p in setup], bool)
-        failed = [p if isinstance(p, Exception) else None for p in setup]
-        params = np.array([p if isinstance(p, tuple) else (1.0,) * 3 for p in setup]).reshape(-1, 3)
-        limit_profile = self._limit_profile(s, zeta) if at_limit.any() else None
-
-        def body(rows, theta):
-            b2, a, norm = params[rows].T[:, :, None]
-            return self._body(s, swap, theta, b2, a, norm)
+        at_limit = np.array([self.at_limit(beta) for beta in betas], bool)
+        inside = np.flatnonzero(~at_limit).tolist()
+        # per beta: beta^2, the coupling a and the normalization of the body
+        params, failed = np.ones((len(betas), 3)), [None] * len(betas)
+        for i, (x0, fk) in zip(inside, self._f_rows((2, 3), [betas[i] for i in inside], cfg)):
+            failed[i] = next((v for v in fk if isinstance(v, Exception)), None)
+            if failed[i] is None:
+                params[i] = (betas[i] * betas[i], x0 if self.spin else 1.0,
+                             (1.0 + x0) ** 2 * (fk[0] + fk[1]))
+        if at_limit.any():
+            # at the double-limit point the limit profile takes the fixed-beta
+            # theta-limit values: the linear component that survives the spin
+            # selection has twice the beta-first limit and the other one none
+            at_half_pi = self.limit(s, zeta, HALF_PI)
+            if s in (2, 3):
+                at_half_pi *= 2.0 if (s == 2) != swap else 0.0
 
         def profile(rows, theta):
             lim = at_limit[rows]
             if not lim.any():
-                return body(rows, theta)
+                b2, a, norm = params[rows] if np.ndim(rows) == 0 else params[rows].T[..., None]
+                return self._body(s, swap, theta, b2, a, norm)
+            if lim.all():
+                return np.where(theta == HALF_PI, at_half_pi, self.limit(s, zeta, theta))
             values = np.empty_like(theta)
-            values[lim] = limit_profile(theta[lim])
-            values[~lim] = body(rows[~lim], theta[~lim])
+            values[lim] = profile(rows[lim], theta[lim])
+            values[~lim] = profile(rows[~lim], theta[~lim])
             return values
 
         return profile, failed
@@ -273,7 +267,9 @@ class Family:
 
     def half_plane_fractions_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
         """Yield {s: q_s(zeta; beta)} at each beta, in order (see ``_f_scan``),
-        from one evaluation of f_1, f_2, f_3 per beta."""
+        from one evaluation of f_1, f_2, f_3 per beta: the share of the power of
+        component s radiated into 0 <= theta <= pi/2, with q_0 = 1, q_2 + q_3 =
+        1, q_g + q_{-g} = 1 and q_2(zeta) = q_3(-zeta)."""
         z = 1 if self._swap(zeta) else -1
         for x0, (f1, f2, f3) in self._f_scan((1, 2, 3), betas, cfg, zeta):
             f0 = f2 + f3
@@ -281,14 +277,8 @@ class Family:
             q2 = 0.5 * (1.0 + z - 2.0 * z * (f2 / f0))
             yield {0: 1.0, 1: q1, -1: 1.0 - q1, 2: q2, 3: 1.0 - q2}
 
-    def half_plane_fractions(self, zeta, beta: float, cfg=DEFAULT_CONFIG) -> dict:
-        """{s: q_s(zeta; beta)}: the share of the power of component s radiated
-        into 0 <= theta <= pi/2, with q_0 = 1, q_2 + q_3 = 1, q_g + q_{-g} = 1
-        and q_2(zeta) = q_3(-zeta)."""
-        return next(self.half_plane_fractions_scan(zeta, [beta], cfg))
-
     def half_plane_fraction(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> float:
-        """q_s(zeta; beta) of ``half_plane_fractions``."""
+        """q_s(zeta; beta) of ``half_plane_fractions_scan``."""
         return next(self.half_plane_fraction_scan(s, zeta, [beta], cfg))
 
     def _shape_scan(self, betas, cfg, zeta=None):

@@ -97,7 +97,8 @@ def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG):
     # separate 361-point scans of the beta's own profile
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
-    profile = analysis._density_profile(kind, s, zeta, beta, cfg)
+    profile = analysis.PARTICLES[kind].family.density_profile(
+        s, -1 if zeta is None else zeta, beta, cfg)
     p_lo = float(profile(0.0))
     p_hi = float(profile(HALF_PI))
 

@@ -85,7 +85,7 @@ PARTICLE_ZETAS = [("boson", -1), ("electron", 1), ("electron", -1)]
 @pytest.mark.parametrize("s", S_VALUES)
 def test_density_is_the_analysis_profile(s, kind, zeta, beta):
     api = analysis.PARTICLES[kind]
-    profile = api.profile(s, zeta, beta, DEFAULT_CONFIG)
+    profile = api.family.density_profile(s, zeta, beta, DEFAULT_CONFIG)
     got = api.density(s, zeta, beta, THETAS, DEFAULT_CONFIG)
     assert got.tobytes() == profile(THETAS).tobytes()
     for t in THETAS.tolist():
@@ -97,9 +97,12 @@ def test_density_is_the_analysis_profile(s, kind, zeta, beta):
 @pytest.mark.parametrize("s", S_VALUES)
 def test_analysis_profile_at_a_number_is_its_array_element(s, kind, zeta, beta):
     # the peak width of effective_angle reads the profile at single angles
-    # (its golden-section search) as well as on a grid
-    profile = analysis.PARTICLES[kind].profile(s, zeta, beta, DEFAULT_CONFIG)
+    # (its golden-section search), on a grid, and on the (n, 15) GK15 nodes
+    # of quad_adaptive
+    profile = analysis.PARTICLES[kind].family.density_profile(s, zeta, beta, DEFAULT_CONFIG)
     assert_same_bits(lambda t: kinematics.like_theta(profile(t), t))
+    nodes = THETAS[:195].reshape(13, 15)
+    assert profile(nodes).tobytes() == profile(THETAS)[:195].tobytes()
 
 
 def test_array_theta_is_validated_once_naming_the_first_bad_value():
@@ -220,12 +223,27 @@ def test_density_profiles_rows_match_each_profile():
                     assert got[r].tobytes() == want.tobytes(), (fam.spin, zeta, s, BETAS[b])
 
 
+def test_density_profiles_all_at_the_limit_match_the_mixed_rows():
+    # a call whose rows are all at the beta = 1 limit takes the limit profile
+    # on theta as it is; a mixed call takes it on the limit rows alone
+    rows = _RNG.integers(0, 2, 40)
+    theta = _RNG.uniform(0.0, math.pi, (40, 15))
+    theta[:8, 0] = HALF_PI
+    for zeta in ZETAS:
+        for s in S_VALUES:
+            at_limit, _ = electron.ELECTRON.density_profiles(s, zeta, [1.0, 1.0])
+            mixed, _ = electron.ELECTRON.density_profiles(s, zeta, [0.5, 1.0])
+            lim = rows == 1
+            got = at_limit(rows, theta)[lim]
+            assert got.tobytes() == mixed(rows, theta)[lim].tobytes(), (zeta, s)
+
+
 def test_density_profiles_report_each_failed_normalization():
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
     for fam in (boson.BOSON, electron.ELECTRON):
         _, failed = fam.density_profiles(0, -1, list(BETAS), cfg)
         for beta, error in zip(BETAS, failed):
-            if fam.limit is not None and beta == 1.0:  # the limit profile needs no f_k
+            if fam.at_limit(beta):  # the limit profile needs no f_k
                 assert error is None
                 continue
             with pytest.raises(ConvergenceError) as want:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from srq1.electron import (angular_density_e, density_profile_e,
+from srq1.boson import BOSON
+from srq1.electron import (ELECTRON, angular_density_e, density_profile_e,
                            electron_deformation, half_plane_fraction_e,
                            is_double_limit_point, limit_shape,
                            local_polarization_e, phi_e, shape_integral_e,
@@ -153,6 +155,33 @@ def test_double_limit_point():
     assert not is_double_limit_point(0.999, np.array([0.0, HALF_PI]))
     assert not is_double_limit_point(1.0, np.array([0.0, 1.0, math.pi]))
     assert not is_double_limit_point(1.0, np.array([]))
+
+
+def test_only_the_electron_at_beta_one_is_at_the_limit():
+    assert ELECTRON.at_limit(1.0) and ELECTRON.spin
+    assert not ELECTRON.at_limit(math.nextafter(1.0, 0.0))
+    assert not ELECTRON.at_limit(0.0)
+    assert not BOSON.at_limit(1.0) and not BOSON.spin
+
+
+def test_beta_one_phi_is_finite_and_vanishes_at_half_pi():
+    # phi_2 = phi_3 = 2|cos|/(1 + |cos|) at beta = 1, and every phi_s is 0 at
+    # pi/2, where the body formula is 0/0
+    thetas = [0.0, 1.0, 1.5707963267, HALF_PI - 1e-15, HALF_PI,
+              HALF_PI + 1e-15, 1.5707963268, 2.5, math.pi]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in (1, -1):
+            for t in thetas:
+                c = abs(float(np.cos(t))) if t != HALF_PI else 0.0
+                for s in (2, 3):
+                    assert phi_e(s, zeta, 1.0, t) == pytest.approx(
+                        2.0 * c / (1.0 + c), rel=1e-15, abs=0.0), (s, zeta, t)
+                phi0 = phi_e(0, zeta, 1.0, t)
+                assert phi0 == pytest.approx(4.0 * c / (1.0 + c), rel=1e-15, abs=0.0)
+                assert phi_e(1, zeta, 1.0, t) + phi_e(-1, zeta, 1.0, t) == phi0
+                if t == HALF_PI:
+                    assert [phi_e(s, zeta, 1.0, t) for s in (0, 1, -1, 2, 3)] == [0.0] * 5
 
 
 def test_beta_one_profile_serves_theta_limit_at_half_pi():
