@@ -16,8 +16,7 @@ is the one a beta-by-beta evaluation meets first: betas in grid order, the
 electron's f_k before the boson's in a ratio (the boson's first in
 ``table1``), and a width's f_2, f_3, weighted pieces, then plain pieces.
 The maxima and widths read p_s from the profiles of
-``Family.density_profiles``, the peak width from its one-beta
-``density_profile``.
+``Family.density_profiles``.
 """
 
 from __future__ import annotations
@@ -31,12 +30,10 @@ import numpy as np
 from . import boson, electron, family, kinematics
 from .errors import ConvergenceError, DomainError, checked
 from .family import GRID_CHUNK, HALF_PI
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive, quad_batch
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
+from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
 
 
-# golden-section interior-point ratios
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 # points of each refinement scan of max_angle
 _SCAN_POINTS = 361
 
@@ -152,24 +149,6 @@ def table1(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[RatioRow]:
     return rows
 
 
-def _golden_max(f, a, b, tol=1e-10):
-    h = b - a
-    c, d = a + _INV_PHI2 * h, a + _INV_PHI * h
-    yc, yd = f(c), f(d)
-    while h > tol:
-        if yc > yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = a + _INV_PHI2 * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return 0.5 * (a + b)
-
-
 def _particle(kind):
     if kind not in PARTICLES:
         raise DomainError(f"kind must be 'boson' or 'electron', got {kind!r}")
@@ -203,7 +182,7 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     fam = _particle(kind).family
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
-        profile, failed = fam.density_profiles(s, -1 if zeta is None else zeta, chunk, cfg)
+        profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
         rows = np.array([i for i, e in enumerate(failed) if e is None], int)
         row = np.arange(len(rows))
         p_lo, p_hi = profile(rows, np.tile([0.0, HALF_PI], (len(rows), 1))).T
@@ -296,7 +275,6 @@ def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
     fam = _particle(kind).family
     kinematics.validate_s(s)
     s = 0 if s in (1, -1) else s
-    zeta = -1 if zeta is None else zeta
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
         profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
@@ -325,33 +303,13 @@ def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
 
 
 def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG,
-                    definition: str = "rms") -> EffectiveAngleReport:
-    """Angular width of p_s about the orbit plane.
-
-    definition="rms" (default):
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> EffectiveAngleReport:
+    """RMS angular width of p_s about the orbit plane,
 
         delta^2 = int (theta - pi/2)^2 p_s dOmega / int p_s dOmega
 
-    over [0, pi], which ``effective_angle_scan`` evaluates over [0, pi/2].
-    definition="peak" is the equivalent half-width
-    int p_s sin(theta) dtheta / (2 max_theta p_s): the half-width of the
-    rectangular profile with the same area and peak height.  The convention
-    used is recorded in ``definition_id``.
+    over [0, pi].  This is ``effective_angle_scan`` of one beta, which
+    evaluates it over [0, pi/2].
     """
-    if definition not in ("rms", "peak"):
-        raise DomainError(f"unknown width definition {definition!r}")
-    if definition == "rms":
-        delta = next(effective_angle_scan(kind, s, zeta, [beta], cfg))
-    else:
-        profile = _particle(kind).family.density_profile(
-            s, -1 if zeta is None else zeta, beta, cfg)
-        area = quad_adaptive(lambda theta: profile(theta) * np.sin(theta), 0.0, math.pi, cfg)
-        grid = np.linspace(0.0, math.pi, 2001)
-        i = int(np.asarray(profile(grid)).argmax())
-        peak = float(profile(_golden_max(
-            lambda t: float(profile(t)),
-            grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])))
-        delta = area / (2.0 * peak)
-    return EffectiveAngleReport(kind=kind, s=s, zeta=zeta, beta=beta,
-                                delta=delta, definition_id=definition)
+    delta = next(effective_angle_scan(kind, s, zeta, [beta], cfg))
+    return EffectiveAngleReport(kind=kind, s=s, zeta=zeta, beta=beta, delta=delta)

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import integrals
-from .family import Family, PowerResult, _cos  # noqa: F401  (PowerResult re-exported)
+from .family import Family, _cos
 from .kinematics import like_theta, validate_s
 from .integrals import f_e  # noqa: F401  (only for bench/trace_layers to wrap)
 from .kinematics import power_prefactor  # noqa: F401  (only for bench/trace_layers)

@@ -96,9 +96,9 @@ def test_density_is_the_analysis_profile(s, kind, zeta, beta):
 @pytest.mark.parametrize("kind, zeta", PARTICLE_ZETAS)
 @pytest.mark.parametrize("s", S_VALUES)
 def test_analysis_profile_at_a_number_is_its_array_element(s, kind, zeta, beta):
-    # the peak width of effective_angle reads the profile at single angles
-    # (its golden-section search), on a grid, and on the (n, 15) GK15 nodes
-    # of quad_adaptive
+    # Family.density reads the one-beta profile at a single angle and on a
+    # grid, and density_profile_b/_e hand it to callers that may pass any
+    # theta shape, such as an (n, 15) block of quadrature nodes
     profile = analysis.PARTICLES[kind].family.density_profile(s, zeta, beta, DEFAULT_CONFIG)
     assert_same_bits(lambda t: kinematics.like_theta(profile(t), t))
     nodes = THETAS[:195].reshape(13, 15)
