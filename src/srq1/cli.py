@@ -51,15 +51,16 @@ def parse_angle(token: str) -> float:
     return value
 
 
-def parse_range(text: str) -> list[float]:
-    """``a:b:n`` -> n evenly spaced values; a bare number -> one value.
+def parse_range(text: str) -> np.ndarray:
+    """``a:b:n`` -> n evenly spaced values; a bare number -> one value; as a
+    float64 array.
 
     Grid points landing within 1e-12 of pi/2 or pi are snapped exactly, so
     symbolic endpoints hit the special angles exactly.
     """
     parts = text.split(":")
     if len(parts) == 1:
-        return [parse_angle(parts[0])]
+        return np.array([parse_angle(parts[0])])
     if len(parts) != 3:
         raise DomainError(f"range must be 'a:b:n' or a single value, got {text!r}")
     a, b = parse_angle(parts[0]), parse_angle(parts[1])
@@ -76,7 +77,7 @@ def parse_range(text: str) -> list[float]:
     grid[-1] = b
     for exact in (math.pi / 2, math.pi):
         grid[np.abs(grid - exact) < 1e-12] = exact
-    return grid.tolist()
+    return grid
 
 
 # ---------------------------------------------------------------- quantities
@@ -183,9 +184,8 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
     for option, value, read in (("--beta", beta, reads_beta), ("--theta", theta, reads_theta)):
         if value is not None and not read:
             raise DomainError(f"quantity {quantity} does not read {option}")
-    betas = parse_range("0" if beta is None else beta) if reads_beta else []
-    thetas = np.array(parse_range("0:pi:181" if theta is None else theta)
-                      if reads_theta else [])
+    betas = parse_range("0" if beta is None else beta).tolist() if reads_beta else []
+    thetas = parse_range("0:pi:181" if theta is None else theta) if reads_theta else np.empty(0)
     if angle_unit == "deg":
         thetas = np.radians(thetas)
     if reads_theta and reads_beta and len(betas) != 1:

@@ -7,16 +7,18 @@ point.  JSON mirrors the same content in the indent=2 layout of
 "inf" and "ambiguous" in both formats.
 
 A table's rows are a list of rows, written cell by cell (``format_number``,
-``_json_text``), or an ``(n, k)`` float array, written by one ``str.format``
-call over a template, with the same bytes.  ``{:.9g}`` gives the text
+``_json_text``), or an ``(n, k)`` float array, written by one ``%`` call
+over a template, with the same bytes.  A ``%.9g`` field gives the text
 ``format_number`` gives for every float, inf and nan included, so a CSV
 array is one repeated field.  JSON writes a finite cell v as
 ``repr(float(f"{v:.9g}"))``, which differs from its ``.9g`` text only when
 that text is a whole number (json adds ".0") or when repr lays the value out
 otherwise: repr is fixed notation from 1e-4 up to 1e16, where ``.9g`` takes
 the exponent form from 1e9, and it gives a subnormal's shortest digits.  An
-array cell is flagged when |v - rint(v)| <= 1e-8 max(|v|, 1) and written
-with ``_json_text``; every other cell is its ``.9g`` text.  Why that holds:
+array cell is flagged when it is inf or nan or when
+|v - rint(v)| <= 1e-8 max(|v|, 1); a flagged cell is a ``%s`` field that
+takes its ``_json_text``, and every other cell is a ``%.9g`` field.  Why
+the unflagged text is right:
 
 - v lies within half a unit in the 9th digit of its text; when that text is
   a whole number W, |v - rint(v)| <= |v - W| <= 0.5e-8 |v|, so v is flagged;
@@ -29,7 +31,12 @@ with ``_json_text``; every other cell is its ``.9g`` text.  Why that holds:
 - an unflagged cell in fixed notation has a "." in its text, which repr of
   float(text) then repeats.
 
-A JSON array holding inf or nan, or no cell, is written as a list.
+The ``%`` call writes a JSON array compactly, cells joined by "," and rows
+by ";", and two replaces then lay that text out as json.dumps does.  No cell
+text holds either mark: a ``.9g`` text is made of a sign, digits, "." and
+an exponent such as "e-05", or is inf or nan, and ``_json_text`` writes such
+a text, its repr, or one of them quoted.  List rows, and an array of no
+cell, are written row by row (``_json_row``).
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ import numpy as np
 class ScanResult:
     metadata: dict = field(default_factory=dict)
     columns: list = field(default_factory=list)
-    # a list of rows, or an (n, k) float array: a theta scan without an
-    # "ambiguous" cell
+    # a list of rows, or an (n, k) float array, inf and nan allowed: a theta
+    # scan without an "ambiguous" cell
     rows: list | np.ndarray = field(default_factory=list)
 
 
@@ -69,7 +76,7 @@ def write_csv(result: ScanResult) -> str:
         lines += [",".join(map(format_number, row)) for row in rows]
     elif len(rows):
         n, k = rows.shape
-        lines.append("\n".join([",".join(["{:.9g}"] * k)] * n).format(*rows.ravel().tolist()))
+        lines.append("\n".join([",".join(["%.9g"] * k)] * n) % tuple(rows.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -88,41 +95,55 @@ def _json_text(v) -> str:
 
 
 def _json_row(row) -> str:
-    if not row:
+    if not len(row):  # a list, or a row of an array of no cell
         return "    []"
     return "    [\n      " + ",\n      ".join(map(_json_text, row)) + "\n    ]"
 
 
 def _json_flags(rows: np.ndarray) -> np.ndarray:
-    """True where a finite cell's JSON text may differ from its .9g text."""
-    return np.abs(rows - np.rint(rows)) <= 1e-8 * np.maximum(np.abs(rows), 1.0)
+    """True where a cell's JSON text may differ from its .9g text: inf, nan
+    and the cells next to a whole number (see the module docstring)."""
+    finite = np.isfinite(rows)
+    # inf and nan are read as 0.0, a whole number, so they are flagged without
+    # an inf - rint(inf)
+    v = rows if finite.all() else np.where(finite, rows, 0.0)
+    return np.abs(v - np.rint(v)) <= 1e-8 * np.maximum(np.abs(v), 1.0)
+
+
+# the layout that json.dumps puts after a cell and after a row
+_NEXT_CELL = ",\n      "
+_NEXT_ROW = "\n    ],\n    [\n      "
 
 
 def _json_array(rows: np.ndarray) -> str:
-    """The JSON rows of a non-empty finite (n, k) array (see the module docstring)."""
-    k = rows.shape[1]
+    """The JSON rows of an (n, k) array of at least one cell (see the module docstring)."""
+    n, k = rows.shape
     flags = _json_flags(rows)
     cells = rows.ravel().tolist()
     for i in np.flatnonzero(flags).tolist():
         cells[i] = _json_text(cells[i])
-    # each cell's field with the layout around it; the last row ends in ",\n" too
-    starts = ["    [\n      "] + [""] * (k - 1)
-    ends = [",\n      "] * (k - 1) + ["\n    ],\n"]
-    fields = np.array([[s + f + e for s, e in zip(starts, ends)] for f in ("{:.9g}", "{}")],
-                      dtype=object)[flags.astype(np.intp), np.arange(k)]
-    return "".join(fields.ravel().tolist())[:-2].format(*cells)
+    template = [",".join(["%.9g"] * k)] * n
+    flagged = np.flatnonzero(flags.any(axis=1))
+    fields = np.array(["%.9g", "%s"], dtype=object)[flags[flagged].astype(np.intp)]
+    for i, row in zip(flagged.tolist(), fields.tolist()):
+        template[i] = ",".join(row)
+    # the compact rows, between the first row's opening and the last row's closing
+    text = f"    [\n      {';'.join(template)}\n    ]" % tuple(cells)
+    return text.replace(",", _NEXT_CELL).replace(";", _NEXT_ROW)
 
 
 def write_json(result: ScanResult) -> str:
     head = json.dumps({"metadata": {k: str(v) for k, v in result.metadata.items()},
                        "columns": list(result.columns)}, indent=2)
     rows = result.rows
-    if isinstance(rows, np.ndarray) and not (rows.size and np.isfinite(rows).all()):
-        rows = rows.tolist()
-    body = _json_array(rows) if isinstance(rows, np.ndarray) else ",\n".join(map(_json_row, rows))
+    if not len(rows):
+        return f'{head[:-2]},\n  "rows": []\n}}\n'
+    if isinstance(rows, np.ndarray) and rows.size:
+        body = _json_array(rows)
+    else:
+        body = ",\n".join(map(_json_row, rows))
     # json.dumps lays out the last key as '  "rows": [\n<rows>\n  ]' before '\n}'
-    body = f"[\n{body}\n  ]" if len(rows) else "[]"
-    return f'{head[:-2]},\n  "rows": {body}\n}}\n'
+    return f'{head[:-2]},\n  "rows": [\n{body}\n  ]\n}}\n'
 
 
 def serialize(result: ScanResult, fmt: str) -> str:

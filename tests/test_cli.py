@@ -46,7 +46,7 @@ def test_parse_range():
     assert len(grid) == 181
     assert grid[0] == 0.0 and grid[-1] == math.pi
     assert grid[90] == math.pi / 2  # snapped exactly
-    assert parse_range("0.3") == [0.3]
+    assert parse_range("0.3").tolist() == [0.3]
     from srq1.errors import DomainError
     with pytest.raises(DomainError):
         parse_range("0:1:1")

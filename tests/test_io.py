@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,3 +106,66 @@ def test_unflagged_cells_are_their_9g_text():
     flags = _json_flags(cells)
     assert 0 < flags.sum() < len(cells)
     assert [v for v in cells[~flags].tolist() if _json_text(v) != f"{v:.9g}"] == []
+
+
+def test_no_cell_text_holds_a_layout_mark():
+    # the JSON array is laid out by replacing "," and ";" in its compact text
+    cells = FLOATS + NEAR_WHOLE + MIDRANGE + [math.inf, -math.inf, math.nan]
+    texts = [f"{v:.9g}" for v in cells] + [_json_text(v) for v in cells]
+    assert [t for t in texts if "," in t or ";" in t] == []
+
+
+def test_non_finite_cells_are_flagged():
+    assert _json_flags(np.array([[math.inf, -math.inf, math.nan, 0.5]])).tolist() == [
+        [True, True, True, False]]
+
+
+@pytest.mark.parametrize("name", ["array with inf and nan", "floats and inf"])
+def test_non_finite_tables_are_written_without_a_warning(name):
+    result = TABLES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert write_csv(result) == reference_csv(result)
+        assert write_json(result) == reference_json(result)
+
+
+def _assert_same_text(got, want):
+    """got == want; a failure names the first line that differs, where a
+    diff of megabytes of text would take minutes."""
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i}: {g[i:i + 1]} != {w[i:i + 1]} ({len(g)} and {len(w)} lines)")
+
+
+def _large_table():
+    """A seeded (n, 2) array of over 50 000 rows: a degree grid next to a
+    seeded mix of the cells whose text takes each layout."""
+    rng = np.random.default_rng(22)
+    theta = np.tile(np.linspace(0.0, 180.0, 18001), 3)  # whole every 100th
+    n = len(theta)
+    pieces = [
+        np.zeros(500), np.full(500, -0.0),
+        rng.uniform(1.0, 10.0, 8000) * 10.0 ** rng.integers(-307, -4, 8000),  # below 1e-4
+        rng.uniform(1.0, 10.0, 8000) * 10.0 ** rng.integers(9, 308, 8000),  # from 1e9 up
+        rng.uniform(0.0, 2.2250738585072014e-308, 2000),  # subnormals
+        5e-324 * rng.integers(1, 1000, 500),
+        np.repeat([math.inf, -math.inf, math.nan], 300),
+        rng.integers(-10**9, 10**9, 4000).astype(float),  # whole numbers
+        rng.standard_normal(4000),
+    ]
+    mixed = np.concatenate(pieces)
+    values = np.concatenate([mixed, rng.standard_normal(n - len(mixed))
+                             * 10.0 ** rng.uniform(-8, 8, n - len(mixed))])
+    rng.shuffle(values)
+    values *= rng.choice([-1.0, 1.0], n)
+    return np.column_stack((theta, values))
+
+
+def test_large_array_matches_the_per_cell_reference():
+    result = ScanResult({"quantity": "freq", "angle_unit": "deg"}, ["theta", "omega"],
+                        _large_table())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_text(write_csv(result), reference_csv(result))
+        _assert_same_text(write_json(result), reference_json(result))
