@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 185 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 203 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -114,13 +114,22 @@ EDGE_ARGV += [
 # q_local at beta = 1 on theta within 1e-8 of pi/2, where sin^2(theta) rounds
 # to 1, and on a 100 001-point grid, whose rows next to pi/2 lie in the same
 # regime.
-EDGE_ARGV += [
+_Q_LOCAL = [
     ["scan", "--quantity", "q_local", "--particle", "electron", "--s", s, "--zeta", z,
      "--beta", "1", *theta]
     for ss, theta in ((("1", "-1", "2", "3"), ["--theta", "1.5707963267:1.5707963269:9"]),
                       (("1", "2"), _THETA))
     for s in ss for z in ("1", "-1")
 ]
+EDGE_ARGV += _Q_LOCAL
+# JSON twins of theta tables whose cells are exact zeros (limits), 0, 1 or
+# "ambiguous" (the q_local scans above), and a degree grid of whole numbers.
+EDGE_ARGV += (
+    [["limits", "--s", s, *_THETA, "--format", "json"] for s in _S]
+    + [[*a, "--format", "json"] for a in _Q_LOCAL]
+    + [["scan", "--quantity", "p", "--particle", "electron", "--s", "0", "--beta", "0.9",
+        "--theta", "0:180:181", "--angle-unit", "deg", "--format", "json"]]
+)
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

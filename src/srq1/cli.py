@@ -4,10 +4,10 @@
 beta or theta grid; the other subcommands are aliases into the same table.
 One argparse parser is built, at import, from the COMMANDS table.  A theta
 scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
-handed to the writers as one (theta, value) float array; only a q_local
-grid through the double-limit point keeps list rows, for its "ambiguous"
-cell.  Every value equals that of a one-point call bit for bit (see
-``family``); p is the profile that maxima and eff_angle read.
+handed to the writers as one (theta, value) float array; a q_local grid
+through the double-limit point names that cell a text cell, "ambiguous".
+Every value equals that of a one-point call bit for bit (see ``family``); p
+is the profile that maxima and eff_angle read.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
 ``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.
@@ -83,7 +83,8 @@ def parse_range(text: str) -> np.ndarray:
 # ---------------------------------------------------------------- quantities
 # An evaluator takes the parsed call ``c`` (particle, api, zeta, s, betas,
 # beta, thetas: an array in radians, angles: the theta column, angle: the
-# unit conversion of one angle, cfg, extra metadata) and returns the rows.
+# unit conversion of one angle, cfg, extra metadata, texts: the text cells of
+# the rows) and returns the rows.
 
 def _theta_rows(c, values):
     """The (theta, value) rows of a float array of values, as an (n, 2) array."""
@@ -100,12 +101,13 @@ def _p(c):
 def _q_local(c):
     if not c.api.family.at_double_limit(c.beta, c.thetas):
         return _theta_rows(c, c.api.q_local(c.s, c.zeta, c.beta, c.thetas))
-    # the double-limit point has no value; its cell reads "ambiguous", so the
-    # rows are a list
+    # the double-limit point has no value: its cell is a nan placeholder,
+    # written as the text "ambiguous"
     valued = c.thetas != HALF_PI
-    cells = np.full(len(c.thetas), "ambiguous", dtype=object)
-    cells[valued] = c.api.q_local(c.s, c.zeta, c.beta, c.thetas[valued])
-    return list(zip(c.angles.tolist(), cells.tolist()))
+    values = np.full(len(c.thetas), math.nan)
+    values[valued] = c.api.q_local(c.s, c.zeta, c.beta, c.thetas[valued])
+    c.texts.update({2 * i + 1: "ambiguous" for i in np.flatnonzero(~valued).tolist()})
+    return _theta_rows(c, values)
 
 
 def _freq(c):
@@ -196,6 +198,7 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
     deg = angle_unit == "deg"
     c = SimpleNamespace(particle=particle, api=api, zeta=int(zeta), s=int(s), betas=betas,
                         beta=betas[0] if betas else None, thetas=thetas, cfg=cfg, extra={},
+                        texts={},
                         angles=np.degrees(thetas) if deg else thetas,
                         angle=math.degrees if deg else (lambda t: t))
     rows = q.rows(c)
@@ -205,7 +208,7 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
         key, eq, value = key.partition("=")
         md[key] = value if eq else getattr(c, key)
     md.update(c.extra)
-    sys.stdout.write(serialize(ScanResult(md, list(q.columns), rows), fmt))
+    sys.stdout.write(serialize(ScanResult(md, list(q.columns), rows, c.texts), fmt))
 
 
 # ---------------------------------------------------------------- commands

@@ -9,12 +9,14 @@ fails here rather than changing printed digits silently.
 
 import contextlib
 import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import srq1.io
 from srq1 import analysis, boson, electron, kinematics
 from srq1.cli import run_cli
 from srq1.errors import AmbiguousLimitError, ConvergenceError
@@ -144,6 +146,29 @@ def test_double_limit_scan_warns_nothing(quantity):
     argv = ["scan", "--quantity", quantity, "--particle", "electron", "--zeta", "1",
             "--s", "1", "--beta", "1", "--theta", "0:pi:7"]
     assert _run_quietly(argv) == DOUBLE_LIMIT[quantity]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_double_limit_scan_takes_the_array_path(fmt, monkeypatch):
+    # only beta scans are written row by row, cell by cell
+    def raise_(*_):
+        raise AssertionError("a theta scan written as list rows")
+
+    monkeypatch.setattr(srq1.io, "_json_row", raise_)
+    monkeypatch.setattr(srq1.io, "format_number", raise_)
+    argv = ["scan", "--quantity", "q_local", "--particle", "electron", "--zeta", "1",
+            "--s", "1", "--beta", "1", "--theta", "0:pi:7", "--format", fmt]
+    got = _run_quietly(argv)
+    lines = DOUBLE_LIMIT["q_local"].splitlines()
+    if fmt == "csv":
+        assert got == DOUBLE_LIMIT["q_local"]
+        return
+    cells = [row.split(",") for row in lines[lines.index("theta,q") + 1:]]
+    assert got == json.dumps({
+        "metadata": dict(line[2:].split("=", 1) for line in lines if line.startswith("# ")),
+        "columns": ["theta", "q"],
+        "rows": [[float(v) if v != "ambiguous" else v for v in row] for row in cells],
+    }, indent=2) + "\n"
 
 
 # ---------- theta within 1e-8 of pi/2 at beta = 1, not snapped to it ----------

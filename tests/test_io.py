@@ -10,14 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import srq1.io
 from srq1.io import ScanResult, _json_flags, _json_text, format_number, write_csv, write_json
+
+
+def list_rows(result):
+    """The rows of a result as a list of rows, each text cell its text."""
+    if not isinstance(result.rows, np.ndarray):
+        return result.rows
+    k = result.rows.shape[1]
+    rows = result.rows.tolist()
+    for i, text in result.texts.items():
+        rows[i // k][i % k] = text
+    return rows
 
 
 def reference_csv(result):
     lines = [f"# {key}={value}" for key, value in result.metadata.items()]
     if result.columns:
         lines.append(",".join(result.columns))
-    for row in result.rows:
+    for row in list_rows(result):
         lines.append(",".join(format_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -34,7 +46,7 @@ def reference_json(result):
     doc = {
         "metadata": {k: str(v) for k, v in result.metadata.items()},
         "columns": list(result.columns),
-        "rows": [[_reference_cell(v) for v in row] for row in result.rows],
+        "rows": [[_reference_cell(v) for v in row] for row in list_rows(result)],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -54,6 +66,16 @@ _W *= _RNG.choice([-1.0, 1.0], 300)
 NEAR_WHOLE = np.concatenate([_W, _W + 0.4 * _UNIT, _W - 0.4 * _UNIT, _W + 0.6 * _UNIT]).tolist()
 # finite floats from 1e-12 to 1e12, where most cells are written as .9g text
 MIDRANGE = (_RNG.standard_normal(3000) * 10.0 ** _RNG.uniform(-12, 12, 3000)).tolist()
+# the edges of the whole-number field: whole numbers of at most 9 digits, the
+# first ones of 10, and flagged cells next to a whole number
+WHOLE = [0.0, -0.0, 1.0, -1.0, 999999999.0, -999999999.0, 1e9, -1e9, 50000000.5,
+         2.000000001]
+# a table with text cells in its first, a middle and its last row, among
+# whole, flagged and plain cells; a text is written as it is, marks included
+_TEXT_ROWS = np.reshape(WHOLE * 3 + [math.nan, math.inf] + MIDRANGE[:40] + NEAR_WHOLE[:60],
+                        (-1, 2))
+_TEXTS = {1: "ambiguous", len(_TEXT_ROWS) + 4: 'a "quoted", 100% text;',
+          2 * len(_TEXT_ROWS) - 1: "ambiguous"}
 MIXED = [[0.25, -0.0], [1e-300, 1e22], [math.inf, -math.inf], [math.nan, "ambiguous"],
          [True, False], [None, "none"], [3, np.float64(0.1)], [1.5, 2.5]]
 
@@ -77,6 +99,18 @@ TABLES = {
     "array of empty rows": ScanResult({"quantity": "p"}, [], np.empty((3, 0))),
     "array with inf and nan": ScanResult({"quantity": "p"}, ["theta", "p"], np.array(
         [[0.0, 0.25], [1.0, math.inf], [2.5, -math.inf], [1e-300, math.nan], [1e22, 3.0]])),
+    "whole-number edges": ScanResult({"quantity": "p"}, ["theta", "p"],
+                                     np.reshape(WHOLE, (-1, 2))),
+    "array with text cells": ScanResult({"quantity": "q_local"}, ["theta", "q"], _TEXT_ROWS,
+                                        _TEXTS),
+    "3-column array with text cells": ScanResult(
+        {"quantity": "power"}, ["beta", "power", "shape"], np.reshape(_TEXT_ROWS, (-1, 3)),
+        {0: "none", 3 * (len(_TEXT_ROWS) // 3) + 2: "ambiguous", 2 * len(_TEXT_ROWS) - 1: "x"}),
+    # rows wider than an int64 code of one field index per cell
+    "wide array with text cells": ScanResult(
+        {"quantity": "p"}, [f"x{j}" for j in range(48)], np.reshape(
+            (WHOLE + MIDRANGE[:38]) * 2 + (MIDRANGE[:48] + NEAR_WHOLE[:48]) * 2, (-1, 48)),
+        {47: "ambiguous", 48 + 46: "ambiguous", 5 * 48: "none"}),
 }
 
 
@@ -106,13 +140,6 @@ def test_unflagged_cells_are_their_9g_text():
     flags = _json_flags(cells)
     assert 0 < flags.sum() < len(cells)
     assert [v for v in cells[~flags].tolist() if _json_text(v) != f"{v:.9g}"] == []
-
-
-def test_no_cell_text_holds_a_layout_mark():
-    # the JSON array is laid out by replacing "," and ";" in its compact text
-    cells = FLOATS + NEAR_WHOLE + MIDRANGE + [math.inf, -math.inf, math.nan]
-    texts = [f"{v:.9g}" for v in cells] + [_json_text(v) for v in cells]
-    assert [t for t in texts if "," in t or ";" in t] == []
 
 
 def test_non_finite_cells_are_flagged():
@@ -163,9 +190,35 @@ def _large_table():
 
 
 def test_large_array_matches_the_per_cell_reference():
-    result = ScanResult({"quantity": "freq", "angle_unit": "deg"}, ["theta", "omega"],
-                        _large_table())
+    rows = _large_table()
+    texts = {1: "ambiguous", 2 * 25000: "ambiguous", 2 * 25000 + 3: "none",
+             rows.size - 1: "ambiguous"}
+    result = ScanResult({"quantity": "freq", "angle_unit": "deg"}, ["theta", "omega"], rows,
+                        texts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_same_text(write_csv(result), reference_csv(result))
         _assert_same_text(write_json(result), reference_json(result))
+
+
+def test_json_text_is_called_only_for_cells_that_are_not_whole(monkeypatch):
+    # a limits-like table: a degree grid next to a profile that is exactly 0
+    # on half the rows, with a few flagged cells that are not whole numbers
+    rng = np.random.default_rng(23)
+    values = np.concatenate([np.zeros(2000), -np.zeros(500), rng.uniform(0.1, 2.0, 2500)])
+    values[[3, 2600, 4999]] = [1e-12, 3.0000000001, 2.5e9]
+    rows = np.column_stack((np.linspace(0.0, 180.0, 5000), values))
+    flags = _json_flags(rows)
+    whole = (rows == np.rint(rows)) & (np.abs(rows) < 1e9)
+    assert flags.sum() > 2500
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return _json_text(v)
+
+    monkeypatch.setattr(srq1.io, "_json_text", counted)
+    result = ScanResult({"quantity": "limits"}, ["theta", "p_bar"], rows)
+    assert write_json(result) == reference_json(result)
+    assert sorted(calls) == sorted(rows[flags & ~whole].tolist())
+    assert len(calls) == 3
