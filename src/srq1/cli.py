@@ -2,7 +2,8 @@
 
 ``scan --quantity Q`` evaluates one quantity of the QUANTITIES table over a
 beta or theta grid; the other subcommands are aliases into the same table.
-One argparse parser is built, at import, from the COMMANDS table.  A theta
+One argparse parser is built, at import, from the COMMANDS table; argv is
+parsed by the subparser of the subcommand it names.  A theta
 scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
 handed to the writers as one (theta, value) float array; a q_local grid
 through the double-limit point names that cell a text cell, "ambiguous".
@@ -263,7 +264,8 @@ COMMANDS = (
 
 
 def _build_parser():
-    """The srq1 parser: one subparser per row of COMMANDS."""
+    """The srq1 parser, with one subparser per row of COMMANDS, and the map
+    from each subcommand's name to its subparser."""
     top = argparse.ArgumentParser(prog="srq1", description=__doc__.splitlines()[0],
                                   add_help=False, allow_abbrev=False)
     top.add_argument("--version", action="version", version=f"srq1, version {__version__}")
@@ -280,10 +282,23 @@ def _build_parser():
                 action.help = f"{action.help or ''} [default: %(default)s]"
     for parser in (top, *commands.choices.values()):
         parser.add_argument("--help", action="help", help="Show this message and exit.")
-    return top
+    return top, commands.choices
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse(argv):
+    """The namespace of argv, from the subparser of the subcommand argv[0]
+    names, which the top-level parser would hand the same tokens.  Argv that
+    names no subcommand, or that has a token the subparser leaves
+    unrecognized, goes to the top-level parser, which prints its own usage."""
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def run_cli(argv) -> int:
@@ -293,7 +308,7 @@ def run_cli(argv) -> int:
     argv = [t if t not in _OPTIONS or (value := next(tokens, None)) is None
             else f"{t}={value}" for t in tokens]
     try:
-        args = vars(_PARSER.parse_args(argv))
+        args = vars(_parse(argv))
         _emit(args.pop("command").quantity or args.pop("quantity"), **args)
     except SystemExit as exc:  # argparse: --help or --version (0), or a usage error
         return 1 if exc.code else 0

@@ -9,11 +9,14 @@ configuration.
 ``quad_batch`` runs a batch of independent integrals in lockstep.  Each
 integral keeps its own heap of panels, tolerance test, frozen error and
 result, exactly as if it ran alone (``quad_adaptive`` is the batch of one).
-A round first evaluates the whole interval of every integral, then each
-round takes one bisection from every integral that is not finished, and
-the two halves of all of them share one integrand call on an (n, 15) node
-array and one (n, 15) @ (15, 2) product.  This gives the bits of evaluating
-each panel on its own:
+A round first evaluates the whole interval of every integral.  An integral
+whose whole-interval panel meets its tolerance is settled there, with no
+heap, and with the bits the heap loop would give it; the others start their
+heap loop with the bisection of [a, b].  Each further round takes one
+bisection from every integral that is not finished, and the two halves of
+all of them share one integrand call on an (n, 15) node array, with the
+integrals of its rows as one index array, and one (n, 15) @ (15, 2)
+product.  This gives the bits of evaluating each panel on its own:
 
 - the nodes and the integrands are elementwise array expressions, so a
   node's value does not depend on the other rows of the call;
@@ -28,8 +31,9 @@ each panel on its own:
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -73,10 +77,11 @@ class QuadratureConfig:
     max_depth: int = 60
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
+        for name, tol in (("abs_tol", self.abs_tol), ("rel_tol", self.rel_tol)):
+            if not tol > 0:
+                raise DomainError(f"{name} must be positive, got {tol}")
+            if tol == math.inf:  # every integral would meet it on its first panel
+                raise DomainError(f"{name} must be finite, got {tol}")
         if self.max_depth < 10:
             raise DomainError(f"max_depth must be >= 10, got {self.max_depth}")
 
@@ -84,31 +89,36 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
-def _panels(f, rows, centre, half):
-    """[kronrod, gauss] of each panel, given by lists of centres and half
-    widths, row r of integral rows[r], from one integrand call."""
+def _panels(f, rows, bounds):
+    """The (kronrod, |kronrod - gauss|) of each panel as an (n, 2) array, from
+    one integrand call: ``bounds`` lists the centre and the half width of
+    each panel in turn, and panel r belongs to integral rows[r]."""
+    panels = np.array(bounds).reshape(-1, 2)
+    half = panels[:, 1:]
+    y = f(rows, panels[:, :1] + half * _NODES)
     if len(rows) == 1:  # reduced by the two dot products: see the module docstring
-        half = half[0]
-        y = f(rows, centre[0] + half * _NODES.reshape(1, 15))[0]
-        return [[half * float(_KRONROD_W @ y), half * float(_GAUSS_W @ y)]]
-    half = np.array(half).reshape(-1, 1)
-    y = f(rows, np.array(centre).reshape(-1, 1) + half * _NODES)
-    return (half * (y @ _WEIGHTS)).tolist()
+        half, y = bounds[1], y[0]
+        kronrod = half * float(_KRONROD_W @ y)
+        return np.array([[kronrod, abs(kronrod - half * float(_GAUSS_W @ y))]])
+    panels = half * (y @ _WEIGHTS)
+    panels[:, 1] = np.abs(panels[:, 0] - panels[:, 1])
+    return panels
 
 
 class _Integral:
-    """The refinement state of one integral of a batch: worst-error-first
-    bisection with a global error budget; the (lo, hi) entries of its heap
-    break ties deterministically."""
+    """The refinement state of an integral of a batch that its first panel
+    did not settle: worst-error-first bisection with a global error budget;
+    the (lo, hi) entries of its heap break ties deterministically."""
 
-    __slots__ = ("index", "sign", "a", "b", "heap", "total", "total_err", "frozen_err")
+    __slots__ = ("index", "sign", "a", "b", "min_width", "heap", "total", "total_err",
+                 "frozen_err")
 
-    def __init__(self, index, sign, a, b):
+    def __init__(self, index, sign, a, b, total, total_err):
         self.index, self.sign, self.a, self.b = index, sign, a, b
-        self.frozen_err = 0.0
+        self.min_width = 1e-15 * (b - a)  # a panel this narrow is not bisected
+        self.heap, self.total, self.total_err, self.frozen_err = [], total, total_err, 0.0
 
-    def result(self, cfg):
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(self.total))
+    def result(self, cfg, tol):
         if self.total_err > tol and self.frozen_err > 0.0:
             return ConvergenceError(
                 f"quadrature did not converge at max_depth={cfg.max_depth}: "
@@ -119,11 +129,15 @@ class _Integral:
         return self.sign * self.total
 
 
+def _not_finite(a, b):
+    return DomainError(f"integrand is not finite on [{a}, {b}]")
+
+
 def quad_batch(f, intervals, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """Integrate integral i over [a, b] = ``intervals[i]`` for every i, in lockstep.
 
     ``f(rows, t)`` takes an (n, 15) array ``t`` of nodes, row r belonging to
-    integral ``rows[r]`` (a list of ints), and returns the (n, 15) values,
+    integral ``rows[r]`` (an integer array), and returns the (n, 15) values,
     elementwise, so that a node's value does not depend on the other nodes of
     the call.  Each integrand must be finite on its interval.  Returns, per
     integral, its value, or the error that ``quad_adaptive`` raises for it:
@@ -131,50 +145,54 @@ def quad_batch(f, intervals, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     some subinterval still fails its tolerance share at ``max_depth``, or a
     DomainError as soon as its error sum is not finite.
     """
-    abs_tol, rel_tol, max_depth = cfg.abs_tol, cfg.rel_tol, cfg.max_depth
+    abs_tol, rel_tol, max_depth, inf = cfg.abs_tol, cfg.rel_tol, cfg.max_depth, math.inf
     results = [0.0] * len(intervals)
-    # (integral, the panel it bisects, or None for its whole interval) of each
-    # integral whose panels the next round evaluates
-    waiting, rows, centre, half = [], [], [], []
+    first, rows, bounds = [], [], []
     for i, (a, b) in enumerate(intervals):
         if b != a:
             sign = 1.0
             if b < a:
                 a, b, sign = b, a, -1.0
-            waiting.append((_Integral(i, sign, a, b), None))
+            first.append((i, sign, a, b))
             rows.append(i)
-            centre.append(0.5 * (a + b))
-            half.append(0.5 * (b - a))
+            bounds += (0.5 * (a + b), 0.5 * (b - a))
+    if not first:
+        return results
+    panels = _panels(f, np.array(rows), bounds).tolist()
+    # (integral, the panel it bisects) of each integral whose two halves the
+    # next round evaluates
+    waiting, rows, bounds = [], [], []
+    for (i, sign, a, b), (whole, err) in zip(first, panels):
+        if not err < inf:  # a node value is inf or nan
+            results[i] = _not_finite(a, b)
+        elif err <= max(abs_tol, rel_tol * abs(whole)):  # settled by its first panel
+            results[i] = sign * whole
+        else:
+            mid = 0.5 * (a + b)
+            waiting.append((_Integral(i, sign, a, b, whole, err), (-err, a, mid, b, whole, 0)))
+            rows += (i, i)
+            bounds += (0.5 * (a + mid), 0.5 * (mid - a), 0.5 * (mid + b), 0.5 * (b - mid))
     while waiting:
-        panels = iter(_panels(f, rows, centre, half))
-        evaluated, waiting, rows, centre, half = waiting, [], [], [], []
-        for q, split in evaluated:
-            left, left_g = next(panels)
-            if split is None:
-                total_err = abs(left - left_g)
-                heap = q.heap = [(-total_err, q.a, q.b, left, 0)]
-                total = left
-            else:
-                neg_err, lo, mid, hi, est, depth = split
-                right, right_g = next(panels)
-                left_err, right_err = abs(left - left_g), abs(right - right_g)
-                total = q.total + (left + right - est)
-                total_err = q.total_err + (left_err + right_err + neg_err)
-                heap = q.heap
-                heapq.heappush(heap, (-left_err, lo, mid, left, depth + 1))
-                heapq.heappush(heap, (-right_err, mid, hi, right, depth + 1))
-            if not total_err < np.inf:  # a node value is inf or nan
-                results[q.index] = DomainError(f"integrand is not finite on [{q.a}, {q.b}]")
+        # per integral: the kronrod value and error of its left half, then its right half's
+        panels = _panels(f, np.array(rows), bounds).reshape(-1, 4).tolist()
+        evaluated, waiting, rows, bounds = waiting, [], [], []
+        for (q, split), (left, left_err, right, right_err) in zip(evaluated, panels):
+            neg_err, lo, mid, hi, est, depth = split
+            total = q.total + (left + right - est)
+            total_err = q.total_err + (left_err + right_err + neg_err)
+            heap = q.heap
+            heappush(heap, (-left_err, lo, mid, left, depth + 1))
+            heappush(heap, (-right_err, mid, hi, right, depth + 1))
+            if not total_err < inf:
+                results[q.index] = _not_finite(q.a, q.b)
                 continue
             q.total, q.total_err, frozen_err, split = total, total_err, q.frozen_err, None
-            while heap:
-                tol = max(abs_tol, rel_tol * abs(total))
-                if total_err <= tol or frozen_err > tol:
-                    break
-                neg_err, lo, hi, est, depth = heapq.heappop(heap)
+            tol = max(abs_tol, rel_tol * abs(total))
+            while heap and total_err > tol and frozen_err <= tol:
+                neg_err, lo, hi, est, depth = heappop(heap)
                 if -neg_err <= 0.0:
                     break  # remaining refinable error is zero; nothing to gain
-                if depth >= max_depth or hi - lo <= 1e-15 * (q.b - q.a):
+                if depth >= max_depth or hi - lo <= q.min_width:
                     # cannot refine further; its error stays in the budget
                     frozen_err += -neg_err
                     continue
@@ -183,12 +201,11 @@ def quad_batch(f, intervals, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
                 break
             q.frozen_err = frozen_err
             if split is None:
-                results[q.index] = q.result(cfg)
+                results[q.index] = q.result(cfg, tol)
                 continue
             waiting.append((q, split))
             rows += (q.index, q.index)
-            centre += (0.5 * (lo + mid), 0.5 * (mid + hi))
-            half += (0.5 * (mid - lo), 0.5 * (hi - mid))
+            bounds += (0.5 * (lo + mid), 0.5 * (mid - lo), 0.5 * (mid + hi), 0.5 * (hi - mid))
     return results
 
 

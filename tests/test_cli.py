@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import warnings
 import weakref
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srq1.cli import parse_angle, parse_range, run_cli
+from srq1.cli import COMMANDS, parse_angle, parse_range, run_cli
 from srq1.errors import DomainError
 from srq1.figures import FIGURE_SCANS
 from srq1.io import ScanResult, format_number, serialize, write_csv, write_json
@@ -284,6 +285,9 @@ CONTRACT = [
     (["scan", "--quantity", "q_halfplane", "--particle", "electron", "--s", "-1",
       "--beta", "0.5"], 0),
     (_POWER + ["--particle", "electron", "--zeta", "+1", "--beta", "0.5"], 0),
+    # an infinite tolerance would let every integral stop at its first panel
+    (_POWER + ["--particle", "electron", "--beta", "0.999999", "--abs-tol", "inf",
+               "--rel-tol", "inf"], 1),
 ]
 
 
@@ -295,6 +299,72 @@ def test_cli_contract(argv, code):
         assert out == "" and err
     else:
         assert out and err == ""
+
+
+# The exact bytes of the parser's own messages.  argv goes to the parser of
+# the subcommand it names; the top-level parser's usage shows where that
+# parser leaves a token unrecognized, as where the top level dispatched.
+_TOP_USAGE = "usage: srq1 [--version] [--help] COMMAND ...\n"
+_SCAN_USAGE = (
+    "usage: srq1 scan --quantity\n"
+    "                 {freq,p,q_local,q_halfplane,power,ratio,max_angle,eff_angle,table1,limits}\n"
+    "                 [--particle {boson,electron}] [--zeta {+1,-1,1}]\n"
+    "                 [--s {0,1,-1,2,3}] [--beta BETA] [--theta THETA]\n"
+    "                 [--format {csv,json}] [--angle-unit {rad,deg}]\n"
+    "                 [--abs-tol ABS_TOL] [--rel-tol REL_TOL]\n"
+    "                 [--max-depth MAX_DEPTH] [--help]\n")
+_SCAN_HELP = _SCAN_USAGE + """
+Evaluate one quantity over a beta grid (--beta, 0 if absent) or a theta grid
+(--theta, 0:pi:181 if absent).
+
+options:
+  --quantity {freq,p,q_local,q_halfplane,power,ratio,max_angle,eff_angle,table1,limits}
+  --particle {boson,electron}
+                        [default: boson]
+  --zeta {+1,-1,1}      Electron spin along (+1) or against (-1) the field.
+                        [default: -1]
+  --s {0,1,-1,2,3}      [default: 0]
+  --beta BETA           Speed value or range a:b:n.
+  --theta THETA         Angle value or range a:b:n.
+  --format {csv,json}   [default: csv]
+  --angle-unit {rad,deg}
+                        [default: rad]
+  --abs-tol ABS_TOL     [default: 1e-10]
+  --rel-tol REL_TOL     [default: 1e-10]
+  --max-depth MAX_DEPTH
+                        [default: 60]
+  --help                Show this message and exit.
+"""
+PARSER_BYTES = [
+    ([], 1, "", _TOP_USAGE + "srq1: error: the following arguments are required: COMMAND\n"),
+    (["nosuch"], 1, "", _TOP_USAGE + "srq1: error: argument COMMAND: invalid choice: 'nosuch' "
+     "(choose from 'table1', 'crossover', 'freq', 'scan', 'maxima', 'polarization', "
+     "'limits')\n"),
+    (["scan"], 1, "", _SCAN_USAGE
+     + "srq1 scan: error: the following arguments are required: --quantity\n"),
+    (["scan", "--quantity", "nosuch"], 1, "", _SCAN_USAGE
+     + "srq1 scan: error: argument --quantity: invalid choice: 'nosuch' (choose from 'freq', "
+     "'p', 'q_local', 'q_halfplane', 'power', 'ratio', 'max_angle', 'eff_angle', 'table1', "
+     "'limits')\n"),
+    (_POWER + ["extra"], 1, "", _TOP_USAGE + "srq1: error: unrecognized arguments: extra\n"),
+    (["table1", "--beta", "0.5"], 1, "",
+     _TOP_USAGE + "srq1: error: unrecognized arguments: --beta=0.5\n"),
+    (["maxima", "--s", "2", "--beta", "0.5"], 1, "",
+     "usage: srq1 maxima --particle {boson,electron} --s {0,1,3} [--zeta {+1,-1,1}]\n"
+     "                   --beta BETA [--format {csv,json}] [--angle-unit {rad,deg}]\n"
+     "                   [--abs-tol ABS_TOL] [--rel-tol REL_TOL]\n"
+     "                   [--max-depth MAX_DEPTH] [--help]\n"
+     "srq1 maxima: error: argument --s: invalid choice: '2' (choose from '0', '1', '3')\n"),
+    (["scan", "--help"], 0, _SCAN_HELP, ""),
+    (["--version"], 0, "srq1, version 0.1.0\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSER_BYTES,
+                         ids=[" ".join(a) or "<none>" for a, *_ in PARSER_BYTES])
+def test_parser_messages_byte_for_byte(monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    assert run(argv) == (code, out, err)
 
 
 def test_repeated_option_last_wins():
@@ -541,3 +611,78 @@ def test_fuzz_run_cli(argv):
             if isinstance(cell, bool) or cell in ("inf", "ambiguous", "none", "true", "false"):
                 continue
             assert math.isfinite(float(cell)), (argv, row)
+
+
+# ---------- the contract on invalid argv ----------
+
+# valid calls that take little work; each fuzzed argv is one of them with one
+# fault added
+_VALID = [
+    ["table1"], ["crossover"],
+    ["scan", "--quantity", "power", "--beta", "0.5"],
+    ["scan", "--quantity", "eff_angle", "--particle", "electron", "--beta", "0.3"],
+    ["scan", "--quantity", "p", "--beta", "0.5", "--theta", "0:pi:5"],
+    ["scan", "--quantity", "q_local", "--particle", "electron", "--s", "2", "--beta", "1",
+     "--theta", "0:pi:5"],
+    ["scan", "--quantity", "limits", "--theta", "0:1:3"],
+    ["freq", "--particle", "boson", "--beta", "0.5", "--theta", "0:90:3", "--angle-unit", "deg"],
+    ["maxima", "--particle", "boson", "--s", "0", "--beta", "0.5"],
+    ["polarization", "--particle", "electron", "--beta", "0.5"],
+    ["limits", "--s", "0", "--theta", "0:1:3"],
+]
+# values that no beta or theta option accepts (1_0 is left out: Python's
+# int and float read it as 10)
+_BAD_GRID = ["nan", "inf", "-inf", "", "0x1p-1", "1e999", "-4", "200", "x", "pi/3", "0:1:1",
+             "0:1:0", "0:1:-3", "0:1:x", "0:1:2.5", "0:1:", ":1:3", "0:nan:3", "inf:1:3",
+             "0:1:1000001", "0:1:2:3"]
+_BAD_OPTION = {
+    "--abs-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x"],
+    "--rel-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x"],
+    "--max-depth": ["9", "2.5", "nan", "inf", "", "0x10", "-1"],
+    "--particle": ["muon", "", "Boson", "nan"], "--s": ["4", "-2", "", "nan", "0x1p-1"],
+    "--zeta": ["0", "2", "", "inf"], "--format": ["xml", ""], "--angle-unit": ["grad", ""],
+    "--quantity": ["nosuch", "", "crossover", "polarization"],
+    "--beta": _BAD_GRID, "--theta": _BAD_GRID,
+}
+_OPTIONS_OF = {command.name: command.options.split() for command in COMMANDS}
+# options that the call's quantity or subcommand does not read
+_NOT_READ = {
+    "table1": ["--beta", "0.5"], "crossover": ["--theta", "1"],
+    "power": ["--theta", "0:1:3"], "eff_angle": ["--theta", "1"],
+    "p": ["--beta", "0:1:3"], "q_local": ["--beta", "0.5:0.6:2"], "limits": ["--beta", "0.5"],
+    "freq": ["--s", "0"], "maxima": ["--theta", "0:1:3"], "polarization": ["--s", "0"],
+}
+
+
+def _invalid_argv(rng):
+    argv = list(rng.choice(_VALID))
+    fault = rng.randrange(8)
+    if fault > 3:  # half of the calls: a bad value of one of its options, which the last sets
+        option = rng.choice(_OPTIONS_OF[argv[0]])
+        return argv + [option, rng.choice(_BAD_OPTION[option])]
+    if fault == 1:  # an option the call does not read
+        return argv + _NOT_READ[argv[2] if argv[0] == "scan" else argv[0]]
+    if fault == 2:  # a stray positional
+        argv.insert(rng.choice([i for i in range(1, len(argv) + 1)
+                                if not argv[i - 1].startswith("--")]),
+                    rng.choice(["extra", "0.5", "scan", "", "nan", "-"]))
+        return argv
+    if fault == 3:  # an unknown subcommand
+        return [rng.choice(["", "sc", "nosuch", "SCAN", "--scan", "nan"])] + argv[1:]
+    # a required option left out
+    required = [i for i, t in enumerate(argv) if t in ("--quantity", "--particle", "--beta")
+                and not (argv[0] == "scan" and t != "--quantity")]
+    if not required:
+        return argv + ["--format", "yaml"]
+    i = rng.choice(required)
+    return argv[:i] + argv[i + 2:]
+
+
+def test_invalid_argv_exit_with_a_message_only():
+    rng = random.Random(11)
+    for argv in (_invalid_argv(rng) for _ in range(300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(argv)
+        assert code in (1, 2) and out == "", argv
+        assert err and "Traceback" not in err, (argv, err)

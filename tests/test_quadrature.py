@@ -1,16 +1,18 @@
+import contextlib
 import heapq
+import io
 import math
 import time
 
 import numpy as np
 import pytest
 
-from srq1 import analysis, integrals, quadrature
+from srq1 import analysis, cli, integrals, quadrature
 from srq1.family import GRID_CHUNK
 from srq1.errors import ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
-from oracles import midpoint_riemann
+from oracles import bench_module, midpoint_riemann
 
 
 def test_constant():
@@ -78,6 +80,11 @@ def test_config_validation():
         QuadratureConfig(rel_tol=-1e-3)
     with pytest.raises(ValueError):
         QuadratureConfig(max_depth=5)
+    # an infinite tolerance would accept every first panel
+    with pytest.raises(DomainError, match="abs_tol must be finite, got inf"):
+        QuadratureConfig(abs_tol=math.inf)
+    with pytest.raises(DomainError, match="rel_tol must be finite, got inf"):
+        QuadratureConfig(rel_tol=math.inf)
 
 
 # --- the lockstep batch against the sequential loop it replaced -----------
@@ -105,6 +112,8 @@ def _quad_reference(f, a, b, cfg=DEFAULT_CONFIG):
     total_err = err0
     frozen_err = 0.0
     while heap:
+        if not total_err < math.inf:
+            raise DomainError(f"integrand is not finite on [{a}, {b}]")
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if total_err <= tol or frozen_err > tol:
             break
@@ -146,13 +155,15 @@ def _recorded(f):
 def _hex(value):
     if isinstance(value, ConvergenceError):
         return str(value), value.estimate.hex(), value.error_bound.hex()
+    if isinstance(value, DomainError):
+        return str(value)
     return value.hex()
 
 
 def _outcome(quad, f, a, b, cfg):
     try:
         return quad(f, a, b, cfg).hex()
-    except ConvergenceError as exc:
+    except (ConvergenceError, DomainError) as exc:
         return _hex(exc)
 
 
@@ -251,11 +262,18 @@ def test_paired_bisection_matches_reference_on_convergence_errors():
     assert failures >= 6
 
 
+def _sqrt_past_half(t):
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(t - 0.5)  # nan below t = 1/2
+
+
 def test_batch_matches_reference_member_by_member():
-    # easy and hard integrals mixed, with reversed and empty intervals: each
-    # member keeps its own heap, so the batch changes no bit of any result
+    # easy and hard integrals mixed, with reversed and empty intervals, members
+    # settled by their first panel, members that bisect, end in a
+    # ConvergenceError, or are not finite on their first panel: each member
+    # keeps its own heap, so the batch changes no bit of any result
     funcs = [lambda t: np.exp(t) * np.cos(30.0 * t), lambda t: t * t,
-             *_hard_integrands(), lambda t: np.sin(50 * t) ** 2 / (1 + t)]
+             *_hard_integrands(), lambda t: np.sin(50 * t) ** 2 / (1 + t), _sqrt_past_half]
     intervals = [(0.0, 1.0), (2.0, -1.0), (0.5, 0.5), (0.0, math.pi)]
     members = [(f, ab) for f in funcs for ab in intervals if f is funcs[0] or ab[0] == 0.0]
 
@@ -270,6 +288,17 @@ def test_batch_matches_reference_member_by_member():
     got = assert_batch_matches_reference(f, [ab for _, ab in members], cfg)
     assert 3 <= sum(isinstance(v, tuple) for v in got) < len(got) - 3
     assert got[2] == (0.0).hex()  # the empty interval
+    assert got[-2:] == ["integrand is not finite on [0.0, 1.0]",
+                        f"integrand is not finite on [0.0, {math.pi}]"]
+    # the GK15 panels of each converged member run alone: some are settled by
+    # their first panel, some bisect
+    panels = []
+    for (g, (a, b)), value in zip(members, got):
+        if isinstance(value, str) and value.lstrip("-").startswith("0x") and b != a:
+            g, calls = _recorded(g)
+            _quad_reference(g, a, b, cfg)
+            panels.append(len(calls))
+    assert panels.count(1) >= 2 and max(panels) > 1
     # a batch of one is the sequential loop as well
     for i, (g, ab) in enumerate(members):
         assert [_hex(v) for v in quadrature.quad_batch(lambda rows, t: g(t), [ab], cfg)] == [got[i]]
@@ -292,6 +321,28 @@ def test_f_values_batch_matches_one_quadrature_per_pair():
                 assert _hex(value) == want, (k, x)
 
 
+def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
+    # one pass of the beta_sweep benchmark workload (seed 3): integrand calls,
+    # GK15 panel rows and integrals, which no bookkeeping change may move
+    work = {"calls": 0, "rows": 0, "integrals": 0}
+
+    def counted(f, intervals, cfg=DEFAULT_CONFIG):
+        def g(rows, t):
+            work["calls"] += 1
+            work["rows"] += len(t)
+            return f(rows, t)
+
+        work["integrals"] += len(intervals)
+        return quadrature.quad_batch(g, intervals, cfg)
+
+    monkeypatch.setattr(integrals, "quad_batch", counted)
+    monkeypatch.setattr(analysis, "quad_batch", counted)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in bench_module("workloads").beta_sweep(3):
+            cli.run_cli(argv)
+    assert work == {"calls": 819, "rows": 14246, "integrals": 3152}
+
+
 def test_pair_reduction_equals_separate_dots():
     # the (2, 15) @ (15, 2) product must add up each column in the order of a
     # 15-term dot product; a BLAS whose kernels differ fails here
@@ -302,12 +353,12 @@ def test_pair_reduction_equals_separate_dots():
                 for w in (quadrature._KRONROD_W, quadrature._GAUSS_W)]
         assert (y.reshape(2, 15) @ quadrature._WEIGHTS).ravel().tolist() == dots
         lo, mid, hi = sorted(rng.uniform(-3.0, 3.0, 3))
-        panels = quadrature._panels(lambda rows, t: y.reshape(2, 15), [0, 0],
-                                    [0.5 * (lo + mid), 0.5 * (mid + hi)],
-                                    [0.5 * (mid - lo), 0.5 * (hi - mid)])
+        panels = quadrature._panels(lambda rows, t: y.reshape(2, 15), np.zeros(2, int),
+                                    [0.5 * (lo + mid), 0.5 * (mid - lo),
+                                     0.5 * (mid + hi), 0.5 * (hi - mid)])
         ref = (_gk15_reference(lambda t: y[:15], lo, mid)
                + _gk15_reference(lambda t: y[15:], mid, hi))
-        got = [v for k, g in panels for v in (k, abs(k - g))]
+        got = panels.ravel().tolist()
         assert [v.hex() for v in got] == [v.hex() for v in ref]
 
 
@@ -338,7 +389,7 @@ def test_lone_panel_is_reduced_as_a_dot():
     for _ in range(2000):
         y = rng.standard_normal(15) * 10.0 ** rng.uniform(-300, 300, 15)
         a, b = sorted(rng.uniform(-3.0, 3.0, 2))
-        ((k, g),) = quadrature._panels(lambda rows, t: y.reshape(1, 15), [0],
-                                       [0.5 * (a + b)], [0.5 * (b - a)])
-        assert (k.hex(), abs(k - g).hex()) == tuple(
+        ((k, err),) = quadrature._panels(lambda rows, t: y.reshape(1, 15), np.zeros(1, int),
+                                         [0.5 * (a + b), 0.5 * (b - a)]).tolist()
+        assert (k.hex(), err.hex()) == tuple(
             v.hex() for v in _gk15_reference(lambda t: y, a, b))
