@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 203 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 223 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -91,8 +91,7 @@ EDGE_ARGV += (
 # maxima over grids that put the electron's beta = 1 limit rows beside body
 # rows in one lockstep chunk, rows next to beta = 1, one-point grids, degrees
 # as JSON, and grids whose normalizations cannot converge: at the first beta,
-# and at a later one, after a beta = 1 row (which needs none) or after a row
-# whose f_2, f_3 take the x -> 1 expansion (which needs no quadrature).
+# and at a later one, after a beta = 1 row (which needs none).
 _MAXIMA = ([["maxima", "--particle", "boson", "--s", s] for s in ("0", "1", "3")]
            + [["maxima", "--particle", "electron", "--s", s, "--zeta", z]
               for s in ("0", "1", "3") for z in ("1", "-1")])
@@ -130,6 +129,12 @@ EDGE_ARGV += (
     + [["scan", "--quantity", "p", "--particle", "electron", "--s", "0", "--beta", "0.9",
         "--theta", "0:180:181", "--angle-unit", "deg", "--format", "json"]]
 )
+# The electron's f_2, f_3 on both sides of the switch of their quadrature form
+# at x0 = 0.9 (beta about 0.998614), and at x0 next to 1.
+EDGE_ARGV += [
+    [*a, "--beta", b] for a in _BETA_SCANS if "electron" in a and "eff_angle" not in a
+    for b in ("0.9985:0.9988:7", *(repr(1.0 - 10.0 ** -p) for p in (15, 13, 11, 9)))
+]
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

@@ -64,12 +64,16 @@ _GAUSS_W = np.array([
 _WEIGHTS = np.stack((_KRONROD_W, _GAUSS_W), axis=1)
 
 
+# the largest abs_tol or rel_tol accepted
+MAX_TOL = 1e-3
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and subdivision limit for adaptive quadrature.
 
     Defaults give comfortably more than the 5 decimals needed by the
-    reference tables.
+    reference tables; a tolerance is a positive number up to ``MAX_TOL``.
     """
 
     abs_tol: float = 1e-10
@@ -82,6 +86,8 @@ class QuadratureConfig:
                 raise DomainError(f"{name} must be positive, got {tol}")
             if tol == math.inf:  # every integral would meet it on its first panel
                 raise DomainError(f"{name} must be finite, got {tol}")
+            if tol > MAX_TOL:  # so would most integrals, silently wrong
+                raise DomainError(f"{name} must be at most {MAX_TOL}, got {tol}")
         if self.max_depth < 10:
             raise DomainError(f"max_depth must be >= 10, got {self.max_depth}")
 

@@ -18,6 +18,8 @@ from srq1.errors import DomainError
 from srq1.figures import FIGURE_SCANS
 from srq1.io import ScanResult, format_number, serialize, write_csv, write_json
 
+from oracles import bench_module
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -239,10 +241,6 @@ FIRST_FAILURE = [
     # first weighted width piece, and betas 2 to 4 in their f_2, which run first
     (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
       "--beta", "1:0.9:4", *_UNREACHABLE], "2.677e-16", "1.000e-300"),
-    # the widths of betas 1 to 3 converge, beta 4 fails in its f_2
-    (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
-      "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
-      "--max-depth", "10"], "1.011e-06", "1.262e-08"),
 ]
 
 
@@ -252,6 +250,21 @@ def test_first_failing_integral_is_reported(argv, bound, tol):
     assert run(argv) == (2, "", "convergence error: quadrature did not converge at "
                                 f"max_depth=10: residual error bound {bound} exceeds "
                                 f"tolerance {tol}\n")
+
+
+def test_widths_next_to_beta_one_converge_at_depth_ten():
+    # their f_2, f_3 take the s-form, which settles at max_depth 10 where the
+    # t-form did not (beta 4 failed in its f_2)
+    argv = ["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
+            "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
+            "--max-depth", "10"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    columns, rows = csv_rows(out)
+    assert columns == ["beta", "delta"] and "# zeta=-1\n" in out
+    rms_width = bench_module("oracle").rms_width
+    want = [rms_width("electron", 3, -1, beta) for beta in parse_range(argv[8])]
+    assert [float(delta) for _, delta in rows] == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_determinism_byte_identical():
@@ -288,6 +301,9 @@ CONTRACT = [
     # an infinite tolerance would let every integral stop at its first panel
     (_POWER + ["--particle", "electron", "--beta", "0.999999", "--abs-tol", "inf",
                "--rel-tol", "inf"], 1),
+    # and so would a huge finite one
+    (_POWER + ["--particle", "electron", "--beta", "0.999999", "--abs-tol", "1e300",
+               "--rel-tol", "1e300"], 1),
 ]
 
 
@@ -636,8 +652,8 @@ _BAD_GRID = ["nan", "inf", "-inf", "", "0x1p-1", "1e999", "-4", "200", "x", "pi/
              "0:1:0", "0:1:-3", "0:1:x", "0:1:2.5", "0:1:", ":1:3", "0:nan:3", "inf:1:3",
              "0:1:1000001", "0:1:2:3"]
 _BAD_OPTION = {
-    "--abs-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x"],
-    "--rel-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x"],
+    "--abs-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x", "1e300", "0.5"],
+    "--rel-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x", "1e300", "0.5"],
     "--max-depth": ["9", "2.5", "nan", "inf", "", "0x10", "-1"],
     "--particle": ["muon", "", "Boson", "nan"], "--s": ["4", "-2", "", "nan", "0x1p-1"],
     "--zeta": ["0", "2", "", "inf"], "--format": ["xml", ""], "--angle-unit": ["grad", ""],

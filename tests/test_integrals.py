@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srq1 import integrals
+from srq1 import integrals, quadrature
 from srq1.errors import DomainError
-from srq1.integrals import BOUNDARY_EPS, f_b, f_e
+from srq1.integrals import S_FORM_X, f_b, f_e
 
 import oracles
 
@@ -74,20 +74,62 @@ def test_electron_small_x_series():
         assert ratios[0] < 1e-1
 
 
-def test_electron_boundary_expansion_path():
-    x = 1.0 - 1e-7
-    w = (1.0 - x) * math.log(1.0 - x)
-    assert f_e(2, x) == pytest.approx(2.0 - 3.0 / E - 4.0 / E * w, rel=1e-12)
-    assert f_e(3, x) == pytest.approx(2.0 - 3.0 / E + 2.0 / E * w, rel=1e-12)
+def test_electron_boundary_expansion_path(monkeypatch):
+    # above S_FORM_X, f_2 and f_3 run on the graded s-form pieces, and follow
+    # f = 2 - 3/e -+ (2/e)(1 - x) ln(1 - x) + O(1 - x) as x -> 1: the remainder
+    # over 1 - x stays bounded, which a log coefficient off by 2/e (the -4/e
+    # of f_2's old truncated expansion) would make grow like ln(1 - x)
+    intervals = []
+
+    def capture(f, pieces, cfg):
+        intervals.extend(pieces)
+        return quadrature.quad_batch(f, pieces, cfg)
+
+    monkeypatch.setattr(integrals, "quad_batch", capture)
+    for x in (1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-12):
+        d = 1.0 - x
+        w = d * math.log(d)
+        for k, sign in ((2, -1.0), (3, 1.0)):
+            del intervals[:]
+            remainder = (f_e(k, x) - (2.0 - 3.0 / E + sign * 2.0 / E * w)) / d
+            assert abs(remainder) < 1.5, (k, d)
+            assert intervals == integrals._s_pieces(x)
+            assert intervals[0][0] == 0.0 and intervals[-1][1] == 1.0
+            assert intervals[1][0] == pytest.approx(math.sqrt(d * (2.0 - d)) / x, rel=1e-15)
 
 
 def test_electron_boundary_switch_is_continuous():
-    # the truncated expansion drops O(1-x) terms, so the handoff agrees
-    # only to ~1e-5 at the switch point
-    eps = BOUNDARY_EPS
-    below = f_e(2, 1.0 - eps * 1.01)  # quadrature side
-    above = f_e(2, 1.0 - eps * 0.99)  # expansion side
-    assert abs(below - above) < 5e-5
+    # f_2, f_3 and f_0 at S_FORM_X (t-form) and the next double up (s-form)
+    above = math.nextafter(S_FORM_X, 1.0)
+    for k in (0, 2, 3):
+        assert f_e(k, above) == pytest.approx(f_e(k, S_FORM_X), rel=1e-13, abs=0.0), k
+
+
+def test_f1_series_switch_is_continuous():
+    # f_1 at 1e-4 (expm1 form) and the next double down (series)
+    below = math.nextafter(1e-4, 0.0)
+    for fam in (f_b, f_e):
+        assert fam(1, below) == pytest.approx(fam(1, 1e-4), rel=1e-13, abs=0.0)
+
+
+def _oracle_xs():
+    """(family, x) of the oracle sweep: 1 - x = 10^-1 ... 10^-15 for the
+    electron, x = 10^-1 ... 10^-15 for both, and the boson up to its largest
+    x, 2 - sqrt3."""
+    near_one = [1.0 - 10.0 ** -p for p in range(1, 16)]
+    near_zero = [10.0 ** -p for p in range(1, 16)]
+    return ([("e", x) for x in near_one + near_zero]
+            + [("b", x) for x in near_zero + [2.0 - math.sqrt(3.0)]])
+
+
+@pytest.mark.parametrize("kind, x", _oracle_xs())
+def test_f_k_against_the_mpmath_oracle(kind, x):
+    oracle = oracles.bench_module("oracle")
+    ref = oracle.Integrals(kind, oracle.mp.mpf(x), 1 - oracle.mp.mpf(x))
+    fam = f_e if kind == "e" else f_b
+    for k in (0, 1, 2, 3):
+        want = float(getattr(ref, f"f{k}"))
+        assert fam(k, x) == pytest.approx(want, rel=1e-13, abs=0.0), k
 
 
 @pytest.mark.parametrize("fam,xs", [
@@ -198,13 +240,14 @@ def test_family_loads_neither_integrals_nor_a_particle():
 
 
 # float.hex of f_k(x) on every branch of the evaluator: the f_1 series
-# (x < 1e-4), elementary f_1, quadrature (k = 0, 2, 3), the electron's
-# boundary expansion (1 - x < BOUNDARY_EPS), its exact x = 1 values, and the
-# boson's x = 1 error
+# (x < 1e-4), the expm1 (x < 0.25) and the closed-form f_1, the t-form
+# quadrature (k = 0, 2, 3), the electron's s-form quadrature (x > S_FORM_X),
+# its exact x = 1 values, and the boson's x = 1 error
 PINS = [
     ("f_b", 1, 5e-05, "0x1.fffcb9200e68ap-1"),
     ("f_b", 0, 5e-05, "0x1.5550f6df7f750p+1"),
     ("f_b", 2, 0.0, "0x1.fffffffffffe5p+0"),
+    ("f_b", 1, 0.1, "0x1.e5a615ef9be43p-1"),
     ("f_b", 1, 0.3, "0x1.ae0cf64de4bb7p-1"),
     ("f_b", 0, 0.3, "0x1.f5414c7a9ad8ap+0"),
     ("f_b", 2, 0.3, "0x1.4f31b39a75b55p+0"),
@@ -216,16 +259,17 @@ PINS = [
     ("f_e", 1, 5e-05, "0x1.fffffffc6bc36p-1"),
     ("f_e", 0, 5e-05, "0x1.5555554f329f2p+1"),
     ("f_e", 2, 0.0, "0x1.fffffffffffe5p+0"),
+    ("f_e", 1, 0.1, "0x1.ff30261837433p-1"),
     ("f_e", 1, 0.3, "0x1.f95ff7fcff3dep-1"),
     ("f_e", 0, 0.3, "0x1.49540e00eb117p+1"),
     ("f_e", 2, 0.3, "0x1.e6616ff7114ffp+0"),
     ("f_e", 3, 0.3, "0x1.588d581589a5ep-1"),
     ("f_e", 0, 0.9, "0x1.f3a8555ad7c79p+0"),
-    ("f_e", 2, 0.999998, "0x1.caf2abba492e1p-1"),
-    ("f_e", 3, 0.999998, "0x1.caeda26b97ad2p-1"),
-    ("f_e", 2, 0.9999999, "0x1.caf03a8173053p-1"),
-    ("f_e", 3, 0.9999999, "0x1.caefc320f4d99p-1"),
-    ("f_e", 0, 0.9999999, "0x1.caeffed133ef6p+0"),
+    ("f_e", 2, 0.999998, "0x1.caf2abba47760p-1"),
+    ("f_e", 3, 0.999998, "0x1.caeda26b95f4fp-1"),
+    ("f_e", 2, 0.9999999, "0x1.caf0158ea39dap-1"),
+    ("f_e", 3, 0.9999999, "0x1.caefc64cdf2f9p-1"),
+    ("f_e", 0, 0.9999999, "0x1.caefededc166ap+0"),
     ("f_e", 1, 1.0, "0x1.caefeaebc992cp-1"),
     ("f_e", 2, 1.0, "0x1.caefeaebc992cp-1"),
     ("f_e", 3, 1.0, "0x1.caefeaebc992cp-1"),

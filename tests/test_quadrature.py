@@ -2,6 +2,7 @@ import contextlib
 import heapq
 import io
 import math
+import re
 import time
 
 import numpy as np
@@ -85,6 +86,13 @@ def test_config_validation():
         QuadratureConfig(abs_tol=math.inf)
     with pytest.raises(DomainError, match="rel_tol must be finite, got inf"):
         QuadratureConfig(rel_tol=math.inf)
+    # nor may a finite one that most first panels meet
+    for tol in (1e300, 0.5):
+        for name in ("abs_tol", "rel_tol"):
+            with pytest.raises(DomainError, match=re.escape(f"{name} must be at most 0.001, "
+                                                            f"got {tol}") + "$"):
+                QuadratureConfig(**{name: tol})
+    assert QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3).rel_tol == 1e-3
 
 
 # --- the lockstep batch against the sequential loop it replaced -----------
@@ -211,7 +219,7 @@ def test_paired_bisection_matches_reference_on_f2_f3():
 
 
 def test_paired_bisection_pins_the_panel_count():
-    # electron f_2 next to its boundary switch: 43 GK15 panels in 22 calls
+    # electron f_2 in the t-form at 1 - x = 1e-6: 43 GK15 panels in 22 calls
     g = _kernel_integrand(integrals.ELECTRON_KERNEL, 2, 1.0 - 1e-6)
     assert assert_same_as_reference(g, 0.0, 1.0) == 43
 
@@ -314,6 +322,13 @@ def test_f_values_batch_matches_one_quadrature_per_pair():
             for k, x, value in zip(ks, [x for x in xs for _ in (1, 2, 3)], got):
                 if k == 1:
                     want = kernel.f1(x).hex()
+                elif kernel.s_form and x > integrals.S_FORM_X:
+                    # the s-form's pieces, added from s = 0 up, and its first failing one
+                    om = (1.0 - x) * (1.0 + x)
+                    g = lambda s, k=k, x=x, om=om: integrals._s_integrand(x, om, k == 3, s)
+                    want = _outcome(lambda f, a, b, cfg, x=x: sum(
+                        _quad_reference(f, lo, hi, cfg) for lo, hi in integrals._s_pieces(x)),
+                        g, 0.0, 1.0, cfg)
                 else:
                     want = _outcome(_quad_reference, _kernel_integrand(kernel, k, x), 0.0, 1.0, cfg)
                     if not isinstance(want, tuple):
@@ -340,7 +355,7 @@ def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in bench_module("workloads").beta_sweep(3):
             cli.run_cli(argv)
-    assert work == {"calls": 819, "rows": 14246, "integrals": 3152}
+    assert work == {"calls": 308, "rows": 7366, "integrals": 4138}
 
 
 def test_pair_reduction_equals_separate_dots():
