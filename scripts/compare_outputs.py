@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 223 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 226 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -135,6 +135,14 @@ EDGE_ARGV += [
     [*a, "--beta", b] for a in _BETA_SCANS if "electron" in a and "eff_angle" not in a
     for b in ("0.9985:0.9988:7", *(repr(1.0 - 10.0 ** -p) for p in (15, 13, 11, 9)))
 ]
+# maxima whose last refinement level mixes brackets collapsed to a few ulps
+# (interior maxima, evaluated on their distinct angles) with brackets that
+# close on theta = 0: grids longer than GRID_CHUNK, and one grid in degrees as
+# JSON.
+EDGE_ARGV += (
+    [[*a, "--beta", "0.5:0.995:1500"] for a in (_MAXIMA[0], _MAXIMA[4])]
+    + [[*_MAXIMA[8], "--beta", "0.5:0.99:12", "--angle-unit", "deg", "--format", "json"]]
+)
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

@@ -8,14 +8,17 @@ The beta scans ``power_ratio_scan``, ``effective_angle_scan`` and
 ``max_angle_scan`` (and ``table1``) evaluate ``GRID_CHUNK`` betas at a time
 together: the f_2, f_3 of each particle in one batch, the weighted and
 plain width integrals of every beta in one more, and the refinement scans
-of the maxima in lockstep, one (n, 361) profile call per level.  A width
-integrates over [0, pi/2] only, on pieces graded toward pi/2 at 1/gamma,
-and s = +-1 takes the width of s = 0.  Each value keeps the bits of its
-one-beta evaluation, which is the scan of one beta, and the error raised
-is the one a beta-by-beta evaluation meets first: betas in grid order, the
-electron's f_k before the boson's in a ratio (the boson's first in
-``table1``), and a width's f_2, f_3, weighted pieces, then plain pieces.
-The maxima and widths read p_s from the profiles of
+of the maxima in lockstep, one (n, 361) profile call per level.  The first
+level's grid, [0, pi/2] in every row, is one row broadcast against the
+betas, and a row whose bracket has collapsed to a few ulps (fewer distinct
+angles than half its points, as at the last level) evaluates each distinct
+angle once.  A width integrates over [0, pi/2] only, on pieces graded
+toward pi/2 at 1/gamma, and s = +-1 takes the width of s = 0.  Each value
+keeps the bits of its one-beta evaluation, which is the scan of one beta,
+and the error raised is the one a beta-by-beta evaluation meets first:
+betas in grid order, the electron's f_k before the boson's in a ratio (the
+boson's first in ``table1``), and a width's f_2, f_3, weighted pieces, then
+plain pieces.  The maxima and widths read p_s from the profiles of
 ``Family.density_profiles``.
 """
 
@@ -166,6 +169,26 @@ def _row_linspace(a, b):
     return grid
 
 
+def _scan_values(profile, rows, grid):
+    """profile(rows, grid), bit for bit, where a row of fewer distinct angles
+    than half its points (a bracket a few ulps wide; the grid is
+    nondecreasing) is evaluated once per distinct angle."""
+    first = np.ones(grid.shape, bool)
+    np.not_equal(grid[:, 1:], grid[:, :-1], out=first[:, 1:])
+    collapsed = 2 * first.sum(axis=1) < _SCAN_POINTS
+    if not collapsed.any():
+        return profile(rows, grid)
+    vals = np.empty_like(grid)
+    if not collapsed.all():
+        vals[~collapsed] = profile(rows[~collapsed], grid[~collapsed])
+    first = first[collapsed]
+    # each angle's place among the distinct angles of the collapsed rows
+    run = np.cumsum(first).reshape(first.shape) - 1
+    owner = np.repeat(rows[collapsed], first.sum(axis=1))
+    vals[collapsed] = profile(owner, grid[collapsed][first][:, None])[run, 0]
+    return vals
+
+
 def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
                    cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Yield the ``max_angle`` report of each beta, in order.
@@ -173,9 +196,10 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     The betas of GRID_CHUNK at a time are located in lockstep: one batch of
     normalizations, one profile call for p(0) and p(pi/2) of every beta, one
     call on an (n, 361) grid per refinement level, whose row i refines beta
-    i's bracket exactly as a one-beta scan would, and one call for p_max.  The
-    error of the first beta whose normalization fails is raised when that
-    beta is reached.  A beta = 1 limit profile has no interior maximum.
+    i's bracket exactly as a one-beta scan would (``_scan_values``), and one
+    call for p_max.  The error of the first beta whose normalization fails
+    is raised when that beta is reached.  A beta = 1 limit profile has no
+    interior maximum.
     """
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
@@ -185,12 +209,13 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
         profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
         rows = np.array([i for i, e in enumerate(failed) if e is None], int)
         row = np.arange(len(rows))
-        p_lo, p_hi = profile(rows, np.tile([0.0, HALF_PI], (len(rows), 1))).T
+        p_lo, p_hi = profile(rows, np.array([[0.0, HALF_PI]])).T
         a, b = np.zeros(len(rows)), np.full(len(rows), HALF_PI)
         best_t, best_p = np.zeros(len(rows)), p_lo
-        for _ in range(8):
+        for level in range(8):
             grid = _row_linspace(a, b)
-            vals = profile(rows, grid)
+            # the first grid is [0, pi/2] in every row: one row broadcasts
+            vals = _scan_values(profile, rows, grid[:1] if level == 0 else grid)
             i = vals.argmax(axis=1)
             better = vals[row, i] > best_p
             best_t = np.where(better, grid[row, i], best_t)
@@ -222,7 +247,9 @@ def max_angle(kind: str, s: int, zeta: int | None, beta: float,
     approach pi/2 faster than any fixed grid resolves as gamma grows); an
     interior maximum is declared only if some refined interior value
     exceeds both endpoint values by more than 1e-12.  Eight scans shrink
-    the bracket by 180^8 to a few ulps, and its midpoint is theta_max.
+    the bracket by 180^8 to a few ulps, and its midpoint is theta_max; a
+    scan whose bracket holds fewer distinct angles than half its points
+    evaluates each distinct angle once.
     This is ``max_angle_scan`` of one beta, which runs the scans of a whole
     beta grid in lockstep.
     """

@@ -33,7 +33,12 @@ body is written once, with numpy's pow and ``np.exp``, in the profiles of
 ``density`` is that profile applied to theta.  Numpy's ufuncs give a
 scalar, a 0-d array and every element of an array the same bits, so each
 array value is its one-point value.  phi_s, behind ``phi`` and
-``local_polarization``, squares by products as the body does.
+``local_polarization``, squares by products as the body does, and both
+read one ``_phi``.  The body runs in place: after the sine and the
+deformation map each stage writes into an array it owns, with the operands
+and order of the plain expression, whose bits it keeps; a 0-d theta runs
+as a one-element array, and the rows of a profile call may share one
+theta row.
 
 A beta scan (``shape_integral_scan``, ``total_power_scan``,
 ``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
@@ -75,21 +80,35 @@ def _deform(u, A, B, sqrt_A):
 
 def _cos(theta):
     # cos(float(pi/2)) is ~6e-17, not 0; snap theta = pi/2 alone to exact 0
-    return np.where(theta == HALF_PI, 0.0, np.cos(theta))
+    cos = np.asarray(np.cos(theta))
+    cos[theta == HALF_PI] = 0.0
+    return cos
 
 
 def _phi(s, swap, x, a, theta):
-    """(phi_s, phi_0) at deformation x; a is the coupling in 1 - a x."""
+    """(phi_s, phi_0, 1 + x) at deformation x, an array of ndim >= 1 that is
+    left as it is; a is the coupling in 1 - a x.  Each result is an array of
+    its own (phi_s is phi_0 for s = 0), built in place."""
     cos = _cos(theta)
     opx = 1.0 + x
-    straight = 1.0 - a * x
-    bent = opx * opx * cos * cos / straight
-    phi0 = straight + bent
+    straight = a * x
+    np.subtract(1.0, straight, out=straight)
+    bent = opx * opx
+    bent *= cos
+    bent *= cos
+    bent /= straight
     if s in (2, 3):
-        return (straight if (s == 2) != swap else bent), phi0
+        if (s == 2) != swap:
+            return straight, np.add(straight, bent, out=bent), opx
+        return bent, np.add(straight, bent, out=straight), opx
+    phi0 = np.add(straight, bent, out=bent)
     if s == 0:
-        return phi0, phi0
-    return 0.5 * phi0 + s * opx * cos, phi0
+        return phi0, phi0, opx
+    term = s * opx
+    term *= cos
+    phi_s = np.multiply(0.5, phi0, out=straight)
+    phi_s += term
+    return phi_s, phi0, opx
 
 
 @dataclass(frozen=True)
@@ -129,6 +148,13 @@ class Family:
         s = math.sin(theta)
         return self.x0(beta), float(_deform(beta * beta * s * s, *self.xmap))
 
+    def _x(self, b2, theta):
+        """The deformation x at beta^2 = b2, a float or a column per row of
+        theta, an array of ndim >= 1; in an array of its own."""
+        sin2 = np.sin(theta)
+        sin2 *= sin2
+        return _deform(b2 * sin2, *self.xmap)
+
     def _phis(self, s, zeta, beta, theta):
         """(phi_s, phi_0) at theta, a float or an array.  ``at_limit`` phi_s is
         the ratio of the limit profiles times phi_0, which is 0 at pi/2 where
@@ -137,10 +163,12 @@ class Family:
             c = np.abs(_cos(theta))
             phi0 = 4.0 * c / (1.0 + c)
             return self.limit(s, zeta, theta) / self.limit(0, zeta, theta) * phi0, phi0
-        sin = np.sin(theta)
-        x = _deform(beta * beta * (sin * sin), *self.xmap)
+        if np.ndim(theta) == 0:
+            phi_s, phi0 = self._phis(s, zeta, beta, np.reshape(theta, 1))
+            return phi_s[0], phi0[0]
         a = self.x0(beta) if self.spin else 1.0
-        return _phi(s, self._swap(zeta), x, a, theta)
+        phi_s, phi0, _ = _phi(s, self._swap(zeta), self._x(beta * beta, theta), a, theta)
+        return phi_s, phi0
 
     def phi(self, s: int, zeta, beta: float, theta: float) -> float:
         """Polarization shape phi_s(zeta; beta, theta)."""
@@ -206,22 +234,32 @@ class Family:
     def _body(self, s, swap, theta, b2, a, norm):
         """p_s at theta for beta^2 = b2, coupling a and normalization norm,
         each a float or a column per row of theta.  The cube is np.power: ``**``
-        on a numpy scalar would take C's pow, whose last bit can differ."""
-        sin = np.sin(theta)
-        x = _deform(b2 * (sin * sin), *self.xmap)
-        opx = 1.0 + x
-        num = np.power(opx, 3) * np.exp(-x) * _phi(s, swap, x, a, theta)[0]
-        return num / ((1.0 - x) * norm) if self.spin else num / norm
+        on a numpy scalar would take C's pow, whose last bit can differ.  After
+        the deformation map each stage writes into an array it owns."""
+        if theta.ndim == 0:
+            return self._body(s, swap, theta.reshape(1), b2, a, norm)[0]
+        x = self._x(b2, theta)
+        phi_s, _, opx = _phi(s, swap, x, a, theta)
+        den = norm
+        if self.spin:
+            den = 1.0 - x
+            den *= norm
+        num = np.power(opx, 3, out=opx)
+        np.negative(x, out=x)
+        num *= np.exp(x, out=x)
+        num *= phi_s
+        num /= den
+        return num
 
     def density_profiles(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
         """The p_s(zeta; beta; theta) of each beta as one function
         ``profile(rows, theta)``: for an int ``rows``, theta of any shape at
         ``betas[rows]``; for 1-D rows, row i of the (n, k) array theta at
-        ``betas[rows[i]]``.  Returned with, per beta, the error that its
-        normalization f_2, f_3 raises, or None; the normalizations of all
-        betas run as one batch.  ``at_limit`` a beta takes the limit profile,
-        which needs no f_k, and a call without a limit row evaluates the body
-        on theta as it is."""
+        ``betas[rows[i]]``, or a (1, k) theta at every row.  Returned with,
+        per beta, the error that its normalization f_2, f_3 raises, or None;
+        the normalizations of all betas run as one batch.  ``at_limit`` a
+        beta takes the limit profile, which needs no f_k, and a call without
+        a limit row evaluates the body on theta as it is."""
         kinematics.validate_s(s)
         for beta in betas:
             self.check(beta, zeta=zeta)
@@ -248,9 +286,11 @@ class Family:
             if not lim.any():
                 b2, a, norm = params[rows] if np.ndim(rows) == 0 else params[rows].T[..., None]
                 return self._body(s, swap, theta, b2, a, norm)
+            if np.ndim(rows):
+                theta = np.broadcast_to(theta, (len(rows), theta.shape[1]))
             if lim.all():
                 return np.where(theta == HALF_PI, at_half_pi, self.limit(s, zeta, theta))
-            values = np.empty_like(theta)
+            values = np.empty(theta.shape)
             values[lim] = profile(rows[lim], theta[lim])
             values[~lim] = profile(rows[~lim], theta[~lim])
             return values

@@ -5,7 +5,8 @@ integrands written out afresh; the y-form integrands are the original
 improper representations, integrated with scipy's adaptive QUADPACK rule,
 which handles the inverse-square-root endpoint singularity.  The widths
 are checked against the benchmark's reference, ``bench/oracle``, which
-``bench_module`` loads.
+``bench_module`` loads.  ``count_profile_values`` counts the work of the
+analysis scans that read p_s.
 """
 
 import functools
@@ -33,6 +34,28 @@ def bench_module(name):
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def count_profile_values(monkeypatch):
+    """A one-item list that counts every value that the profiles of
+    ``Family.density_profiles`` return from here on."""
+    from srq1 import family
+
+    seen = [0]
+    real = family.Family.density_profiles
+
+    def counted(self, *args, **kwargs):
+        profile, failed = real(self, *args, **kwargs)
+
+        def counting(rows, theta):
+            values = profile(rows, theta)
+            seen[0] += np.size(values)
+            return values
+
+        return counting, failed
+
+    monkeypatch.setattr(family.Family, "density_profiles", counted)
+    return seen
 
 
 def midpoint_riemann(f, a, b, n=10**6):

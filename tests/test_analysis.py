@@ -11,6 +11,7 @@ from srq1.errors import ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 import oracles
+from oracles import count_profile_values
 
 HALF_PI = math.pi / 2
 
@@ -92,9 +93,10 @@ def test_no_divergent_peaking():
     assert rep.exists and rep.p_max < 2.0
 
 
-def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG):
+def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG, grids=None):
     # max_angle one beta at a time, as it was before the lockstep: eight
-    # separate 361-point scans of the beta's own profile
+    # separate 361-point scans of the beta's own profile, each grid appended
+    # to ``grids`` if given
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
     profile = analysis.PARTICLES[kind].family.density_profile(
@@ -106,6 +108,8 @@ def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG):
     best_t, best_p = 0.0, p_lo
     for _ in range(8):
         grid = np.linspace(a, b, 361)
+        if grids is not None:
+            grids.append(grid)
         vals = np.asarray(profile(grid))
         i = int(vals.argmax())
         if vals[i] > best_p:
@@ -141,22 +145,43 @@ def _reports(reports):
 _KIND_ZETAS = [("boson", None), ("electron", -1), ("electron", 1), ("electron", None)]
 
 
+def _scan_values_read(betas, grids):
+    """The values that ``max_angle_scan`` reads from its profile for these
+    betas, the eight grids of each in ``grids``: p(0), p(pi/2) and p_max,
+    and each grid in full, or once per distinct angle where fewer than half
+    of its angles differ."""
+    distinct = [np.unique(g).size for g in grids]
+    return 3 * len(betas) + sum(d if 2 * d < 361 else 361 for d in distinct)
+
+
 @pytest.mark.parametrize("kind, zeta", _KIND_ZETAS)
 @pytest.mark.parametrize("s", (0, 1, 3))
 def test_max_angle_scan_matches_the_per_beta_loop(s, kind, zeta, monkeypatch):
     # beta = 1 limit rows, a row next to it, and seeded body rows share the
     # lockstep calls; every body report keeps the bits of its one-beta scan,
     # also when the grid spans several chunks.  The electron's beta = 1 limit
-    # profiles rise toward pi/2 and have no interior maximum.
+    # profiles rise toward pi/2 and have no interior maximum.  Its last
+    # brackets close to a few ulps at an interior maximum or at pi/2, but
+    # on 361 distinct angles at theta = 0, where the floats are dense: the
+    # first chunk of 7 mixes both kinds of row, each row takes its own path,
+    # and the count of values read shows that the distinct-angle path ran.
     rng = np.random.default_rng(1700 + s)
     betas = [0.0, 1.0, 1.0 - 1e-9, 0.9, *rng.uniform(0.0, 1.0, 10).tolist(),
              *(1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 4)).tolist(), 1.0, 0.0]
+    grids = []
+    refs = [_max_angle_reference(kind, s, zeta, b, grids=grids) for b in betas]
     want = [(b, False, bool, None, None) if kind == "electron" and b == 1.0
-            else _bits(_max_angle_reference(kind, s, zeta, b)) for b in betas]
+            else _bits(r) for b, r in zip(betas, refs)]
+    collapsed = {2 * np.unique(g).size < 361 for g in grids[7:7 * 8:8]}
+    assert collapsed == ({False, True} if kind == "electron" else {False})
+    values = count_profile_values(monkeypatch)
     assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
+    assert values[0] == _scan_values_read(betas, grids)
     assert [_bits(max_angle(kind, s, zeta, b)) for b in betas] == want
     monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
+    values[0] = 0
     assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
+    assert values[0] == _scan_values_read(betas, grids)
     # the electron has interior maxima among them, except the pi component
     # of the spin flip; the boson has none
     has_maxima = kind == "electron" and not (s == 3 and zeta == 1)

@@ -275,3 +275,103 @@ def test_density_profiles_report_each_failed_normalization():
                 fam.density_profile(0, -1, beta, cfg)
             assert (str(error), error.estimate, error.error_bound) == (
                 str(want.value), want.value.estimate, want.value.error_bound)
+
+
+# ---------- the in-place density body against its plain expressions ----------
+
+# family._phi and Family._body as they read before they ran in place: one new
+# array per operation.  Every stage of the in-place chain must keep these bits.
+def _x_reference(fam, b2, theta):
+    sin = np.sin(theta)
+    A, B, sqrt_A = fam.xmap
+    r = np.sqrt(A - B * (b2 * (sin * sin)))
+    return (sqrt_A - r) / (sqrt_A + r)
+
+
+def _phi_reference(s, swap, x, a, theta):
+    cos = np.where(theta == HALF_PI, 0.0, np.cos(theta))
+    opx = 1.0 + x
+    straight = 1.0 - a * x
+    bent = opx * opx * cos * cos / straight
+    phi0 = straight + bent
+    if s in (2, 3):
+        return (straight if (s == 2) != swap else bent), phi0
+    if s == 0:
+        return phi0, phi0
+    return 0.5 * phi0 + s * opx * cos, phi0
+
+
+def _body_reference(fam, s, swap, theta, b2, a, norm):
+    x = _x_reference(fam, b2, theta)
+    opx = 1.0 + x
+    num = np.power(opx, 3) * np.exp(-x) * _phi_reference(s, swap, x, a, theta)[0]
+    return num / ((1.0 - x) * norm) if fam.spin else num / norm
+
+
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+def _runtime_warnings(f):
+    """f(), and the RuntimeWarning messages it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = f()
+    return got, [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)]
+
+
+# beta = 0, seeded speeds, x0 on both sides of 0.9 (the electron's switch of
+# its f_2, f_3 form), next to 1, and 1 itself where the body serves the boson
+BODY_BETAS = (0.0, *_RNG.uniform(0.05, 0.95, 2).tolist(), 0.9985, 0.9987, 1.0 - 1e-12, 1.0)
+_BODY_THETAS = np.concatenate([[0.0, HALF_PI, math.pi], _RNG.uniform(0.0, math.pi, 33)])
+
+
+@pytest.mark.parametrize("zeta", ZETAS)
+@pytest.mark.parametrize("fam", [boson.BOSON, electron.ELECTRON], ids=["boson", "electron"])
+@pytest.mark.parametrize("s", S_VALUES)
+def test_body_keeps_the_bits_of_its_plain_expressions(s, fam, zeta):
+    betas = [b for b in BODY_BETAS if not fam.at_limit(b)]
+    swap = fam._swap(zeta)
+    x0s = [float(_x_reference(fam, b * b, HALF_PI)) for b in betas]
+    assert x0s == [fam.x0(b) for b in betas]
+    fks = fam.f((2, 3) * len(betas), [x0 for x0 in x0s for _ in (2, 3)], DEFAULT_CONFIG)
+    params = np.array([(b * b, x0 if fam.spin else 1.0, (1.0 + x0) ** 2 * (f2 + f3))
+                       for b, x0, f2, f3 in zip(betas, x0s, fks[::2], fks[1::2])])
+    profile, failed = fam.density_profiles(s, zeta, betas)
+    assert failed == [None] * len(betas)
+    # (n, k) rows and one (1, k) row broadcast against every beta
+    rows = np.arange(len(betas)).repeat(3)
+    theta = np.resize(_BODY_THETAS, (len(rows), 12))
+    b2, a, norm = params[rows].T[..., None]
+    for t in (theta, theta[:1]):
+        want, warned = _runtime_warnings(lambda: _body_reference(fam, s, swap, t, b2, a, norm))
+        got, warns = _runtime_warnings(lambda: profile(rows, t))
+        assert got.shape == theta.shape and _hex(got) == _hex(want)
+        assert warns == warned
+    for i, beta in enumerate(betas):
+        def want(t):
+            return _body_reference(fam, s, swap, t, *params[i])
+
+        one = fam.density_profile(s, zeta, beta)
+        for t in (_BODY_THETAS, _BODY_THETAS.reshape(4, 9)):
+            assert _hex(one(t)) == _hex(want(t))
+            assert _hex(fam.density(s, zeta, beta, t)) == _hex(want(t))
+        for t in _BODY_THETAS.tolist():
+            for arg in (t, np.array(t)):
+                got, warns = _runtime_warnings(lambda: one(arg))
+                assert type(got) is np.float64 and got.hex() == want(np.array(t)).hex()
+                assert warns == _runtime_warnings(lambda: want(np.array(t)))[1]
+                assert fam.density(s, zeta, beta, arg).hex() == got.hex()
+
+        # phi_s and phi_s/phi_0, a float for a float or a 0-d theta
+        phi_s, phi0 = _phi_reference(s, swap, _x_reference(fam, beta * beta, _BODY_THETAS),
+                                     params[i][1], _BODY_THETAS)
+        want_q = np.ones_like(phi0) if s == 0 else phi_s / phi0
+        for t in (_BODY_THETAS, _BODY_THETAS.reshape(4, 9)):
+            got, warns = _runtime_warnings(lambda: fam.local_polarization(s, zeta, beta, t))
+            assert _hex(got) == _hex(want_q) and got.shape == t.shape and not warns
+        for j, t in enumerate(_BODY_THETAS.tolist()):
+            for arg in (t, np.array(t)):
+                got = fam.local_polarization(s, zeta, beta, arg)
+                assert type(got) is float and got.hex() == want_q[j].hex()
+            assert fam.phi(s, zeta, beta, t).hex() == phi_s[j].hex()

@@ -10,10 +10,11 @@ import pytest
 
 from srq1 import analysis, cli, integrals, quadrature
 from srq1.family import GRID_CHUNK
+from srq1.figures import FIGURE_SCANS
 from srq1.errors import ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_adaptive
 
-from oracles import bench_module, midpoint_riemann
+from oracles import bench_module, count_profile_values, midpoint_riemann
 
 
 def test_constant():
@@ -356,6 +357,22 @@ def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
         for argv in bench_module("workloads").beta_sweep(3):
             cli.run_cli(argv)
     assert work == {"calls": 308, "rows": 7366, "integrals": 4138}
+
+
+def test_figure_10_maxima_work_is_pinned(monkeypatch):
+    # the p_s values that each maxima call of figure 10 reads from its
+    # profile, which no bookkeeping change may move: 2 + 8 x 361 + 1 per beta
+    # (72 275 per call) before a last bracket collapsed to a few ulps was
+    # evaluated once per distinct angle.  Of s = 3's 25 betas, the 12 without
+    # an interior maximum close on theta = 0 and keep their full last grid.
+    values = count_profile_values(monkeypatch)
+    work = {}
+    for argv in FIGURE_SCANS[10]:
+        values[0] = 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run_cli(argv) == 0
+        work[argv[argv.index("--s") + 1]] = values[0]
+    assert work == {"0": 63320, "1": 63326, "3": 67636}
 
 
 def test_pair_reduction_equals_separate_dots():
