@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 226 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 235 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -143,6 +143,27 @@ EDGE_ARGV += (
     [[*a, "--beta", "0.5:0.995:1500"] for a in (_MAXIMA[0], _MAXIMA[4])]
     + [[*_MAXIMA[8], "--beta", "0.5:0.99:12", "--angle-unit", "deg", "--format", "json"]]
 )
+# argv as the parser sees it: options written as --name=value tokens, a
+# repeated option (the last wins), the electron's --zeta +1, a negative beta
+# (parsed, then refused by the domain check), and calls that only the
+# argparse parser places: an invalid int, an invalid first and a valid last
+# occurrence, an option without its value, and an option of another
+# subcommand.
+PARSER_ERRORS = [
+    ["scan", "--quantity", "power", "--max-depth", "2.5"],
+    ["scan", "--quantity", "power", "--format", "xml", "--format", "csv"],
+    ["scan", "--quantity", "power", "--beta"],
+    ["freq", "--particle", "boson", "--beta", "0.5", "--zeta", "1"],
+]
+EDGE_ARGV += [
+    ["scan", "--quantity=power", "--particle=electron", "--zeta=1", "--beta=0.2:0.9:4"],
+    ["maxima", "--particle=boson", "--s=1", "--beta=0.5:0.9:3", "--format=json"],
+    ["scan", "--quantity", "p", "--beta", "0.3", "--theta", "0:pi:7", "--beta", "0.6"],
+    ["scan", "--quantity", "power", "--particle", "electron", "--zeta", "+1",
+     "--beta", "0.5:0.9:3"],
+    ["scan", "--quantity", "power", "--beta=-0.5"],
+    *PARSER_ERRORS,
+]
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 

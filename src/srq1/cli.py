@@ -2,8 +2,10 @@
 
 ``scan --quantity Q`` evaluates one quantity of the QUANTITIES table over a
 beta or theta grid; the other subcommands are aliases into the same table.
-One argparse parser is built, at import, from the COMMANDS table; argv is
-parsed by the subparser of the subcommand it names.  A theta
+One argparse parser is built, at import, from the COMMANDS table, and beside
+it a table of each subcommand's actions: valid argv is read straight from that
+table, and anything else goes to argparse, which prints every help, usage and
+error text.  A theta
 scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
 handed to the writers as one (theta, value) float array; a q_local grid
 through the double-limit point names that cell a text cell, "ambiguous".
@@ -264,12 +266,16 @@ COMMANDS = (
 
 
 def _build_parser():
-    """The srq1 parser, with one subparser per row of COMMANDS, and the map
-    from each subcommand's name to its subparser."""
+    """The srq1 parser, with one subparser per row of COMMANDS; the map from
+    each subcommand's name to its subparser; and the map from that name to
+    the table ``_read`` reads argv with: the subcommand's actions by option
+    string, the namespace of an argv without options (as argparse fills it),
+    and the dests that argv must set."""
     top = argparse.ArgumentParser(prog="srq1", description=__doc__.splitlines()[0],
                                   add_help=False, allow_abbrev=False)
     top.add_argument("--version", action="version", version=f"srq1, version {__version__}")
     commands = top.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    tables = {}
     for command in COMMANDS:
         sub = commands.add_parser(command.name, help=command.help, description=command.help,
                                   add_help=False, allow_abbrev=False)
@@ -280,35 +286,79 @@ def _build_parser():
             action.required = action.default is None and action.dest not in command.defaults
             if action.default is not None:
                 action.help = f"{action.help or ''} [default: %(default)s]"
+        dests = [action.dest for action in actions] + [*command.defaults, "command"]
+        tables[command.name] = ({action.option_strings[0]: action for action in actions},
+                                {dest: sub.get_default(dest) for dest in dests},
+                                {action.dest for action in actions if action.required})
     for parser in (top, *commands.choices.values()):
         parser.add_argument("--help", action="help", help="Show this message and exit.")
-    return top, commands.choices
+    return top, commands.choices, tables
 
 
-_PARSER, _SUBPARSERS = _build_parser()
+_PARSER, _SUBPARSERS, _TABLES = _build_parser()
+
+
+def _joined(argv):
+    """argv with each option of _OPTIONS and the token after it joined into
+    one --name=value token: an option's value is the next token, even one
+    like -inf."""
+    tokens = iter(argv)
+    return [t if t not in _OPTIONS or (value := next(tokens, None)) is None
+            else f"{t}={value}" for t in tokens]
+
+
+def _read(argv):
+    """The namespace of argv as a dict, read from the table of the subcommand
+    argv[0] names, or None unless every later token is --name=value for an
+    option of that subcommand and sets every required one.  Each occurrence's
+    value goes through the action's type and choices, in order, as argparse
+    takes it, and the last occurrence wins; a value that the type or choices
+    refuse, or a value "--" (which argparse drops), gives None."""
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults, required = table
+    args, seen = defaults.copy(), set()
+    for token in argv[1:]:
+        name, eq, value = token.partition("=")
+        action = options.get(name)
+        if action is None or not eq or value == "--":
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        args[action.dest] = value
+        seen.add(action.dest)
+    return args if required <= seen else None
 
 
 def _parse(argv):
-    """The namespace of argv, from the subparser of the subcommand argv[0]
-    names, which the top-level parser would hand the same tokens.  Argv that
-    names no subcommand, or that has a token the subparser leaves
-    unrecognized, goes to the top-level parser, which prints its own usage."""
+    """The namespace of argv as a dict.  Valid argv is read from the actions'
+    table (``_read``); anything else goes to argparse: to the subparser of the
+    subcommand argv[0] names, which the top-level parser would hand the same
+    tokens.  Argv that names no subcommand, or that has a token the subparser
+    leaves unrecognized, goes to the top-level parser, which prints its own
+    usage."""
+    args = _read(argv)
+    if args is not None:
+        return args
     sub = _SUBPARSERS.get(argv[0]) if argv else None
     if sub is not None:
         args, rest = sub.parse_known_args(argv[1:])
         if not rest:
-            return args
-    return _PARSER.parse_args(argv)
+            return vars(args)
+    return vars(_PARSER.parse_args(argv))
 
 
 def run_cli(argv) -> int:
     """Dispatch argv; returns the exit code (0/1/2).  All text goes to sys.stdout
     and sys.stderr as they are at the call, so no reference to either is kept."""
-    tokens = iter(argv)  # an option's value is the next token, even one like -inf
-    argv = [t if t not in _OPTIONS or (value := next(tokens, None)) is None
-            else f"{t}={value}" for t in tokens]
     try:
-        args = vars(_parse(argv))
+        args = _parse(_joined(argv))
         _emit(args.pop("command").quantity or args.pop("quantity"), **args)
     except SystemExit as exc:  # argparse: --help or --version (0), or a usage error
         return 1 if exc.code else 0

@@ -140,13 +140,20 @@ class Family:
         """True for zeta = +1 of spin 1/2: phi_2, phi_3 swap and W_0 scales by x0."""
         return self.spin and zeta == 1
 
+    def _x1(self, u: float) -> float:
+        """``_deform`` at one u in float arithmetic: the same operations in the
+        same order, so the same bits, without numpy's cost per call."""
+        A, B, sqrt_A = self.xmap
+        r = math.sqrt(A - B * u)
+        return (sqrt_A - r) / (sqrt_A + r)
+
     def x0(self, beta: float) -> float:
-        return float(_deform(beta * beta, *self.xmap))
+        return self._x1(beta * beta)
 
     def deformation(self, beta: float, theta: float) -> tuple[float, float]:
         self.check(beta, theta)
         s = math.sin(theta)
-        return self.x0(beta), float(_deform(beta * beta * s * s, *self.xmap))
+        return self.x0(beta), self._x1(beta * beta * s * s)
 
     def _x(self, b2, theta):
         """The deformation x at beta^2 = b2, a float or a column per row of

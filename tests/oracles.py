@@ -5,7 +5,7 @@ integrands written out afresh; the y-form integrands are the original
 improper representations, integrated with scipy's adaptive QUADPACK rule,
 which handles the inverse-square-root endpoint singularity.  The widths
 are checked against the benchmark's reference, ``bench/oracle``, which
-``bench_module`` loads.  ``count_profile_values`` counts the work of the
+``bench_module`` loads (as it loads the scripts).  ``count_profile_values`` counts the work of the
 analysis scans that read p_s.
 """
 
@@ -18,17 +18,18 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad
 
-_BENCH = Path(__file__).resolve().parent.parent / "bench"
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 @functools.cache
-def bench_module(name):
-    """bench/<name>.py, imported as scripts/compare_outputs.py does: without
-    writing bytecode, so bench/ is left as it is."""
+def bench_module(name, folder="bench"):
+    """<folder>/<name>.py, bench/ unless named, imported as
+    scripts/compare_outputs.py does: without writing bytecode, so bench/ is
+    left as it is."""
     saved = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        spec = importlib.util.spec_from_file_location(name, _BENCH / f"{name}.py")
+        spec = importlib.util.spec_from_file_location(name, _ROOT / folder / f"{name}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
     finally:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import srq1.io
-from srq1 import analysis, boson, electron, kinematics
+from srq1 import analysis, boson, electron, family, kinematics
 from srq1.cli import run_cli
 from srq1.errors import AmbiguousLimitError, ConvergenceError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -375,3 +375,23 @@ def test_body_keeps_the_bits_of_its_plain_expressions(s, fam, zeta):
                 got = fam.local_polarization(s, zeta, beta, arg)
                 assert type(got) is float and got.hex() == want_q[j].hex()
             assert fam.phi(s, zeta, beta, t).hex() == phi_s[j].hex()
+
+
+# seeded speeds, 0, 1, the floats next to 1, and beta = 0.998614, where the
+# electron's x0 crosses 0.9 (the switch of its f_2, f_3 form)
+_X1_RNG = np.random.default_rng(28)
+X1_BETAS = [0.0, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-15, 0.998614,
+            *_X1_RNG.uniform(0.0, 1.0, 1000).tolist()]
+X1_THETAS = [0.0, HALF_PI, math.pi, *_X1_RNG.uniform(0.0, math.pi, len(X1_BETAS) - 3).tolist()]
+
+
+@pytest.mark.parametrize("fam", [boson.BOSON, electron.ELECTRON], ids=["boson", "electron"])
+def test_scalar_deformation_keeps_the_bits_of_the_array_map(fam):
+    assert abs(electron.x0(0.998614) - 0.9) < 1e-5
+    sines = [math.sin(t) for t in X1_THETAS]
+    for us, got in (([b * b for b in X1_BETAS], [fam.x0(b) for b in X1_BETAS]),
+                    ([b * b * s * s for b, s in zip(X1_BETAS, sines)],
+                     [fam.deformation(b, t)[1] for b, t in zip(X1_BETAS, X1_THETAS)])):
+        assert all(type(x) is float for x in got)
+        want = family._deform(np.array(us), *fam.xmap).tolist()
+        assert [x.hex() for x in got] == [x.hex() for x in want]

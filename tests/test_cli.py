@@ -10,9 +10,10 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from srq1 import cli
 from srq1.cli import COMMANDS, parse_angle, parse_range, run_cli
 from srq1.errors import DomainError
 from srq1.figures import FIGURE_SCANS
@@ -373,6 +374,16 @@ PARSER_BYTES = [
      "srq1 maxima: error: argument --s: invalid choice: '2' (choose from '0', '1', '3')\n"),
     (["scan", "--help"], 0, _SCAN_HELP, ""),
     (["--version"], 0, "srq1, version 0.1.0\n", ""),
+    # argv that the fast reader leaves to the parser
+    (_POWER + ["--max-depth", "2.5"], 1, "", _SCAN_USAGE
+     + "srq1 scan: error: argument --max-depth: invalid int value: '2.5'\n"),
+    (_POWER + ["--format", "xml", "--format", "csv"], 1, "", _SCAN_USAGE
+     + "srq1 scan: error: argument --format: invalid choice: 'xml' (choose from 'csv', "
+     "'json')\n"),
+    (_POWER + ["--beta"], 1, "", _SCAN_USAGE
+     + "srq1 scan: error: argument --beta: expected one argument\n"),
+    (["freq", "--particle", "boson", "--beta", "0.5", "--zeta", "1"], 1, "",
+     _TOP_USAGE + "srq1: error: unrecognized arguments: --zeta=1\n"),
 ]
 
 
@@ -386,6 +397,8 @@ def test_parser_messages_byte_for_byte(monkeypatch, argv, code, out, err):
 def test_repeated_option_last_wins():
     assert run(_POWER + ["--format", "json", "--format", "csv"]) == run(_POWER)
     assert run(_POWER + ["--beta=0.5"]) == run(_POWER + ["--beta", "0.5"])
+    assert (run(["scan", "--quantity=power", "--beta=0.5", "--beta=0.6"])
+            == run(_POWER + ["--beta", "0.6"]))
 
 
 # ---------- figure regeneration ----------
@@ -702,3 +715,48 @@ def test_invalid_argv_exit_with_a_message_only():
             code, out, err = run(argv)
         assert code in (1, 2) and out == "", argv
         assert err and "Traceback" not in err, (argv, err)
+
+
+# ---------- the argv reader against argparse ----------
+
+def _key(args):
+    # floats by repr, so that nan equals nan and 1 differs from 1.0
+    return {k: (type(v), repr(v) if isinstance(v, float) else v) for k, v in args.items()}
+
+
+def _read_as_argparse(argv):
+    """True if the reader takes argv; then assert that its namespace is the
+    one the subcommand's argparse parser gives."""
+    argv = cli._joined(argv)
+    args = cli._read(argv)
+    if args is None:
+        return False
+    namespace, rest = cli._SUBPARSERS[argv[0]].parse_known_args(argv[1:])
+    assert rest == [] and _key(args) == _key(vars(namespace)), argv
+    return True
+
+
+def test_reader_agrees_with_argparse_on_invalid_argv():
+    rng = random.Random(11)
+    taken = sum(_read_as_argparse(_invalid_argv(rng)) for _ in range(1000))
+    assert 0 < taken < 1000  # options a call does not read pass the parser
+
+
+@seed(28)
+@settings(max_examples=500, deadline=None, database=None)
+@given(argv=_argv)
+def test_reader_agrees_with_argparse_on_fuzzed_argv(argv):
+    _read_as_argparse(argv)
+
+
+def test_workload_and_edge_argv_take_the_reader():
+    workloads = bench_module("workloads")
+    edges = bench_module("compare_outputs", "scripts")
+    src = Path(__file__).resolve().parents[1] / "src"
+    argvs = [argv for name in workloads.WORKLOADS for s in (0, 1)
+             for argv in getattr(workloads, name)(s, src)]
+    argvs += [argv for argv in edges.EDGE_ARGV if argv not in edges.PARSER_ERRORS]
+    assert all(_read_as_argparse(argv) for argv in argvs)
+    # argparse drops a value "--", and reads --beta=-- as no value at all
+    assert not any(_read_as_argparse(argv)
+                   for argv in [*edges.PARSER_ERRORS, _POWER + ["--beta", "--"]])

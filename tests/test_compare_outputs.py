@@ -1,17 +1,14 @@
 """The improve-only check of scripts/compare_outputs.py on synthetic records."""
 
 import contextlib
-import importlib.util
 import io
 import json
-from pathlib import Path
 
 from srq1.cli import run_cli
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
-_SPEC = importlib.util.spec_from_file_location("compare_outputs", _SCRIPT)
-compare_outputs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_outputs)
+from oracles import bench_module
+
+compare_outputs = bench_module("compare_outputs", "scripts")
 
 ARGV = {key: ["scan", "--quantity", "freq", "--particle", "boson", "--beta", "0.5",
               "--theta", theta]
