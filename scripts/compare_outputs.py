@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 235 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 250 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -129,8 +129,8 @@ EDGE_ARGV += (
     + [["scan", "--quantity", "p", "--particle", "electron", "--s", "0", "--beta", "0.9",
         "--theta", "0:180:181", "--angle-unit", "deg", "--format", "json"]]
 )
-# The electron's f_2, f_3 on both sides of the switch of their quadrature form
-# at x0 = 0.9 (beta about 0.998614), and at x0 next to 1.
+# The electron's f_2, f_3 on both sides of x0 = 0.9 (beta about 0.998614),
+# and at x0 next to 1.
 EDGE_ARGV += [
     [*a, "--beta", b] for a in _BETA_SCANS if "electron" in a and "eff_angle" not in a
     for b in ("0.9985:0.9988:7", *(repr(1.0 - 10.0 ** -p) for p in (15, 13, 11, 9)))
@@ -163,6 +163,13 @@ EDGE_ARGV += [
      "--beta", "0.5:0.9:3"],
     ["scan", "--quantity", "power", "--beta=-0.5"],
     *PARSER_ERRORS,
+]
+# The electron's beta scans where the s-form's [0, 1] is first cut in two, at
+# x0 = 1/sqrt2 (beta about 0.985171), and in three, at x0 = 1/sqrt(1 + 1/64)
+# (beta about 0.9999925).
+EDGE_ARGV += [
+    [*a, "--beta", b] for a in _BETA_SCANS if "electron" in a
+    for b in ("0.9845:0.986:7", "0.985171:0.985174:4", "0.99999:0.999995:6")
 ]
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 

@@ -313,7 +313,8 @@ def _read(argv):
     option of that subcommand and sets every required one.  Each occurrence's
     value goes through the action's type and choices, in order, as argparse
     takes it, and the last occurrence wins; a value that the type or choices
-    refuse, or a value "--" (which argparse drops), gives None."""
+    refuse gives None.  A value "--", which argparse would read as no value
+    at all, raises DomainError."""
     table = _TABLES.get(argv[0]) if argv else None
     if table is None:
         return None
@@ -322,8 +323,10 @@ def _read(argv):
     for token in argv[1:]:
         name, eq, value = token.partition("=")
         action = options.get(name)
-        if action is None or not eq or value == "--":
+        if action is None or not eq:
             return None
+        if value == "--":
+            raise DomainError(f"option {name} needs a value, got '--'")
         if action.type is not None:
             try:
                 value = action.type(value)

@@ -148,6 +148,7 @@ class Family:
         return (sqrt_A - r) / (sqrt_A + r)
 
     def x0(self, beta: float) -> float:
+        kinematics.validate_beta(beta)
         return self._x1(beta * beta)
 
     def deformation(self, beta: float, theta: float) -> tuple[float, float]:

@@ -1,7 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature on finite intervals, many integrals at once.
 
 A 15-point Kronrod rule with its embedded 7-point Gauss rule provides the
-local estimate and error of a panel; the panel with the largest error
+local estimate and error of a panel, the error kept at or above the rounding
+level 50 eps times the panel's integral of |f| as in QUADPACK's dqk15, so
+that no tolerance below rounding is met; the panel with the largest error
 estimate is bisected until the summed error meets the global tolerance.
 Subdivision order is fixed, so results are deterministic for a given
 configuration.
@@ -15,8 +17,9 @@ heap, and with the bits the heap loop would give it; the others start their
 heap loop with the bisection of [a, b].  Each further round takes one
 bisection from every integral that is not finished, and the two halves of
 all of them share one integrand call on an (n, 15) node array, with the
-integrals of its rows as one index array, and one (n, 15) @ (15, 2)
-product.  This gives the bits of evaluating each panel on its own:
+integrals of its rows as one index array, and two (n, 15) @ (15, 2)
+products, of f and of |f|.  This gives the bits of evaluating each panel on
+its own:
 
 - the nodes and the integrands are elementwise array expressions, so a
   node's value does not depend on the other rows of the call;
@@ -24,7 +27,7 @@ product.  This gives the bits of evaluating each panel on its own:
   the separate 15-term dot products, for every n (a test pins n = 2 to
   4096, on prefixes and on gathered rows).  A (1, 15) product goes to a
   matrix-vector kernel and differs in the last bit, so a lone panel (the
-  first of a batch of one) is reduced by the two dot products themselves;
+  first of a batch of one) is reduced by dot products;
 - an integral's sequence of pops, pushes and sums does not depend on when
   its panels are evaluated.
 """
@@ -39,29 +42,40 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-# Gauss-Kronrod 7-15 abscissae (all 15, ascending) and weights.  Gauss
-# weights are zero at the Kronrod-only nodes.
-_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_KRONROD_W = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_GAUSS_W = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
-    0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
-])
+# Gauss-Kronrod 7-15 abscissae (all 15, ascending) and weights, from the
+# 33-digit decimals of QUADPACK's dqk15 (Piessens et al., 1983): each double
+# is the one nearest to the exact rule.  Each tuple runs from the outermost
+# node to the centre.  Gauss weights are zero at the Kronrod-only nodes.
+_XGK = ("0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+        "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+        "0.586087235467691130294144845693013", "0.405845151377397166906606412076961",
+        "0.207784955007898467600689403773245", "0")
+_WGK = ("0.022935322010529224963732008058970", "0.063092092629978553290700663189204",
+        "0.104790010322250183839876322541518", "0.140653259715525918745189590510238",
+        "0.169004726639267902826583426598550", "0.190350578064785409913256402421014",
+        "0.204432940075298892414161999234649", "0.209482141084727828012999174891714")
+_WG = ("0.129484966168869693270611432679082", "0.279705391489276667901467771423780",
+       "0.381830050505118944950369775488975", "0.417959183673469387755102040816327")
+
+
+def _symmetric(outside_in):
+    """The 2n - 1 doubles of n decimals given from the outermost node in,
+    mirrored about the centre."""
+    half = [float(v) for v in outside_in]
+    return np.array(half + half[-2::-1])
+
+
+_NODES = _symmetric(_XGK)
+_NODES[:7] *= -1.0
+_KRONROD_W = _symmetric(_WGK)
+_GAUSS_W = np.zeros(15)
+_GAUSS_W[1::2] = _symmetric(_WG)
 # columns: Kronrod, Gauss
 _WEIGHTS = np.stack((_KRONROD_W, _GAUSS_W), axis=1)
+# a panel's error estimate is at least this times its Kronrod sum of |f|, the
+# rounding level of QUADPACK's dqk15: where the Kronrod and Gauss sums agree
+# to the last bit, their difference says nothing below rounding
+_ROUNDING = 50.0 * math.ulp(1.0)
 
 
 # the largest abs_tol or rel_tol accepted
@@ -96,18 +110,21 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 def _panels(f, rows, bounds):
-    """The (kronrod, |kronrod - gauss|) of each panel as an (n, 2) array, from
-    one integrand call: ``bounds`` lists the centre and the half width of
+    """The (kronrod, error) of each panel as an (n, 2) array, from one
+    integrand call, the error being |kronrod - gauss| or the rounding level,
+    whichever is larger: ``bounds`` lists the centre and the half width of
     each panel in turn, and panel r belongs to integral rows[r]."""
     panels = np.array(bounds).reshape(-1, 2)
     half = panels[:, 1:]
     y = f(rows, panels[:, :1] + half * _NODES)
-    if len(rows) == 1:  # reduced by the two dot products: see the module docstring
+    if len(rows) == 1:  # reduced by dot products: see the module docstring
         half, y = bounds[1], y[0]
         kronrod = half * float(_KRONROD_W @ y)
-        return np.array([[kronrod, abs(kronrod - half * float(_GAUSS_W @ y))]])
+        err = abs(kronrod - half * float(_GAUSS_W @ y))
+        return np.array([[kronrod, max(err, _ROUNDING * (half * float(_KRONROD_W @ np.abs(y))))]])
+    magnitude = half * (np.abs(y) @ _WEIGHTS)
     panels = half * (y @ _WEIGHTS)
-    panels[:, 1] = np.abs(panels[:, 0] - panels[:, 1])
+    panels[:, 1] = np.maximum(np.abs(panels[:, 0] - panels[:, 1]), _ROUNDING * magnitude[:, 0])
     return panels
 
 

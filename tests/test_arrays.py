@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 import srq1.io
 from srq1 import analysis, boson, electron, family, kinematics
 from srq1.cli import run_cli
-from srq1.errors import AmbiguousLimitError, ConvergenceError
+from srq1.errors import AmbiguousLimitError, ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 HALF_PI = math.pi / 2
@@ -320,8 +321,8 @@ def _runtime_warnings(f):
     return got, [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
-# beta = 0, seeded speeds, x0 on both sides of 0.9 (the electron's switch of
-# its f_2, f_3 form), next to 1, and 1 itself where the body serves the boson
+# beta = 0, seeded speeds, electron x0 on both sides of 0.9 (its f_2, f_3 on
+# two s-form pieces), next to 1, and 1 itself where the body serves the boson
 BODY_BETAS = (0.0, *_RNG.uniform(0.05, 0.95, 2).tolist(), 0.9985, 0.9987, 1.0 - 1e-12, 1.0)
 _BODY_THETAS = np.concatenate([[0.0, HALF_PI, math.pi], _RNG.uniform(0.0, math.pi, 33)])
 
@@ -378,7 +379,7 @@ def test_body_keeps_the_bits_of_its_plain_expressions(s, fam, zeta):
 
 
 # seeded speeds, 0, 1, the floats next to 1, and beta = 0.998614, where the
-# electron's x0 crosses 0.9 (the switch of its f_2, f_3 form)
+# electron's x0 crosses 0.9
 _X1_RNG = np.random.default_rng(28)
 X1_BETAS = [0.0, 1.0, math.nextafter(1.0, 0.0), 1.0 - 1e-15, 0.998614,
             *_X1_RNG.uniform(0.0, 1.0, 1000).tolist()]
@@ -395,3 +396,11 @@ def test_scalar_deformation_keeps_the_bits_of_the_array_map(fam):
         assert all(type(x) is float for x in got)
         want = family._deform(np.array(us), *fam.xmap).tolist()
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("fam", [boson.BOSON, electron.ELECTRON], ids=["boson", "electron"])
+def test_x0_refuses_a_beta_outside_the_domain(fam):
+    for beta in (1.1, 1.5, math.nextafter(1.0, 2.0), -0.1, -1e-300, math.nan, math.inf,
+                 -math.inf):
+        with pytest.raises(DomainError, match=re.escape(f"beta must lie in [0, 1], got {beta}")):
+            fam.x0(beta)

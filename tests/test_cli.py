@@ -216,32 +216,33 @@ def test_exit_code_convergence_error():
     assert "convergence error" in err
 
 
-# Scans whose quadratures cannot converge, with the stderr recorded while each
-# integral was still evaluated on its own: the message is that of the first
-# integral to fail in the order betas in grid order; within a beta f_1, f_2,
-# f_3, then the width's weighted pieces and its plain pieces; electron before
-# boson in ratio, boson before electron in table1.
+# Scans whose quadratures cannot converge: the message is that of the first
+# integral to fail when each is evaluated on its own in the order betas in
+# grid order; within a beta f_1, f_2, f_3, then the width's weighted pieces
+# and its plain pieces; electron before boson in ratio, boson before electron
+# in table1.
 _UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-depth", "10"]
 FIRST_FAILURE = [
-    ([*q, "--particle", p, *s, "--beta", "0.2:0.95:4", *_UNREACHABLE], bound, "1.000e-300")
-    for p, bound in (("boson", "3.456e-15"), ("electron", "3.437e-15"))
+    ([*q, "--particle", p, *s, "--beta", "0.2:0.95:4", *_UNREACHABLE], bound, tol)
+    for p, bound, tol in (("boson", "2.201e-14", "1.982e-300"),
+                          ("electron", "2.220e-14", "2.000e-300"))
     for q, s in ((["scan", "--quantity", "power"], []),
                  (["scan", "--quantity", "q_halfplane"], ["--s", "2"]),
                  (["polarization"], []),
                  (["scan", "--quantity", "eff_angle"], ["--s", "3"]))
 ] + [
     (["scan", "--quantity", "ratio", "--particle", p, "--beta", "0.2:0.95:4", *_UNREACHABLE],
-     "3.437e-15", "1.000e-300") for p in ("boson", "electron")
+     "2.220e-14", "2.000e-300") for p in ("boson", "electron")
 ] + [
-    (["table1", *_UNREACHABLE], "3.442e-15", "1.000e-300"),
+    (["table1", *_UNREACHABLE], "2.220e-14", "2.000e-300"),
     (["scan", "--quantity", "ratio", "--beta", "0.95:0.2:4", *_UNREACHABLE],
-     "2.668e-15", "1.000e-300"),
+     "1.898e-14", "1.710e-300"),
     (["scan", "--quantity", "eff_angle", "--s", "0", "--beta", "0.95:0.2:4", *_UNREACHABLE],
-     "3.447e-15", "1.000e-300"),
+     "1.620e-14", "1.459e-300"),
     # the beta = 1 limit profile needs no f_2, f_3: beta 1 of 4 fails in its
     # first weighted width piece, and betas 2 to 4 in their f_2, which run first
     (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
-      "--beta", "1:0.9:4", *_UNREACHABLE], "2.677e-16", "1.000e-300"),
+      "--beta", "1:0.9:4", *_UNREACHABLE], "8.576e-16", "1.000e-300"),
 ]
 
 
@@ -254,8 +255,7 @@ def test_first_failing_integral_is_reported(argv, bound, tol):
 
 
 def test_widths_next_to_beta_one_converge_at_depth_ten():
-    # their f_2, f_3 take the s-form, which settles at max_depth 10 where the
-    # t-form did not (beta 4 failed in its f_2)
+    # their f_2, f_3 settle at max_depth 10 on the graded s-form pieces
     argv = ["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
             "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
             "--max-depth", "10"]
@@ -404,9 +404,21 @@ def test_repeated_option_last_wins():
 # ---------- figure regeneration ----------
 
 # sha256 of the stdout of every figure scan, table1 and crossover, recorded
-# by ``bench/run.py --make-digests``
-DIGESTS = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+# by ``bench/run.py --make-digests``; the three electron maxima scans of
+# figures 10 and 11 are pinned here since their theta_max cells moved within
+# the flat-argmax noise of the refinement (the normalizing f_2, f_3 went to
+# one s-form quadrature with full-precision GK15 constants).  These pins move
+# to bench/digests.json when it is next re-recorded.
+_REPINNED = {
+    "maxima --particle electron --s 0 --beta 0.75:0.995:25":
+        "140aae46d87876cc096cb3f2108cdf8ea20c3983a8478dc6105d1da94cedc8fc",
+    "maxima --particle electron --s 1 --beta 0.75:0.995:25":
+        "e103ad9004623b32ffbfe952b646099d25f1b21c25cdd3d4a824542adc099c64",
+    "maxima --particle electron --s 3 --beta 0.75:0.995:25":
+        "df30a60a8896583fed244546303d9315de70c1cc185221b3fd47323d2e2efbd3",
+}
+DIGESTS = {**json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text()), **_REPINNED}
 
 
 def sha256(text):
@@ -458,8 +470,8 @@ GOLDEN = {
         + "# angle_unit=deg\n# particle=electron\n# zeta=-1\n# s=0\n"
         "beta,exists,theta_max,p_max\n"
         "0.6,false,none,none\n"
-        "0.75,true,33.8869296,0.532180525\n"
-        "0.9,true,71.6545426,0.534446272\n",
+        "0.75,true,33.8869288,0.532180525\n"
+        "0.9,true,71.6545442,0.534446272\n",
 }
 
 
@@ -709,12 +721,24 @@ def _invalid_argv(rng):
 
 def test_invalid_argv_exit_with_a_message_only():
     rng = random.Random(11)
-    for argv in (_invalid_argv(rng) for _ in range(300)):
+    dashed = [_POWER + ["--beta", "--"], _POWER + ["--abs-tol", "--"]]
+    for argv in [*(_invalid_argv(rng) for _ in range(300)), *dashed]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(argv)
         assert code in (1, 2) and out == "", argv
         assert err and "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[command.name for command in COMMANDS])
+def test_an_option_value_dashes_is_named(command):
+    # argparse reads the value "--" as no value at all; each option of each
+    # subcommand refuses it with one line, wherever it stands
+    valid = next(argv for argv in _VALID if argv[0] == command.name)
+    for option in command.options.split():
+        for argv in (valid + [option, "--"], [valid[0], f"{option}=--", *valid[1:]]):
+            assert run(argv) == (1, "", f"domain error: option {option} needs a value, "
+                                        "got '--'\n"), argv
 
 
 # ---------- the argv reader against argparse ----------
@@ -728,7 +752,11 @@ def _read_as_argparse(argv):
     """True if the reader takes argv; then assert that its namespace is the
     one the subcommand's argparse parser gives."""
     argv = cli._joined(argv)
-    args = cli._read(argv)
+    try:
+        args = cli._read(argv)
+    except DomainError:  # a value "--", which argparse would read as no value
+        assert any(token.partition("=")[2] == "--" for token in argv[1:]), argv
+        return False
     if args is None:
         return False
     namespace, rest = cli._SUBPARSERS[argv[0]].parse_known_args(argv[1:])

@@ -9,7 +9,7 @@ import pytest
 
 from srq1 import integrals, quadrature
 from srq1.errors import DomainError
-from srq1.integrals import S_FORM_X, f_b, f_e
+from srq1.integrals import f_b, f_e
 
 import oracles
 
@@ -48,7 +48,7 @@ def test_electron_vs_riemann():
 
 @pytest.mark.parametrize("x", [0.1, 0.3, 0.5, 0.7])
 def test_electron_yform_equivalence(x):
-    # the improper y-form and the regularized t-form are the same integral
+    # the improper y-form and the s-form are the same integral
     assert f_e(2, x) == pytest.approx(oracles.f2_e_yform(x), abs=1e-8)
     assert f_e(3, x) == pytest.approx(oracles.f3_e_yform(x), abs=1e-8)
 
@@ -75,7 +75,7 @@ def test_electron_small_x_series():
 
 
 def test_electron_boundary_expansion_path(monkeypatch):
-    # above S_FORM_X, f_2 and f_3 run on the graded s-form pieces, and follow
+    # f_2 and f_3 run on the graded s-form pieces, and follow
     # f = 2 - 3/e -+ (2/e)(1 - x) ln(1 - x) + O(1 - x) as x -> 1: the remainder
     # over 1 - x stays bounded, which a log coefficient off by 2/e (the -4/e
     # of f_2's old truncated expansion) would make grow like ln(1 - x)
@@ -98,11 +98,30 @@ def test_electron_boundary_expansion_path(monkeypatch):
             assert intervals[1][0] == pytest.approx(math.sqrt(d * (2.0 - d)) / x, rel=1e-15)
 
 
-def test_electron_boundary_switch_is_continuous():
-    # f_2, f_3 and f_0 at S_FORM_X (t-form) and the next double up (s-form)
-    above = math.nextafter(S_FORM_X, 1.0)
-    for k in (0, 2, 3):
-        assert f_e(k, above) == pytest.approx(f_e(k, S_FORM_X), rel=1e-13, abs=0.0), k
+def _last_x_with_pieces(n, x):
+    """The largest double that ``_s_pieces`` cuts into n pieces, from a guess x
+    next to it."""
+    while len(integrals._s_pieces(x)) > n:
+        x = math.nextafter(x, 0.0)
+    while len(integrals._s_pieces(math.nextafter(x, 1.0))) == n:
+        x = math.nextafter(x, 1.0)
+    return x
+
+
+@pytest.mark.parametrize("n, guess", [(1, 1.0 / math.sqrt(2.0)),
+                                      (2, 1.0 / math.sqrt(1.0 + 1.0 / 64.0))],
+                         ids=["one-to-two", "two-to-three"])
+def test_s_pieces_cuts_are_continuous(n, guess):
+    # f_2, f_3 and f_0 of both kernels on the last x of n pieces and the next
+    # double up, of n + 1
+    below = _last_x_with_pieces(n, guess)
+    above = math.nextafter(below, 1.0)
+    assert len(integrals._s_pieces(above)) == n + 1
+    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
+        for k in (0, 2, 3):
+            got = integrals._f(kernel, k, above, quadrature.DEFAULT_CONFIG)
+            want = integrals._f(kernel, k, below, quadrature.DEFAULT_CONFIG)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), (kernel.electron, k)
 
 
 def test_f1_series_switch_is_continuous():
@@ -129,7 +148,7 @@ def test_f_k_against_the_mpmath_oracle(kind, x):
     fam = f_e if kind == "e" else f_b
     for k in (0, 1, 2, 3):
         want = float(getattr(ref, f"f{k}"))
-        assert fam(k, x) == pytest.approx(want, rel=1e-13, abs=0.0), k
+        assert fam(k, x) == pytest.approx(want, rel=1.5e-15, abs=0.0), k
 
 
 @pytest.mark.parametrize("fam,xs", [
@@ -161,28 +180,35 @@ def test_domain_errors():
 
 
 def _integrand_reference(kernel, k, x):
-    # the f_2/f_3 integrand of one x and k, written without shared subexpressions
-    def g(t):
-        num = 1.0 - x * t * t
-        if k == 3:
-            num = num * t * t
-        elif k == 2 and kernel.k2_square:
-            num = num * (1.0 + x * t * t) ** 2
-        weight = np.exp(-x * (1.0 - t * t) / (1.0 - x * x * t * t))
-        return num / (1.0 - x * x * t * t) ** kernel.u_power * weight
+    # the f_2/f_3 integrand of one x and k, the formulas of bench/oracle.py
+    # written without shared subexpressions
+    om = (1.0 - x) * (1.0 + x)
+
+    def g(s):
+        y = 1.0 - s * s
+        w = 2.0 * (1.0 + x * y) * np.exp(-(x * y))
+        q = om + x * x * (s * s)
+        if kernel.electron:
+            return w * np.sqrt(q) if k == 2 else w * (s * s) / np.sqrt(q)
+        return w * (1.0 - x * y) ** 2 / np.sqrt(q) if k == 2 else w * (s * s) * np.sqrt(q)
 
     return g
 
 
+def _integrand(kernel, x, k3, s):
+    om = (1.0 - x) * (1.0 + x)
+    return integrals._s_integrand(kernel.electron, x, om, k3, s)
+
+
 def test_integrand_shares_subexpressions_bit_for_bit():
     rng = np.random.default_rng(11)
-    t = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0]])
+    s = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0]])
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for k in (2, 3):
             for x in [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]:
-                got = integrals._integrand(kernel, float(x), k == 3, t)
-                want = _integrand_reference(kernel, k, float(x))(t)
-                assert got.tobytes() == want.tobytes(), (kernel is integrals.BOSON_KERNEL, k, x)
+                got = _integrand(kernel, float(x), k == 3, s)
+                want = _integrand_reference(kernel, k, float(x))(s)
+                assert got.tobytes() == want.tobytes(), (kernel.electron, k, x)
 
 
 def test_integrand_rows_of_mixed_x_and_k_bit_for_bit():
@@ -191,21 +217,21 @@ def test_integrand_rows_of_mixed_x_and_k_bit_for_bit():
     rng = np.random.default_rng(11)
     xs = [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]
     pairs = [(k, float(x)) for x in xs for k in (2, 3)]
-    t = rng.uniform(0.0, 1.0, (len(pairs), 15))
-    t[:, :2] = 0.0, 1.0
+    s = rng.uniform(0.0, 1.0, (len(pairs), 15))
+    s[:, :2] = 0.0, 1.0
     x = np.array([x for _, x in pairs])[:, None]
     k3 = np.array([k == 3 for k, _ in pairs])[:, None]
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
-        got = integrals._integrand(kernel, x, k3, t)
+        got = _integrand(kernel, x, k3, s)
         for row, (k, xr) in enumerate(pairs):
-            want = _integrand_reference(kernel, k, xr)(t[row])
-            assert got[row].tobytes() == want.tobytes(), (kernel is integrals.BOSON_KERNEL, k, xr)
+            want = _integrand_reference(kernel, k, xr)(s[row])
+            assert got[row].tobytes() == want.tobytes(), (kernel.electron, k, xr)
         # one x shared by an f_2 and an f_3 row, as in f_0 or a one-beta batch
         for xr in xs:
-            got = integrals._integrand(kernel, float(xr), np.array([[False], [True]]), t[:2])
+            got = _integrand(kernel, float(xr), np.array([[False], [True]]), s[:2])
             for row, k in enumerate((2, 3)):
-                want = _integrand_reference(kernel, k, float(xr))(t[row])
-                assert got[row].tobytes() == want.tobytes(), (kernel is integrals.BOSON_KERNEL, k, xr)
+                want = _integrand_reference(kernel, k, float(xr))(s[row])
+                assert got[row].tobytes() == want.tobytes(), (kernel.electron, k, xr)
 
 
 def test_f_values_reports_domain_errors_per_pair():
@@ -240,36 +266,36 @@ def test_family_loads_neither_integrals_nor_a_particle():
 
 
 # float.hex of f_k(x) on every branch of the evaluator: the f_1 series
-# (x < 1e-4), the expm1 (x < 0.25) and the closed-form f_1, the t-form
-# quadrature (k = 0, 2, 3), the electron's s-form quadrature (x > S_FORM_X),
-# its exact x = 1 values, and the boson's x = 1 error
+# (x < 1e-4) and the expm1 form of f_1, the s-form quadrature (k = 0, 2, 3)
+# on one piece (x <= 1/sqrt2) and on more, the electron's exact x = 1
+# values, and the boson's x = 1 error
 PINS = [
     ("f_b", 1, 5e-05, "0x1.fffcb9200e68ap-1"),
-    ("f_b", 0, 5e-05, "0x1.5550f6df7f750p+1"),
-    ("f_b", 2, 0.0, "0x1.fffffffffffe5p+0"),
+    ("f_b", 0, 5e-05, "0x1.5550f6df7f760p+1"),
+    ("f_b", 2, 0.0, "0x1.0000000000000p+1"),
     ("f_b", 1, 0.1, "0x1.e5a615ef9be43p-1"),
-    ("f_b", 1, 0.3, "0x1.ae0cf64de4bb7p-1"),
-    ("f_b", 0, 0.3, "0x1.f5414c7a9ad8ap+0"),
-    ("f_b", 2, 0.3, "0x1.4f31b39a75b55p+0"),
-    ("f_b", 3, 0.3, "0x1.4c1f31c04a46ap-1"),
-    ("f_b", 0, 0.9, "0x1.0b15afbff06a4p+0"),
-    ("f_b", 2, 0.9999999, "0x1.e2d590b4445bap-2"),
-    ("f_b", 3, 0.9999999, "0x1.e2d590b4e996dp-2"),
+    ("f_b", 1, 0.3, "0x1.ae0cf64de4bb4p-1"),
+    ("f_b", 0, 0.3, "0x1.f5414c7a9ada6p+0"),
+    ("f_b", 2, 0.3, "0x1.4f31b39a75b68p+0"),
+    ("f_b", 3, 0.3, "0x1.4c1f31c04a47cp-1"),
+    ("f_b", 0, 0.9, "0x1.0b15afbff06b2p+0"),
+    ("f_b", 2, 0.9999999, "0x1.e2d590b54bc88p-2"),
+    ("f_b", 3, 0.9999999, "0x1.e2d590b54b439p-2"),
     ("f_b", 1, 1.0, "0x1.e2d58d8b3bce0p-2"),
     ("f_e", 1, 5e-05, "0x1.fffffffc6bc36p-1"),
-    ("f_e", 0, 5e-05, "0x1.5555554f329f2p+1"),
-    ("f_e", 2, 0.0, "0x1.fffffffffffe5p+0"),
+    ("f_e", 0, 5e-05, "0x1.5555554f32a02p+1"),
+    ("f_e", 2, 0.0, "0x1.0000000000000p+1"),
     ("f_e", 1, 0.1, "0x1.ff30261837433p-1"),
-    ("f_e", 1, 0.3, "0x1.f95ff7fcff3dep-1"),
-    ("f_e", 0, 0.3, "0x1.49540e00eb117p+1"),
-    ("f_e", 2, 0.3, "0x1.e6616ff7114ffp+0"),
-    ("f_e", 3, 0.3, "0x1.588d581589a5ep-1"),
-    ("f_e", 0, 0.9, "0x1.f3a8555ad7c79p+0"),
-    ("f_e", 2, 0.999998, "0x1.caf2abba47760p-1"),
-    ("f_e", 3, 0.999998, "0x1.caeda26b95f4fp-1"),
-    ("f_e", 2, 0.9999999, "0x1.caf0158ea39dap-1"),
-    ("f_e", 3, 0.9999999, "0x1.caefc64cdf2f9p-1"),
-    ("f_e", 0, 0.9999999, "0x1.caefededc166ap+0"),
+    ("f_e", 1, 0.3, "0x1.f95ff7fcff3dap-1"),
+    ("f_e", 0, 0.3, "0x1.49540e00eb128p+1"),
+    ("f_e", 2, 0.3, "0x1.e6616ff711518p+0"),
+    ("f_e", 3, 0.3, "0x1.588d581589a70p-1"),
+    ("f_e", 0, 0.9, "0x1.f3a8555ad7c94p+0"),
+    ("f_e", 2, 0.999998, "0x1.caf2abba47779p-1"),
+    ("f_e", 3, 0.999998, "0x1.caeda26b95f66p-1"),
+    ("f_e", 2, 0.9999999, "0x1.caf0158ea39f2p-1"),
+    ("f_e", 3, 0.9999999, "0x1.caefc64cdf30fp-1"),
+    ("f_e", 0, 0.9999999, "0x1.caefededc1680p+0"),
     ("f_e", 1, 1.0, "0x1.caefeaebc992cp-1"),
     ("f_e", 2, 1.0, "0x1.caefeaebc992cp-1"),
     ("f_e", 3, 1.0, "0x1.caefeaebc992cp-1"),

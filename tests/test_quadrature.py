@@ -5,6 +5,7 @@ import math
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -55,6 +56,17 @@ def test_convergence_error_carries_estimate():
     assert err.error_bound > 0
 
 
+def test_a_tolerance_below_rounding_is_never_met():
+    # the Kronrod and Gauss sums of a constant differ by an ulp at most; each
+    # panel's error is still at least 50 eps times its integral of |f|
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    for sign in (1.0, -1.0):
+        with pytest.raises(ConvergenceError) as exc_info:
+            quad_adaptive(lambda t: np.full_like(t, sign), 0.0, 1.0, cfg)
+        assert exc_info.value.estimate == sign
+        assert exc_info.value.error_bound == pytest.approx(50.0 * math.ulp(1.0), rel=1e-12, abs=0.0)
+
+
 def test_nan_integrand_raises_at_once_naming_its_interval():
     start = time.perf_counter()
     with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=r"\[-0\.5, 1\.0\]"):
@@ -96,6 +108,26 @@ def test_config_validation():
     assert QuadratureConfig(abs_tol=1e-3, rel_tol=1e-3).rel_tol == 1e-3
 
 
+def test_gauss_kronrod_constants_are_exact_to_their_digits():
+    # the 15-point Kronrod rule integrates t^k over [-1, 1] exactly for
+    # k <= 22, and the embedded 7-point Gauss rule for k <= 13: at 30 digits
+    # the decimals must do so to 1e-25, and each double must be the nearest
+    with mpmath.workdps(30):
+        nodes = [mpmath.mpf(v) for v in quadrature._XGK]
+        nodes = [-x for x in nodes[:-1]] + nodes[::-1]
+        for weights, nmax, doubles in ((quadrature._WGK, 22, quadrature._KRONROD_W),
+                                       (quadrature._WG, 13, quadrature._GAUSS_W[1::2])):
+            w = [mpmath.mpf(v) for v in weights]
+            w = w + w[-2::-1]
+            rule = nodes if len(w) == 15 else nodes[1::2]
+            for k in range(nmax + 1):
+                exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                sum_k = mpmath.fsum(wi * x**k for wi, x in zip(w, rule))
+                assert abs(sum_k - exact) < 1e-25, (len(w), k)
+            assert doubles.tolist() == [float(v) for v in w]
+        assert quadrature._NODES.tolist() == [float(x) for x in nodes]
+
+
 # --- the lockstep batch against the sequential loop it replaced -----------
 
 def _gk15_reference(f, a, b):
@@ -103,7 +135,8 @@ def _gk15_reference(f, a, b):
     y = f(0.5 * (a + b) + half * quadrature._NODES)
     kronrod = half * float(quadrature._KRONROD_W @ y)
     gauss = half * float(quadrature._GAUSS_W @ y)
-    return kronrod, abs(kronrod - gauss)
+    rounding = 50.0 * math.ulp(1.0) * (half * float(quadrature._KRONROD_W @ np.abs(y)))
+    return kronrod, max(abs(kronrod - gauss), rounding)
 
 
 def _quad_reference(f, a, b, cfg=DEFAULT_CONFIG):
@@ -207,7 +240,8 @@ def assert_batch_matches_reference(f, intervals, cfg=DEFAULT_CONFIG):
 
 
 def _kernel_integrand(kernel, k, x):
-    return lambda t: integrals._integrand(kernel, x, k == 3, t)
+    om = (1.0 - x) * (1.0 + x)
+    return lambda s: integrals._s_integrand(kernel.electron, x, om, k == 3, s)
 
 
 def test_paired_bisection_matches_reference_on_f2_f3():
@@ -216,13 +250,15 @@ def test_paired_bisection_matches_reference_on_f2_f3():
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for k in (2, 3):
             for x in xs:
-                assert_same_as_reference(_kernel_integrand(kernel, k, float(x)), 0.0, 1.0)
+                for lo, hi in integrals._s_pieces(float(x)):
+                    assert_same_as_reference(_kernel_integrand(kernel, k, float(x)), lo, hi)
 
 
 def test_paired_bisection_pins_the_panel_count():
-    # electron f_2 in the t-form at 1 - x = 1e-6: 43 GK15 panels in 22 calls
+    # electron f_2 at 1 - x = 1e-6: the GK15 panels of each of its five pieces
     g = _kernel_integrand(integrals.ELECTRON_KERNEL, 2, 1.0 - 1e-6)
-    assert assert_same_as_reference(g, 0.0, 1.0) == 43
+    panels = [assert_same_as_reference(g, lo, hi) for lo, hi in integrals._s_pieces(1.0 - 1e-6)]
+    assert panels == [1, 1, 3, 3, 1]
 
 
 def test_paired_bisection_matches_reference_on_effective_angle(monkeypatch):
@@ -323,17 +359,11 @@ def test_f_values_batch_matches_one_quadrature_per_pair():
             for k, x, value in zip(ks, [x for x in xs for _ in (1, 2, 3)], got):
                 if k == 1:
                     want = kernel.f1(x).hex()
-                elif kernel.s_form and x > integrals.S_FORM_X:
-                    # the s-form's pieces, added from s = 0 up, and its first failing one
-                    om = (1.0 - x) * (1.0 + x)
-                    g = lambda s, k=k, x=x, om=om: integrals._s_integrand(x, om, k == 3, s)
+                else:
+                    # the pieces, added from s = 0 up, and the first failing one
                     want = _outcome(lambda f, a, b, cfg, x=x: sum(
                         _quad_reference(f, lo, hi, cfg) for lo, hi in integrals._s_pieces(x)),
-                        g, 0.0, 1.0, cfg)
-                else:
-                    want = _outcome(_quad_reference, _kernel_integrand(kernel, k, x), 0.0, 1.0, cfg)
-                    if not isinstance(want, tuple):
-                        want = (kernel.prefactors[k - 2](x) * float.fromhex(want)).hex()
+                        _kernel_integrand(kernel, k, x), 0.0, 1.0, cfg)
                 assert _hex(value) == want, (k, x)
 
 
@@ -356,7 +386,7 @@ def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in bench_module("workloads").beta_sweep(3):
             cli.run_cli(argv)
-    assert work == {"calls": 308, "rows": 7366, "integrals": 4138}
+    assert work == {"calls": 274, "rows": 6148, "integrals": 4288}
 
 
 def test_figure_10_maxima_work_is_pinned(monkeypatch):
@@ -372,7 +402,7 @@ def test_figure_10_maxima_work_is_pinned(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run_cli(argv) == 0
         work[argv[argv.index("--s") + 1]] = values[0]
-    assert work == {"0": 63320, "1": 63326, "3": 67636}
+    assert work == {"0": 63321, "1": 63324, "3": 67631}
 
 
 def test_pair_reduction_equals_separate_dots():
