@@ -2,7 +2,7 @@
 """Byte-identity gate: digests of every benchmark invocation, and their diff.
 
 ``record`` runs each argv of seeds 0 and 1 of the three workloads of
-``bench/workloads.py`` (370 invocations), plus the 250 fixed ``EDGE_ARGV``,
+``bench/workloads.py`` (370 invocations), plus the 257 fixed ``EDGE_ARGV``,
 in a fresh ``srq1`` process each and writes, per invocation, the sha256 of
 its stdout and of its stderr and its exit code to a JSON file.  ``diff``
 compares two such files and exits 1 if any invocation differs.  ``--root``
@@ -23,8 +23,12 @@ every invocation whose stdout differs.  It runs the ``check_all`` of
 ``bench/checks.py`` on each, with ``checks.close`` replaced by a recorder
 (nothing in ``bench/`` changes), and prints every cell that changed with its
 abscissa, both printed values, the oracle value, both relative errors, and
-whether the change is closer, equal or farther.  It exits 1 if any cell is
-farther or cannot be compared, or if any exit code, stderr or argv changed.
+whether the change is closer, equal or farther.  A maxima table is judged
+row by row instead: a changed theta_max against ``max_angle_mp``, a root of
+dp/dtheta at 40 digits, p_max against the oracle's p at that root, and an
+exists cell that flipped against the existence rule applied to the oracle.
+It exits 1 if any cell is farther or cannot be compared, or if any exit
+code, stderr or argv changed.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 sys.dont_write_bytecode = True  # leave bench/ as it is
 
 import checks  # noqa: E402
+import mpmath as mp  # noqa: E402
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
@@ -171,6 +176,12 @@ EDGE_ARGV += [
     [*a, "--beta", b] for a in _BETA_SCANS if "electron" in a
     for b in ("0.9845:0.986:7", "0.985171:0.985174:4", "0.99999:0.999995:6")
 ]
+# maxima next to beta = 1: a beta whose maximum stands at the existence
+# threshold, 1e-12 above p(pi/2), and grids on 1 - beta from 1e-3 to 1e-6.
+EDGE_ARGV += (
+    [[*_MAXIMA[3], "--beta", "0.999994277255237"]]
+    + [[*a, "--beta", "0.999:0.999999:4"] for a in _MAXIMA if "-1" in a or "boson" in a]
+)
 _MAIN = "import sys; from srq1.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -248,6 +259,127 @@ def _relative(err, ref):
     return err / abs(ref) if ref != 0.0 else err
 
 
+def _judge(key, name, where, pa, pb, ra, rb, argv) -> bool:
+    """Print one changed cell, printed pa -> pb, against its oracle values
+    ra and rb on each side; True if farther."""
+    ea, eb = _error(np.array([pa, pb], dtype=float), np.array([ra, rb], dtype=float))
+    verdict = "closer" if eb < ea else "equal" if eb == ea else "farther"
+    print(f"{key}: {name} at {float(where)!r}: {pa:.9g} -> {pb:.9g}, oracle {float(rb)!r}, "
+          f"error {_relative(ea, ra):.2e} -> {_relative(eb, rb):.2e}, {verdict}: {argv}")
+    return verdict == "farther"
+
+
+def _p_mp(kind, s, zeta, beta, w):
+    """p_s up to its normalization at w = cos(theta)^2 (s = 0, 3) or cos(theta)
+    (s = 1), at mpmath's working precision, written afresh from the
+    documented densities: r^2 = (A - B beta^2) + B beta^2 cos^2, x = (sqrt A
+    - r)/(sqrt A + r) and x0 the same at cos = 1; straight = 1 - a x and bent
+    = (1 + x)^2 cos^2/straight, phi_2, phi_3 = straight, bent (swapped for
+    the electron's zeta = +1), phi_1 = phi_0/2 + (1 + x) cos; p_s = (1 + x)^3
+    e^-x phi_s/D(x).  (A, B, a, D) is (3, 2, 1, 1) for the boson and (1, 1,
+    x0, 1 - x) for the electron."""
+    electron = kind == "electron"
+    A, B = (1, 1) if electron else (3, 2)
+    b2 = mp.mpf(beta) ** 2  # exact at 40 digits
+    cos2 = w * w if s == 1 else w
+
+    def deform(r2):
+        r = mp.sqrt(r2)
+        return (mp.sqrt(A) - r) / (mp.sqrt(A) + r)
+
+    x = deform((A - B * b2) + B * b2 * cos2)
+    straight = 1 - (deform(A - B * b2) if electron else 1) * x
+    bent = (1 + x) ** 2 * cos2 / straight
+    if s == 3:
+        phi = straight if electron and zeta == 1 else bent
+    else:
+        phi = straight + bent if s == 0 else (straight + bent) / 2 + (1 + x) * w
+    p = (1 + x) ** 3 * mp.exp(-x) * phi
+    return p / (1 - x) if electron else p
+
+
+def max_angle_mp(kind, s, zeta, beta, theta):
+    """(theta_max, margin) at 40 digits from a start theta next to the
+    maximum of p_s: the root of dp/dtheta in (0, pi/2), and by how much p
+    there exceeds the larger of p(0) and p(pi/2), relative; None where no
+    interior maximum is bracketed.  The root is taken in w of ``_p_mp``, in
+    which the stationary point at pi/2 is no root, on a bracket grown about
+    the start until dp/dw falls across it, to 30 digits."""
+    with mp.workdps(40):
+        def dp(w):
+            return mp.diff(lambda v: _p_mp(kind, s, zeta, beta, v), w)
+
+        cos = abs(mp.cos(mp.mpf(theta)))
+        lo = hi = max(cos if s == 1 else cos * cos, mp.mpf(10) ** -30)
+        for _ in range(120):
+            lo, hi = lo / 2, min(2 * hi, mp.mpf(1))
+            if dp(lo) > 0 > dp(hi):
+                break
+        else:
+            return None
+        # Illinois regula falsi to 30 digits in w
+        f_lo, f_hi, side = dp(lo), dp(hi), 0
+        while hi - lo > mp.mpf(10) ** -30 * hi:
+            w = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            f_w = dp(w)
+            if f_w == 0:
+                break
+            if f_w > 0:
+                lo, f_lo, f_hi = w, f_w, f_hi / 2 if side > 0 else f_hi
+                side = 1
+            else:
+                hi, f_hi, f_lo = w, f_w, f_lo / 2 if side < 0 else f_lo
+                side = -1
+        else:
+            w = lo if abs(f_lo) < abs(f_hi) else hi
+        ends = max(_p_mp(kind, s, zeta, beta, mp.mpf(v)) for v in (0, 1))
+        margin = _p_mp(kind, s, zeta, beta, w) / ends - 1
+        return float(mp.acos(w if s == 1 else mp.sqrt(w))), float(margin)
+
+
+def _maxima_diff(key, argv, texts, cache) -> tuple[int, int]:
+    """``_oracle_diff`` of a maxima table, row by row: a changed theta_max or
+    p_max cell against the root of ``max_angle_mp`` and p there, an exists
+    cell that flipped with the margin of the oracle's maximum over both
+    endpoint values (farther if the flip disagrees with the existence rule,
+    p_max above both endpoint values by 1e-12, applied to the oracle)."""
+    call = checks.parse_argv(argv)
+    zeta = call.zeta if call.particle == "electron" else None
+    tables = [checks.parse_output(text, call.fmt).rows for text in texts]
+    changed = bad = 0
+    # the betas the program was given, not their 9-digit print
+    for beta, (_, ea, ta, pa), (_, eb, tb, pb) in zip(checks.value_grid(call.beta).tolist(),
+                                                      *tables):
+        if (ea, ta, pa) == (eb, tb, pb):
+            continue
+        start = float(ta if ea == "true" else tb)
+        if call.unit == "deg":
+            start = np.radians(start)
+        root = max_angle_mp(call.particle, call.s, zeta, beta, start)
+        changed += 1
+        if ea != eb:
+            ends = max(checks.oracle.density(call.particle, call.s, zeta, beta,
+                                             np.array([0.0, checks.HALF_PI]), cache)[0])
+            agrees = (eb == "true") == (root is not None and root[1] * ends > 1e-12)
+            bad += not agrees
+            print(f"{key}: exists at {beta!r}: {ea} -> {eb}, oracle margin "
+                  f"{'none' if root is None else f'{root[1]:.2e}'} over the endpoint "
+                  f"values, {'agrees' if agrees else 'disagrees'}: {argv}")
+            continue
+        if root is None:
+            print(f"{key}: no interior maximum bracketed at {beta!r}: {argv}")
+            bad += 1
+            continue
+        if ta != tb:
+            ref = np.degrees(root[0]) if call.unit == "deg" else root[0]
+            bad += _judge(key, "theta_max", beta, float(ta), float(tb), ref, ref, argv)
+        if pa != pb:
+            ref = checks.oracle.density(call.particle, call.s, zeta, beta,
+                                        np.array([root[0]]), cache)[0][0]
+            bad += _judge(key, "p_max", beta, float(pa), float(pb), ref, ref, argv)
+    return changed, bad
+
+
 def _oracle_diff(key, argv, texts, cache) -> tuple[int, int]:
     """Print each cell of one invocation whose printed value changed; return
     (number of changed cells, number that are farther or not comparable)."""
@@ -255,21 +387,19 @@ def _oracle_diff(key, argv, texts, cache) -> tuple[int, int]:
     if not vb.ok and (va.ok or va.message != vb.message):
         print(f"{key}: check fails: {vb.message}: {argv}")
         return 0, 1
-    if [(c[0], c[1].size) for c in ca] != [(c[0], c[1].size) for c in cb]:
+    if checks.parse_argv(argv).quantity == "max_angle":
+        changed, bad = _maxima_diff(key, argv, texts, cache)
+    elif [(c[0], c[1].size) for c in ca] != [(c[0], c[1].size) for c in cb]:
         print(f"{key}: cells not comparable ({va.message or 'ok'} -> "
               f"{vb.message or 'ok'}): {argv}")
         return 0, 1
-    changed = bad = 0
-    for (name, pa, ra, wa), (_, pb, rb, _) in zip(ca, cb):
-        moved = ~((pa == pb) | (np.isnan(pa) & np.isnan(pb)))
-        ea, eb = _error(pa, ra), _error(pb, rb)
-        for i in np.flatnonzero(moved):
-            verdict = "closer" if eb[i] < ea[i] else "equal" if eb[i] == ea[i] else "farther"
-            changed += 1
-            bad += verdict == "farther"
-            print(f"{key}: {name} at {float(wa[i])!r}: {pa[i]:.9g} -> {pb[i]:.9g}, "
-                  f"oracle {float(rb[i])!r}, error {_relative(ea[i], ra[i]):.2e} -> "
-                  f"{_relative(eb[i], rb[i]):.2e}, {verdict}: {argv}")
+    else:
+        changed = bad = 0
+        for (name, pa, ra, wa), (_, pb, rb, _) in zip(ca, cb):
+            moved = ~((pa == pb) | (np.isnan(pa) & np.isnan(pb)))
+            for i in np.flatnonzero(moved):
+                changed += 1
+                bad += _judge(key, name, wa[i], pa[i], pb[i], ra[i], rb[i], argv)
     if not changed:
         print(f"{key}: stdout changed outside the checked cells: {argv}")
         return 0, 1

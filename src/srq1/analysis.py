@@ -7,13 +7,14 @@ large-gamma asymptotics, and RMS effective angular widths.
 The beta scans ``power_ratio_scan``, ``effective_angle_scan`` and
 ``max_angle_scan`` (and ``table1``) evaluate ``GRID_CHUNK`` betas at a time
 together: the f_2, f_3 of each particle in one batch, the weighted and
-plain width integrals of every beta in one more, and the refinement scans
-of the maxima in lockstep, one (n, 361) profile call per level.  The first
-level's grid, [0, pi/2] in every row, is one row broadcast against the
-betas, and a row whose bracket has collapsed to a few ulps (fewer distinct
-angles than half its points, as at the last level) evaluates each distinct
-angle once.  A width integrates over [0, pi/2] only, on pieces graded
-toward pi/2 at 1/gamma, and s = +-1 takes the width of s = 0.  Each value
+plain width integrals of every beta in one more, and the maxima in
+lockstep: one coarse scan of [0, pi/2], one row broadcast against the
+betas, brackets each maximum, and ``_root`` finds the zero of the slope
+dp/dtheta in every bracket together, one profile call per step.  The slope
+is the complex step of the density body itself (``_slope``), so there is
+no second formula.  ``crossover_beta`` takes its root with ``_root`` too.
+A width integrates over [0, pi/2] only, on pieces graded toward pi/2 at
+1/gamma, and s = +-1 takes the width of s = 0.  Each value
 keeps the bits of its one-beta evaluation, which is the scan of one beta,
 and the error raised is the one a beta-by-beta evaluation meets first:
 betas in grid order, the electron's f_k before the boson's in a ratio (the
@@ -37,8 +38,10 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
 from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
 
 
-# points of each refinement scan of max_angle
-_SCAN_POINTS = 361
+# the coarse scan of max_angle, one row for every beta
+_COARSE = np.linspace(0.0, HALF_PI, 361)[None]
+# the complex step of the slope of p: Im p(theta + ih)/h
+_STEP = 1e-100
 
 
 class Particle(NamedTuple):
@@ -119,22 +122,18 @@ def power_ratio(zeta: int, beta: float,
 
 def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """Speed beta0 where the spin-flip channel starts to outradiate the
-    boson (k(+1; beta0) = 1), found by bisection to 1e-8, plus gamma0."""
-    lo, hi = 0.5, 0.95
-    f_lo = power_ratio(1, lo, cfg) - 1.0
-    f_hi = power_ratio(1, hi, cfg) - 1.0
-    if f_lo * f_hi > 0:
+    boson (k(+1; beta0) = 1), the root of k(+1) - 1 on [0.5, 0.95] by
+    ``_root`` to 1e-13, plus gamma0."""
+    def f(_, betas):
+        return np.array([power_ratio(1, beta, cfg) - 1.0 for beta in betas.tolist()])
+
+    lo, hi = np.array([0.5]), np.array([0.95])
+    f_lo, f_hi = f(None, lo), f(None, hi)
+    if f_lo[0] * f_hi[0] > 0:
         raise ConvergenceError(
             "crossover not bracketed on [0.5, 0.95]; upstream regression?"
         )
-    while hi - lo > 1e-8:
-        mid = 0.5 * (lo + hi)
-        f_mid = power_ratio(1, mid, cfg) - 1.0
-        if f_mid * f_lo <= 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    beta0 = 0.5 * (lo + hi)
+    beta0 = float(_root(f, lo, hi, f_lo, f_hi, 1e-13)[0])
     return beta0, 1.0 / math.sqrt(1.0 - beta0 * beta0)
 
 
@@ -158,35 +157,50 @@ def _particle(kind):
     return PARTICLES[kind]
 
 
-def _row_linspace(a, b):
-    """Row i is np.linspace(a[i], b[i], 361), bit for bit: k * step + a[i] with
-    step = (b[i] - a[i]) / 360, and b[i] last.  np.linspace(a, b, 361, axis=1)
-    is not: once any bracket has shrunk to a point, it forms k / 360 * (b - a)
-    in every row."""
-    step = (b - a) / (_SCAN_POINTS - 1)
-    grid = np.arange(_SCAN_POINTS, dtype=float) * step[:, None] + a[:, None]
-    grid[:, -1] = b
-    return grid
+def _root(g, a, b, ga, gb, tol):
+    """A root of g in each bracket [a[i], b[i]], whose end values ga[i] =
+    g(a[i]) and gb[i] = g(b[i]) differ in sign, to tol: the end of smaller
+    |g| once the bracket is at most tol wide.  g(i, x) is the values at x[j]
+    of the rows i[j].  The rows run in lockstep until the slowest has
+    converged, each on its own values alone.  A row takes the secant step
+    through its last two iterates, its bracket ends at first, where that
+    step stays in its bracket and is shorter than half its step before
+    last, and bisects otherwise; a step shorter than tol/2 goes tol/2
+    toward the far end of the bracket, which then closes on a root that
+    close (Brent, 1973, ch. 4).  Superlinear next to a simple root, and never
+    slower than one halving in two steps."""
+    root = np.array(b, dtype=float)
+    i = np.arange(len(root))
+    x0, g0, x1, g1 = a, ga, b, gb
+    d1 = d2 = np.full(len(i), np.inf)  # the last step and the one before
+    while i.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = x1 - g1 * (x1 - x0) / (g1 - g0)
+        # the last iterate is an end of the bracket
+        inside = (a < x) & (x < b) | (x == x1)
+        x = np.where(inside & (np.abs(x - x1) < 0.5 * d2), x, a + 0.5 * (b - a))
+        x = np.where(np.abs(x - x1) < 0.5 * tol, x1 + np.where(x1 == a, 0.5, -0.5) * tol, x)
+        x0, g0, x1, g1, d1, d2 = x1, g1, x, g(i, x), np.abs(x - x1), d1
+        left = (g1 > 0) == (ga > 0)
+        a, ga = np.where(left, x1, a), np.where(left, g1, ga)
+        b, gb = np.where(left, b, x1), np.where(left, gb, g1)
+        root[i] = np.where(np.abs(ga) < np.abs(gb), a, b)
+        going = b - a > tol
+        i, x0, g0, x1, g1, d1, d2, a, b, ga, gb = (
+            v[going] for v in (i, x0, g0, x1, g1, d1, d2, a, b, ga, gb))
+    return root
 
 
-def _scan_values(profile, rows, grid):
-    """profile(rows, grid), bit for bit, where a row of fewer distinct angles
-    than half its points (a bracket a few ulps wide; the grid is
-    nondecreasing) is evaluated once per distinct angle."""
-    first = np.ones(grid.shape, bool)
-    np.not_equal(grid[:, 1:], grid[:, :-1], out=first[:, 1:])
-    collapsed = 2 * first.sum(axis=1) < _SCAN_POINTS
-    if not collapsed.any():
-        return profile(rows, grid)
-    vals = np.empty_like(grid)
-    if not collapsed.all():
-        vals[~collapsed] = profile(rows[~collapsed], grid[~collapsed])
-    first = first[collapsed]
-    # each angle's place among the distinct angles of the collapsed rows
-    run = np.cumsum(first).reshape(first.shape) - 1
-    owner = np.repeat(rows[collapsed], first.sum(axis=1))
-    vals[collapsed] = profile(owner, grid[collapsed][first][:, None])[run, 0]
-    return vals
+def _slope(profile, rows, theta):
+    """(dp/dtheta)/cos(theta) of the profile's row rows[i] at theta[i, j]:
+    dp/dtheta is the complex step Im p(theta + ih)/h (Squire & Trapp, SIAM
+    Rev. 40, 1998), exact to rounding since no difference is taken.  Over
+    cos it keeps its sign at pi/2, where dp/dtheta of s = 0 and 3 vanishes
+    by symmetry.  A single angle is evaluated twice: numpy multiplies one
+    complex value in place by another loop than two or more, and its last
+    bit can differ."""
+    z = np.repeat(theta, 2, axis=1) if theta.size == 1 else theta
+    return (profile(rows, z + _STEP * 1j).imag / _STEP / np.cos(z))[:, :theta.shape[1]]
 
 
 def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
@@ -194,12 +208,11 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     """Yield the ``max_angle`` report of each beta, in order.
 
     The betas of GRID_CHUNK at a time are located in lockstep: one batch of
-    normalizations, one profile call for p(0) and p(pi/2) of every beta, one
-    call on an (n, 361) grid per refinement level, whose row i refines beta
-    i's bracket exactly as a one-beta scan would (``_scan_values``), and one
-    call for p_max.  The error of the first beta whose normalization fails
-    is raised when that beta is reached.  A beta = 1 limit profile has no
-    interior maximum.
+    normalizations, then profile calls for p(0) and p(pi/2) of every beta,
+    for the coarse scan, for the slopes at the bracket ends, one per step of
+    ``_root`` on the rows still converging, and one for p_max.  A row's
+    values are those of its one-beta scan.  The error of the first beta
+    whose normalization fails is raised when that beta is reached.
     """
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
@@ -207,51 +220,46 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
         profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
-        rows = np.array([i for i, e in enumerate(failed) if e is None], int)
-        row = np.arange(len(rows))
+        # a beta = 1 limit profile depends on theta through |cos theta| alone
+        # and rises toward pi/2: it has no interior maximum
+        body = [e is None and not fam.at_limit(beta) for beta, e in zip(chunk, failed)]
+        rows = np.flatnonzero(body)
         p_lo, p_hi = profile(rows, np.array([[0.0, HALF_PI]])).T
-        a, b = np.zeros(len(rows)), np.full(len(rows), HALF_PI)
-        best_t, best_p = np.zeros(len(rows)), p_lo
-        for level in range(8):
-            grid = _row_linspace(a, b)
-            # the first grid is [0, pi/2] in every row: one row broadcasts
-            vals = _scan_values(profile, rows, grid[:1] if level == 0 else grid)
-            i = vals.argmax(axis=1)
-            better = vals[row, i] > best_p
-            best_t = np.where(better, grid[row, i], best_t)
-            best_p = np.where(better, vals[row, i], best_p)
-            a = grid[row, np.maximum(i - 1, 0)]
-            b = grid[row, np.minimum(i + 1, _SCAN_POINTS - 1)]
-
-        exists = ((0.0 < best_t) & (best_t < HALF_PI) & (best_p > p_lo + 1e-12)
-                  & (best_p > p_hi + 1e-12))
-        theta = 0.5 * (a + b)
-        found = zip(exists.tolist(), theta.tolist(), profile(rows, theta[:, None])[:, 0].tolist())
-        for beta, error in zip(chunk, failed):
+        i = profile(rows, _COARSE).argmax(axis=1)
+        a = _COARSE[0, np.maximum(i - 1, 0)]
+        b = _COARSE[0, np.minimum(i + 1, _COARSE.size - 1)]
+        ga, gb = _slope(profile, rows, np.stack([a, b], axis=1)).T
+        # the rows whose p rises into the bracket and falls out of it
+        up = np.flatnonzero((ga > 0) & (gb < 0))
+        theta = np.full(len(rows), HALF_PI)  # where no root is bracketed
+        theta[up] = _root(lambda j, t: _slope(profile, rows[up[j]], t[:, None])[:, 0],
+                          a[up], b[up], ga[up], gb[up], 1e-14)
+        p_max = np.zeros(len(rows))
+        p_max[up] = profile(rows[up], theta[up, None])[:, 0]
+        exists = (theta < HALF_PI) & (p_max > p_lo + 1e-12) & (p_max > p_hi + 1e-12)
+        found = zip(exists.tolist(), theta.tolist(), p_max.tolist())
+        for beta, error, in_body in zip(chunk, failed, body):
             if error is not None:
                 raise error
-            ok, theta_max, p_max = next(found)
-            # a beta = 1 limit profile depends on theta through |cos theta|
-            # alone and rises toward pi/2: it has no interior maximum
-            ok = ok and not fam.at_limit(beta)
+            ok, theta_max, p = next(found) if in_body else (False, None, None)
             yield ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
                                  theta_max=theta_max if ok else None,
-                                 p_max=p_max if ok else None, exists=ok)
+                                 p_max=p if ok else None, exists=ok)
 
 
 def max_angle(kind: str, s: int, zeta: int | None, beta: float,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> ExtremumReport:
     """Locate an interior maximum of p_s on (0, pi/2), if any.
 
-    A coarse 361-point scan is refined around its best point (the maxima
-    approach pi/2 faster than any fixed grid resolves as gamma grows); an
-    interior maximum is declared only if some refined interior value
-    exceeds both endpoint values by more than 1e-12.  Eight scans shrink
-    the bracket by 180^8 to a few ulps, and its midpoint is theta_max; a
-    scan whose bracket holds fewer distinct angles than half its points
-    evaluates each distinct angle once.
-    This is ``max_angle_scan`` of one beta, which runs the scans of a whole
-    beta grid in lockstep.
+    The best point of a 361-point scan of [0, pi/2] and its two neighbours
+    bracket the maximum; where the slope g = (dp/dtheta)/cos(theta) falls
+    from positive to negative across that bracket, theta_max is its root,
+    to 1e-14 (``_root``).  (The maxima approach pi/2 faster
+    than any fixed grid resolves as gamma grows, so a maximum may sit in the
+    last cell; over cos, the slope keeps its sign at pi/2.)  An interior
+    maximum is declared only if p_max, p at theta_max, exceeds both endpoint
+    values by more than 1e-12.  This is ``max_angle_scan`` of one beta,
+    which runs the root finder over a whole beta grid in lockstep.
     """
     return next(max_angle_scan(kind, s, zeta, [beta], cfg))
 

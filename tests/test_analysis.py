@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,13 +8,14 @@ from srq1 import analysis
 from srq1.analysis import (ExtremumReport, asymptotic_max_angle, crossover_beta,
                            effective_angle, max_angle, max_angle_scan, power_ratio, table1)
 from srq1.electron import x0
-from srq1.errors import ConvergenceError, DomainError
+from srq1.errors import ConvergenceError, DomainError, checked
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
 
 import oracles
-from oracles import count_profile_values
 
 HALF_PI = math.pi / 2
+# the 40-digit mpmath densities and maxima of the improve-only check
+compare_outputs = oracles.bench_module("compare_outputs", "scripts")
 
 
 def test_power_ratio_at_rest():
@@ -35,8 +37,8 @@ def test_crossover():
 
 
 def test_crossover_computes_each_ratio_once(monkeypatch):
-    # each bisection midpoint's ratio is reused when it becomes the lower
-    # end: 2 bracket ends + 26 midpoints (39 calls when lo was recomputed)
+    # the 2 bracket ends and 9 steps of the root finder, each at a beta of
+    # its own (28 calls when bisected to 1e-8)
     calls = []
 
     def counting(*args):
@@ -45,9 +47,14 @@ def test_crossover_computes_each_ratio_once(monkeypatch):
 
     monkeypatch.setattr(analysis, "power_ratio", counting)
     beta0, gamma0 = crossover_beta()
-    assert len(calls) == 28
-    assert (beta0.hex(), gamma0.hex()) == ("0x1.a3d5e65666666p-1",
-                                           "0x1.bf422a4f94451p+0")
+    assert len(calls) == len(set(calls)) == 11
+    assert (beta0.hex(), gamma0.hex()) == ("0x1.a3d5e65fe9ef5p-1",
+                                           "0x1.bf422a646163bp+0")
+
+
+def test_crossover_matches_the_oracle_root():
+    # the secant root of the oracle's k(+1; beta) - 1 (bench/checks.py)
+    assert abs(crossover_beta()[0] - compare_outputs.checks.crossover_beta()) <= 1e-12
 
 
 def test_table1_structure():
@@ -93,36 +100,35 @@ def test_no_divergent_peaking():
     assert rep.exists and rep.p_max < 2.0
 
 
-def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG, grids=None):
-    # max_angle one beta at a time, as it was before the lockstep: eight
-    # separate 361-point scans of the beta's own profile, each grid appended
-    # to ``grids`` if given
+def _max_angle_reference(kind, s, zeta, beta, cfg=DEFAULT_CONFIG):
+    # max_angle one beta at a time: the 361-point scan of the beta's own
+    # profile, then the root finder on the complex-step slope over cos in
+    # the bracket of its best point
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
-    profile = analysis.PARTICLES[kind].family.density_profile(
-        s, -1 if zeta is None else zeta, beta, cfg)
-    p_lo = float(profile(0.0))
-    p_hi = float(profile(HALF_PI))
+    fam = analysis.PARTICLES[kind].family
+    profile, failed = fam.density_profiles(s, -1 if zeta is None else zeta, [beta], cfg)
+    checked(failed)
+    if fam.at_limit(beta):
+        return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta, theta_max=None,
+                              p_max=None, exists=False)
+    p_lo, p_hi = profile(0, np.array([0.0, HALF_PI])).tolist()
+    grid = np.linspace(0.0, HALF_PI, 361)
+    i = int(profile(0, grid).argmax())
 
-    a, b = 0.0, HALF_PI
-    best_t, best_p = 0.0, p_lo
-    for _ in range(8):
-        grid = np.linspace(a, b, 361)
-        if grids is not None:
-            grids.append(grid)
-        vals = np.asarray(profile(grid))
-        i = int(vals.argmax())
-        if vals[i] > best_p:
-            best_t, best_p = float(grid[i]), float(vals[i])
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
+    def slope(_, t):
+        return analysis._slope(profile, np.array([0]), t[:, None])[:, 0]
 
-    exists = (0.0 < best_t < HALF_PI and best_p > p_lo + 1e-12
-              and best_p > p_hi + 1e-12)
-    theta = 0.5 * (a + b) if exists else None
-    return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta, theta_max=theta,
-                          p_max=float(profile(theta)) if exists else None,
-                          exists=exists)
+    a, b = grid[[max(i - 1, 0)]], grid[[min(i + 1, 360)]]
+    ga, gb = slope(None, a), slope(None, b)
+    exists = False
+    if ga[0] > 0 > gb[0]:
+        theta = float(analysis._root(slope, a, b, ga, gb, 1e-14)[0])
+        p_max = float(profile(0, np.array(theta)))
+        exists = theta < HALF_PI and p_max > p_lo + 1e-12 and p_max > p_hi + 1e-12
+    return ExtremumReport(kind=kind, s=s, zeta=zeta, beta=beta,
+                          theta_max=theta if exists else None,
+                          p_max=p_max if exists else None, exists=exists)
 
 
 def _bits(report):
@@ -145,47 +151,91 @@ def _reports(reports):
 _KIND_ZETAS = [("boson", None), ("electron", -1), ("electron", 1), ("electron", None)]
 
 
-def _scan_values_read(betas, grids):
-    """The values that ``max_angle_scan`` reads from its profile for these
-    betas, the eight grids of each in ``grids``: p(0), p(pi/2) and p_max,
-    and each grid in full, or once per distinct angle where fewer than half
-    of its angles differ."""
-    distinct = [np.unique(g).size for g in grids]
-    return 3 * len(betas) + sum(d if 2 * d < 361 else 361 for d in distinct)
-
-
 @pytest.mark.parametrize("kind, zeta", _KIND_ZETAS)
 @pytest.mark.parametrize("s", (0, 1, 3))
 def test_max_angle_scan_matches_the_per_beta_loop(s, kind, zeta, monkeypatch):
     # beta = 1 limit rows, a row next to it, and seeded body rows share the
-    # lockstep calls; every body report keeps the bits of its one-beta scan,
-    # also when the grid spans several chunks.  The electron's beta = 1 limit
-    # profiles rise toward pi/2 and have no interior maximum.  Its last
-    # brackets close to a few ulps at an interior maximum or at pi/2, but
-    # on 361 distinct angles at theta = 0, where the floats are dense: the
-    # first chunk of 7 mixes both kinds of row, each row takes its own path,
-    # and the count of values read shows that the distinct-angle path ran.
+    # lockstep calls, and rows drop out of them as they converge; every
+    # report keeps the bits of its one-beta search, also when the grid spans
+    # several chunks.  The electron's beta = 1 limit profiles rise toward
+    # pi/2 and have no interior maximum.
     rng = np.random.default_rng(1700 + s)
     betas = [0.0, 1.0, 1.0 - 1e-9, 0.9, *rng.uniform(0.0, 1.0, 10).tolist(),
              *(1.0 - 10.0 ** -rng.uniform(1.0, 9.0, 4)).tolist(), 1.0, 0.0]
-    grids = []
-    refs = [_max_angle_reference(kind, s, zeta, b, grids=grids) for b in betas]
-    want = [(b, False, bool, None, None) if kind == "electron" and b == 1.0
-            else _bits(r) for b, r in zip(betas, refs)]
-    collapsed = {2 * np.unique(g).size < 361 for g in grids[7:7 * 8:8]}
-    assert collapsed == ({False, True} if kind == "electron" else {False})
-    values = count_profile_values(monkeypatch)
+    want = [_bits(_max_angle_reference(kind, s, zeta, b)) for b in betas]
     assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
-    assert values[0] == _scan_values_read(betas, grids)
     assert [_bits(max_angle(kind, s, zeta, b)) for b in betas] == want
     monkeypatch.setattr(analysis, "GRID_CHUNK", 7)
-    values[0] = 0
     assert [_bits(r) for r in max_angle_scan(kind, s, zeta, betas)] == want
-    assert values[0] == _scan_values_read(betas, grids)
     # the electron has interior maxima among them, except the pi component
     # of the spin flip; the boson has none
     has_maxima = kind == "electron" and not (s == 3 and zeta == 1)
     assert any(w[1] for w in want) == has_maxima
+
+
+@pytest.mark.parametrize("zeta", (1, -1))
+@pytest.mark.parametrize("s", (0, 1, 3))
+@pytest.mark.parametrize("kind", ("boson", "electron"))
+def test_slope_is_dp_dtheta(kind, s, zeta):
+    # the complex-step slope times cos, over p, against mpmath's numerical
+    # derivative of the density written afresh, at seeded (beta, theta)
+    rng = np.random.default_rng(3000 + 10 * s + zeta)
+    betas = rng.uniform(0.05, 0.999, 6).tolist()
+    thetas = rng.uniform(0.02, HALF_PI - 0.02, 6)
+    profile, _ = analysis.PARTICLES[kind].family.density_profiles(s, zeta, betas)
+    rows = np.arange(6)
+    got = (analysis._slope(profile, rows, thetas[:, None])[:, 0] * np.cos(thetas)
+           / profile(rows, thetas[:, None])[:, 0])
+    for beta, theta, value in zip(betas, thetas.tolist(), got.tolist()):
+        with mpmath.workdps(40):
+            def p(t):
+                cos = mpmath.cos(t)
+                return compare_outputs._p_mp(kind, s, zeta, beta, cos if s == 1 else cos * cos)
+
+            want = float(mpmath.diff(p, theta) / p(theta))
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0), (beta, theta)
+
+
+# the 25 betas of figures 10 and 11, then 1 - beta = 1e-3 to 1e-6
+_ROOT_BETAS = [*compare_outputs.checks.value_grid("0.75:0.995:25").tolist(),
+               *(1.0 - 10.0 ** -k for k in (3, 4, 5, 6))]
+# |theta_max - root| measured where it exceeds 1e-12: next to beta = 1 the
+# slope of s = 0, whose maximum lies within about 2/gamma^2 of pi/2, carries
+# the rounding of 1 - beta^2 sin^2(theta), cancelled to about 1 - beta, into
+# the root; the cancellation-free map of ROADMAP item 3 removes it.  At 1 -
+# beta = 1e-6 s = 0 has no maximum 1e-12 above p(pi/2).
+_ROOT_ERROR = {(0, 1.0 - 1e-5): 9.3e-12}
+
+
+@pytest.mark.parametrize("zeta", (1, -1))
+@pytest.mark.parametrize("s", (0, 1, 3))
+def test_theta_max_is_the_root_of_the_slope(s, zeta):
+    # against the 40-digit mpmath root of dp/dtheta wherever a maximum
+    # exists, to 1e-12 or within 10% of the error measured above
+    found = 0
+    for rep in max_angle_scan("electron", s, zeta, _ROOT_BETAS):
+        if rep.exists:
+            found += 1
+            root, margin = compare_outputs.max_angle_mp("electron", s, zeta, rep.beta,
+                                                        rep.theta_max)
+            bound = 1.1 * _ROOT_ERROR.get((s, rep.beta), 1e-12 / 1.1)
+            assert abs(rep.theta_max - root) <= bound, rep
+            assert margin > 0.0
+    # s = 1 has a maximum at every beta here, s = 0 at all but 1 - beta =
+    # 1e-6, s = 3 from beta = 0.8725 without spin flip and none with it
+    assert found == {0: 28, 1: 29, 3: 17 if zeta == -1 else 0}[s]
+
+
+@pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
+@pytest.mark.parametrize("s", (0, 1, 3))
+def test_p_max_is_above_both_endpoint_values(kind, s, zeta):
+    # next to beta = 1 a maximum's p_max stood below p(pi/2) when the
+    # refinement's last bracket missed it; p at the root exceeds both
+    fam = analysis.PARTICLES[kind].family
+    for rep in max_angle_scan(kind, s, zeta, [1.0 - 10.0 ** -k for k in range(1, 11)]):
+        if rep.exists:
+            ends = fam.density(s, zeta, rep.beta, np.array([0.0, HALF_PI]))
+            assert rep.p_max > ends.max() + 1e-12, rep
 
 
 @pytest.mark.parametrize("kind, zeta, betas", [
@@ -205,25 +255,6 @@ def test_max_angle_scan_raises_the_first_failing_beta(kind, zeta, betas):
     want = _reports(reference())
     assert want[1] is not None and want[1][0] is ConvergenceError
     assert _reports(max_angle_scan(kind, 0, zeta, betas, cfg)) == want
-
-
-def test_row_linspace_is_the_scalar_linspace():
-    # the bracket of each beta's next scan is row i of _row_linspace; its
-    # bits are those of np.linspace(a_i, b_i, 361), also for brackets a few
-    # ulps wide and ones shrunk to a point (where np.linspace(a, b, 361,
-    # axis=1) would change how every other row is formed)
-    rng = np.random.default_rng(17)
-    a = rng.uniform(0.0, HALF_PI, 64)
-    b = np.minimum(a + 10.0 ** -rng.uniform(0.0, 16.0, 64), HALF_PI)
-    ulps = rng.integers(0, 5, 16)
-    a[:16] = rng.uniform(0.0, HALF_PI, 16)
-    b[:16] = a[:16] + ulps * np.spacing(a[:16])
-    a[16], b[16] = 0.0, HALF_PI
-    assert (a == b).any() and (a < b).any()
-    grid = analysis._row_linspace(a, b)
-    assert grid.shape == (64, 361)
-    for i in range(64):
-        assert grid[i].tobytes() == np.linspace(a[i], b[i], 361).tobytes(), i
 
 
 def test_asymptotic_max_angle_values():

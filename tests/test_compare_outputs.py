@@ -83,3 +83,65 @@ def test_oracle_diff_passes_a_change_toward_the_oracle(tmp_path):
     a, b = _pair(tmp_path, ("closer",))
     assert _diff(a, b, oracle=True)[0] == 0
     assert _diff(a, b)[0] == 1  # the byte-identity diff still reports it
+
+
+MAXIMA = ["maxima", "--particle", "electron", "--s", "0", "--beta", "0.6:0.9:3"]
+
+
+def _maxima_edit(text, beta, cells):
+    """A maxima table with the exists, theta_max and p_max cells of one row
+    replaced: a callable of the old cells, or the new cells."""
+    lines = text.split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{beta},"))
+    old = lines[i].split(",")[1:]
+    lines[i] = ",".join([beta, *(cells(old) if callable(cells) else cells)])
+    return "\n".join(lines)
+
+
+def _maxima_pair(tmp_path, before, after):
+    """Records of MAXIMA whose stdouts are the exact table edited by before
+    and by after, each a list of (beta, cells) edits."""
+    exact = _stdout(MAXIMA)
+    texts = []
+    for edits in (before, after):
+        text = exact
+        for beta, cells in edits:
+            text = _maxima_edit(text, beta, cells)
+        texts.append(text)
+    return (_record(tmp_path, "before", {"maxima": (MAXIMA, 0, texts[0])}),
+            _record(tmp_path, "after", {"maxima": (MAXIMA, 0, texts[1])}))
+
+
+def _scaled(column, factor):
+    return lambda old: [f"{float(c) * factor:.9g}" if i == column else c
+                        for i, c in enumerate(old)]
+
+
+def test_oracle_diff_judges_theta_max_and_p_max_against_the_root(tmp_path):
+    # theta_max 1e-6 off the root before, at it after: closer; p_max at the
+    # oracle before, 1e-6 off after: farther
+    code, out = _diff(*_maxima_pair(tmp_path, [("0.75", _scaled(1, 1 + 1e-6))],
+                                    [("0.9", _scaled(2, 1 + 1e-6))]), oracle=True)
+    assert code == 1
+    cells = [line for line in out.splitlines() if line.startswith("maxima: ")
+             and " at " in line]
+    assert len(cells) == 2
+    assert cells[0].startswith("maxima: theta_max at 0.75: ") and ", closer: " in cells[0]
+    assert "oracle 0.59143853462336" in cells[0]
+    assert cells[1].startswith("maxima: p_max at 0.9: ") and ", farther: " in cells[1]
+
+
+def test_oracle_diff_reports_each_exists_flip_with_the_oracle_margin(tmp_path):
+    # a maximum reported where p has none (beta = 0.6) and one missed (0.75),
+    # both mended: each flip agrees with the existence rule on the oracle
+    a, b = _maxima_pair(tmp_path, [("0.6", ["true", "0.5", "0.5"]),
+                                   ("0.75", ["false", "none", "none"])], [])
+    code, out = _diff(a, b, oracle=True)
+    flips = [line for line in out.splitlines() if ": exists at " in line]
+    assert code == 0
+    assert flips[0].startswith("maxima: exists at 0.6: true -> false, oracle margin none ")
+    assert flips[1].startswith("maxima: exists at 0.75: false -> true, oracle margin 1.10e-02 ")
+    assert all(", agrees: " in line for line in flips)
+    # the reverse flips are refused by the checks of the new table
+    code, out = _diff(b, a, oracle=True)
+    assert code == 1 and "maxima: check fails: " in out

@@ -386,15 +386,17 @@ def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in bench_module("workloads").beta_sweep(3):
             cli.run_cli(argv)
-    assert work == {"calls": 274, "rows": 6148, "integrals": 4288}
+    assert work == {"calls": 240, "rows": 6080, "integrals": 4220}
 
 
 def test_figure_10_maxima_work_is_pinned(monkeypatch):
     # the p_s values that each maxima call of figure 10 reads from its
-    # profile, which no bookkeeping change may move: 2 + 8 x 361 + 1 per beta
-    # (72 275 per call) before a last bracket collapsed to a few ulps was
-    # evaluated once per distinct angle.  Of s = 3's 25 betas, the 12 without
-    # an interior maximum close on theta = 0 and keep their full last grid.
+    # profile, which no bookkeeping change may move: per beta p(0), p(pi/2),
+    # the 361-point scan, the slopes at both bracket ends, one slope per
+    # step of the root finder (4 to 7 a beta; twice for a step that one
+    # beta takes alone) and p_max; the 12 of s = 3's 25 betas without an
+    # interior maximum take no step.  63 321, 63 324 and 67 631 when seven
+    # finer 361-point scans refined each bracket.
     values = count_profile_values(monkeypatch)
     work = {}
     for argv in FIGURE_SCANS[10]:
@@ -402,7 +404,7 @@ def test_figure_10_maxima_work_is_pinned(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run_cli(argv) == 0
         work[argv[argv.index("--s") + 1]] = values[0]
-    assert work == {"0": 63321, "1": 63324, "3": 67631}
+    assert work == {"0": 9278, "1": 9282, "3": 9208}
 
 
 def test_pair_reduction_equals_separate_dots():
