@@ -220,8 +220,8 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
         profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
-        # a beta = 1 limit profile depends on theta through |cos theta| alone
-        # and rises toward pi/2: it has no interior maximum
+        # the electron's beta = 1 profile depends on theta through |cos theta|
+        # alone and rises toward pi/2: it has no interior maximum
         body = [e is None and not fam.at_limit(beta) for beta, e in zip(chunk, failed)]
         rows = np.flatnonzero(body)
         p_lo, p_hi = profile(rows, np.array([[0.0, HALF_PI]])).T

@@ -27,7 +27,7 @@ SQRT3 = math.sqrt(3.0)
 XBAR0_MAX = 2.0 - SQRT3
 
 BOSON = Family(xmap=(3.0, 2.0, SQRT3), shape_power=2, power_const=(4.0, 81.0),
-               f=partial(integrals.f_values, integrals.BOSON_KERNEL), limit=None)
+               f=partial(integrals.f_values, integrals.BOSON_KERNEL), spin=False)
 
 xbar0 = BOSON.x0
 shape_integral_b = BOSON.shape_integral

@@ -10,8 +10,9 @@ through a spin flip and is suppressed by the factor d(+1; beta) = x0, while
 zeta = -1 has d = 1, and the two linear components switch places under
 zeta -> -zeta.  The shapes, densities, polarization fractions and power
 W_0 = d(zeta) (A(beta)/6) f(beta) are those of the ``ELECTRON`` record of
-``family.Family``.  At beta = 1 its densities are the closed-form limit
-profiles held here, except at theta = pi/2 (``is_double_limit_point``),
+``family.Family``, whose one density formula serves beta = 1 too: there
+it equals, to rounding, the closed-form limit profiles held here for the
+``limits`` quantity, except at theta = pi/2 (``is_double_limit_point``),
 where the two iterated limits disagree and the fixed-beta theta-limit
 values are served.
 """
@@ -32,12 +33,9 @@ from .kinematics import power_prefactor  # noqa: F401  (only for bench/trace_lay
 
 _TWO_E_MINUS_3 = 2.0 * math.e - 3.0
 
-# limit is looked up here at each call, so that a wrapper installed here sees
-# every call
 ELECTRON = Family(
     xmap=(1.0, 1.0, 1.0), shape_power=1, power_const=(1.0, 6.0),
-    f=partial(integrals.f_values, integrals.ELECTRON_KERNEL),
-    limit=lambda s, zeta, theta: ultrarelativistic_density(s, zeta, theta))
+    f=partial(integrals.f_values, integrals.ELECTRON_KERNEL), spin=True)
 
 x0 = ELECTRON.x0
 spin_factor = ELECTRON.spin_factor

@@ -1,12 +1,12 @@
 """One model of the n = nu = 1 radiation, written once for both particles.
 
 A particle is a ``Family`` record; ``boson.BOSON`` and ``electron.ELECTRON``
-live with their particles.  With u = beta^2 sin^2(theta), or u = beta^2 for x0:
+live with their particles.  In exact arithmetic, with c = cos(theta):
 
-    r = sqrt(A - B u),   x = (sqrt(A) - r) / (sqrt(A) + r)
-    straight = 1 - a x,  bent = (1 + x)^2 cos^2(theta) / straight
+    r = sqrt(A - B beta^2 sin^2(theta)),   x = (sqrt(A) - r) / (sqrt(A) + r)
+    x0 = x at theta = pi/2,   straight = 1 - a x,   bent = (1 + x)^2 c^2 / straight
     phi_2, phi_3 = straight, bent      (swapped for an electron with zeta = +1)
-    phi_0 = phi_2 + phi_3,   phi_g = phi_0/2 + g (1 + x) cos(theta)
+    phi_0 = phi_2 + phi_3,   phi_g = phi_0/2 + g (1 + x) c
     p_s = (1 + x)^3 e^-x phi_s / (D(x) (1 + x0)^2 f_0(x0))
     f(beta) = 3 (1 + x0)^m f_0(x0) / 8,   W_0 = c(zeta) A(beta) f(beta)
 
@@ -15,39 +15,35 @@ live with their particles.  With u = beta^2 sin^2(theta), or u = beta^2 for x0:
     electron  1, 1, 1         x0   1 - x   1   d(zeta)/6
 
 where d(+1) = x0 is the electron's spin-flip suppression and d(-1) = 1.
-The pole 1/(1 - x) of the electron's column leaves its p_s no beta = 1
-value, so its record carries ``limit``, the closed-form limit profile, and
-``spin`` is that a record has one: a = x0, D(x) = 1 - x, and zeta selects
-phi_2/phi_3 and scales W_0; the boson ignores zeta.  A record reads its f_k
-through ``f`` (``integrals`` evaluates them).  At beta = 1 (``at_limit``)
-a spin record serves the limit profile for theta != pi/2, and at theta =
-pi/2, where the two iterated limits disagree by a factor 2
-(``at_double_limit``), the fixed-beta theta-limit values.  There phi_s is
-the ratio of its limit profiles times phi_0 = 4|cos|/(1 + |cos|), so the
-local polarization is that ratio off pi/2.
+``spin`` marks the electron's column: a = x0, D(x) = 1 - x, and zeta
+selects phi_2/phi_3 and scales W_0; the boson ignores zeta.  A record
+reads its f_k through ``f`` (``integrals`` evaluates them).
 
-Theta may be an array: ``local_polarization`` and the densities evaluate a
-whole theta scan in one pass, as the CLI's theta scans do.  The density
-body is written once, with numpy's pow and ``np.exp``, in the profiles of
-``density_profiles``: ``density_profile`` is its profile of one beta, and
-``density`` is that profile applied to theta.  Numpy's ufuncs give a
+Every beta-dependent term is a sum of terms of one sign (Higham, 2002,
+ch. 1): lead = A - B beta^2 = (A - B) + B (1 - beta)(1 + beta), r =
+sqrt(lead + B beta^2 c^2), x = B beta^2 sin^2 / (sqrt(A) + r)^2, 1 - x =
+2r / (sqrt(A) + r), straight = (1 - a) + a (1 - x), and phi_g = root^2 /
+(2 straight), root = straight + g (1 + x) c, which where g c < 0 is
+(1 - a) x + 2 lead sin^2 / ((r + sqrt(A)|c|)(sqrt(A) + r)).  So one formula
+serves every beta: at beta = 1 the electron's lead and 1 - x0 vanish, its
+body stays finite off theta = pi/2, and its dark half is 0.  At pi/2
+(``at_double_limit``) the body is 0/0 and the iterated limits differ by a
+factor 2: the densities take the fixed-beta theta-limit values, the local
+polarization has none, and phi_s is 0.
+
+Theta may be an array, as in the CLI's theta scans; numpy's ufuncs give a
 scalar, a 0-d array and every element of an array the same bits, so each
-array value is its one-point value.  phi_s, behind ``phi`` and
-``local_polarization``, squares by products as the body does, and both
-read one ``_phi``.  The body runs in place: after the sine and the
-deformation map each stage writes into an array it owns, with the operands
-and order of the plain expression, whose bits it keeps; a 0-d theta runs
-as a one-element array, and the rows of a profile call may share one
-theta row.
+array value is its one-point value.  The density body is written once, in
+the profiles of ``density_profiles`` (``density_profile`` and ``density``
+are their one-beta cases), and runs in place: each stage writes into an
+array it owns, with the operands and order of the plain expression.
 
 A beta scan (``shape_integral_scan``, ``total_power_scan``,
 ``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
 checks every beta, then evaluates the f_k of ``GRID_CHUNK`` betas at a time
-in one call of ``f``, so that their quadratures run together and the memory
-of a scan stays bounded at any grid length.  It yields beta by beta and
-raises a failed f_k when its beta is reached, in the order of a beta-by-beta
-evaluation.  The one-beta methods are scans of one beta, so the arithmetic
-after f_k is written once and the bits agree.
+in one call of ``f``, which bounds its memory at any grid length.  It yields
+beta by beta and raises a failed f_k when its beta is reached, as a
+beta-by-beta evaluation would; the one-beta methods are scans of one beta.
 """
 
 from __future__ import annotations
@@ -73,42 +69,11 @@ class PowerResult(NamedTuple):
     shape: float  # the dimensionless factor f(beta)
 
 
-def _deform(u, A, B, sqrt_A):
-    r = np.sqrt(A - B * u)
-    return (sqrt_A - r) / (sqrt_A + r)
-
-
 def _cos(theta):
     # cos(float(pi/2)) is ~6e-17, not 0; snap theta = pi/2 alone to exact 0
     cos = np.asarray(np.cos(theta))
     cos[theta == HALF_PI] = 0.0
     return cos
-
-
-def _phi(s, swap, x, a, theta):
-    """(phi_s, phi_0, 1 + x) at deformation x, an array of ndim >= 1 that is
-    left as it is; a is the coupling in 1 - a x.  Each result is an array of
-    its own (phi_s is phi_0 for s = 0), built in place."""
-    cos = _cos(theta)
-    opx = 1.0 + x
-    straight = a * x
-    np.subtract(1.0, straight, out=straight)
-    bent = opx * opx
-    bent *= cos
-    bent *= cos
-    bent /= straight
-    if s in (2, 3):
-        if (s == 2) != swap:
-            return straight, np.add(straight, bent, out=bent), opx
-        return bent, np.add(straight, bent, out=straight), opx
-    phi0 = np.add(straight, bent, out=bent)
-    if s == 0:
-        return phi0, phi0, opx
-    term = s * opx
-    term *= cos
-    phi_s = np.multiply(0.5, phi0, out=straight)
-    phi_s += term
-    return phi_s, phi0, opx
 
 
 @dataclass(frozen=True)
@@ -117,17 +82,11 @@ class Family:
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
     f: Callable         # (ks, xs, cfg) -> f_k(x) of each pair, or the error it raises
-    limit: Callable | None  # (s, zeta, theta) -> the beta = 1 density; None without the pole
-
-    @property
-    def spin(self) -> bool:
-        """Spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales.  Its pole
-        at beta = 1 is why a record has a ``limit``."""
-        return self.limit is not None
+    spin: bool          # spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales
 
     def at_limit(self, beta: float) -> bool:
-        """True at beta = 1 of a record with a ``limit``, which serves it."""
-        return self.limit is not None and beta == 1.0
+        """True at beta = 1 of spin 1/2: the body is 0/0 at pi/2 alone."""
+        return self.spin and beta == 1.0
 
     def check(self, beta, theta=None, zeta=None):
         kinematics.validate_beta(beta)
@@ -140,48 +99,99 @@ class Family:
         """True for zeta = +1 of spin 1/2: phi_2, phi_3 swap and W_0 scales by x0."""
         return self.spin and zeta == 1
 
-    def _x1(self, u: float) -> float:
-        """``_deform`` at one u in float arithmetic: the same operations in the
-        same order, so the same bits, without numpy's cost per call."""
+    def _x1(self, beta, cos2=0.0, sin2=1.0):
+        """(B beta^2, lead, x, 1 - x) at one beta, cos^2 and sin^2 (x0 by
+        default), with the operations of ``_phi`` in its order, so its bits."""
         A, B, sqrt_A = self.xmap
-        r = math.sqrt(A - B * u)
-        return (sqrt_A - r) / (sqrt_A + r)
+        bb2 = B * (beta * beta)
+        lead = (A - B) + B * ((1.0 - beta) * (1.0 + beta))
+        r = math.sqrt(lead + bb2 * cos2)
+        spr = r + sqrt_A
+        return bb2, lead, sin2 * bb2 / spr / spr, 2.0 * r / spr
+
+    def _row(self, beta):
+        """(B beta^2, lead, a, 1 - a), the body's coefficients at one beta."""
+        row = self._x1(beta)
+        return row if self.spin else (*row[:2], 1.0, 0.0)
 
     def x0(self, beta: float) -> float:
         kinematics.validate_beta(beta)
-        return self._x1(beta * beta)
+        return self._x1(beta)[2]
 
     def deformation(self, beta: float, theta: float) -> tuple[float, float]:
         self.check(beta, theta)
-        s = math.sin(theta)
-        return self.x0(beta), self._x1(beta * beta * s * s)
+        c = 0.0 if theta == HALF_PI else math.cos(theta)
+        s = 0.0 if theta == math.pi else math.sin(theta)
+        return self.x0(beta), self._x1(beta, c * c, s * s)[2]
 
-    def _x(self, b2, theta):
-        """The deformation x at beta^2 = b2, a float or a column per row of
-        theta, an array of ndim >= 1; in an array of its own."""
+    def _phi(self, s, swap, theta, bb2, lead, a, oma, phi0=True):
+        """(phi_s, phi_0, x, 1 + x, 1 - x) at theta, an array of ndim >= 1
+        left as it is, for the ``_row`` values, each a float or a column per
+        row of theta; arrays of their own, built in place (without ``phi0``
+        the phi_0 of s = +-1 is None).  A complex theta
+        (the slope's complex step) stays analytic: the dark half is chosen by
+        the real part of s cos, and |cos| is -s cos there."""
+        cos = _cos(theta)
+        cos2 = cos * cos
         sin2 = np.sin(theta)
+        sin2[theta == math.pi] = 0.0  # sin(float(pi)) is ~1.2e-16, not 0
         sin2 *= sin2
-        return _deform(b2 * sin2, *self.xmap)
+        r = cos2 * bb2
+        r += lead
+        np.sqrt(r, out=r)
+        spr = r + self.xmap[2]
+        x = sin2 * bb2
+        x /= spr
+        x /= spr
+        omx = 2.0 * r
+        omx /= spr
+        if s in (1, -1):
+            # the root of phi_s on the dark half, s cos < 0
+            dark = (cos.real < 0.0) if s == 1 else (cos.real > 0.0)
+            if dark.any():
+                dark_root = r + (-s * self.xmap[2]) * cos
+                dark_root *= spr
+                np.divide(sin2 * (2.0 * lead), dark_root, out=dark_root, where=dark)
+                dark_root += oma * x
+        # r and sqrt(A) + r are spent: their arrays take straight and 1 + x
+        straight = np.multiply(a, omx, out=r)
+        straight += oma
+        opx = np.add(1.0, x, out=spr)
+        if s in (1, -1):
+            root = s * opx
+            root *= cos
+            root += straight
+            if dark.any():
+                np.copyto(root, dark_root, where=dark)
+            root *= root
+            root /= straight
+            root *= 0.5
+            if not phi0:
+                return root, None, x, opx, omx
+        bent = opx * opx
+        bent *= cos2
+        bent /= straight
+        if s in (2, 3):
+            if (s == 2) != swap:
+                return straight, np.add(straight, bent, out=bent), x, opx, omx
+            return bent, np.add(straight, bent, out=straight), x, opx, omx
+        phi0 = np.add(straight, bent, out=bent)
+        return (phi0 if s == 0 else root), phi0, x, opx, omx
 
     def _phis(self, s, zeta, beta, theta):
-        """(phi_s, phi_0) at theta, a float or an array.  ``at_limit`` phi_s is
-        the ratio of the limit profiles times phi_0, which is 0 at pi/2 where
-        the body formula is 0/0."""
-        if self.at_limit(beta):
-            c = np.abs(_cos(theta))
-            phi0 = 4.0 * c / (1.0 + c)
-            return self.limit(s, zeta, theta) / self.limit(0, zeta, theta) * phi0, phi0
+        """(phi_s, phi_0) at theta, a float or an array."""
         if np.ndim(theta) == 0:
             phi_s, phi0 = self._phis(s, zeta, beta, np.reshape(theta, 1))
             return phi_s[0], phi0[0]
-        a = self.x0(beta) if self.spin else 1.0
-        phi_s, phi0, _ = _phi(s, self._swap(zeta), self._x(beta * beta, theta), a, theta)
-        return phi_s, phi0
+        return self._phi(s, self._swap(zeta), theta, *self._row(beta))[:2]
 
     def phi(self, s: int, zeta, beta: float, theta: float) -> float:
-        """Polarization shape phi_s(zeta; beta, theta)."""
+        """Polarization shape phi_s(zeta; beta, theta); 0 at the double-limit
+        point, where both iterated limits are 0 and the body is 0/0."""
         kinematics.validate_s(s)
         self.check(beta, theta, zeta)
+        if self.at_double_limit(beta, theta):
+            return 0.0
         return float(self._phis(s, zeta, beta, theta)[0])
 
     def at_double_limit(self, beta: float, theta) -> bool:
@@ -191,9 +201,8 @@ class Family:
 
     def local_polarization(self, s: int, zeta, beta: float, theta):
         """Pointwise polarization fraction phi_s/phi_0 at a scalar theta (a
-        float) or a theta array (an array), the ratio of the limit profiles
-        ``at_limit``; AmbiguousLimitError if theta holds the double-limit
-        point, where it depends on the order of the limits."""
+        float) or a theta array (an array); AmbiguousLimitError if theta holds
+        the double-limit point, where it depends on the order of the limits."""
         kinematics.validate_s(s)
         self.check(beta, theta, zeta)
         if self.at_double_limit(beta, theta):
@@ -239,18 +248,16 @@ class Family:
             for x0, values in self._f_rows(ks, betas[start:start + GRID_CHUNK], cfg):
                 yield x0, checked(values)
 
-    def _body(self, s, swap, theta, b2, a, norm):
-        """p_s at theta for beta^2 = b2, coupling a and normalization norm,
-        each a float or a column per row of theta.  The cube is np.power: ``**``
-        on a numpy scalar would take C's pow, whose last bit can differ.  After
-        the deformation map each stage writes into an array it owns."""
+    def _body(self, s, swap, theta, bb2, lead, a, oma, norm):
+        """p_s at theta for the ``_row`` values and the normalization norm,
+        each a float or a column per row of theta, in place.  The cube is
+        np.power: ``**`` on a numpy scalar would take C's pow."""
         if theta.ndim == 0:
-            return self._body(s, swap, theta.reshape(1), b2, a, norm)[0]
-        x = self._x(b2, theta)
-        phi_s, _, opx = _phi(s, swap, x, a, theta)
+            return self._body(s, swap, theta.reshape(1), bb2, lead, a, oma, norm)[0]
+        phi_s, _, x, opx, omx = self._phi(s, swap, theta, bb2, lead, a, oma, phi0=False)
         den = norm
         if self.spin:
-            den = 1.0 - x
+            den = omx
             den *= norm
         num = np.power(opx, 3, out=opx)
         np.negative(x, out=x)
@@ -265,43 +272,32 @@ class Family:
         ``betas[rows]``; for 1-D rows, row i of the (n, k) array theta at
         ``betas[rows[i]]``, or a (1, k) theta at every row.  Returned with,
         per beta, the error that its normalization f_2, f_3 raises, or None;
-        the normalizations of all betas run as one batch.  ``at_limit`` a
-        beta takes the limit profile, which needs no f_k, and a call without
-        a limit row evaluates the body on theta as it is."""
+        the normalizations run as one batch.  An ``at_limit`` cell at pi/2
+        takes the fixed-beta theta-limit value, every other the body."""
         kinematics.validate_s(s)
         for beta in betas:
             self.check(beta, zeta=zeta)
         swap = self._swap(zeta)
-        at_limit = np.array([self.at_limit(beta) for beta in betas], bool)
-        inside = np.flatnonzero(~at_limit).tolist()
-        # per beta: beta^2, the coupling a and the normalization of the body
-        params, failed = np.ones((len(betas), 3)), [None] * len(betas)
-        for i, (x0, fk) in zip(inside, self._f_rows((2, 3), [betas[i] for i in inside], cfg)):
+        # per beta: the _row values, the normalization of the body, at_limit
+        params, failed = np.ones((len(betas), 6)), [None] * len(betas)
+        params[:, 5] = [self.at_limit(beta) for beta in betas]
+        for i, (beta, (x0, fk)) in enumerate(zip(betas, self._f_rows((2, 3), betas, cfg))):
             failed[i] = next((v for v in fk if isinstance(v, Exception)), None)
             if failed[i] is None:
-                params[i] = (betas[i] * betas[i], x0 if self.spin else 1.0,
-                             (1.0 + x0) ** 2 * (fk[0] + fk[1]))
-        if at_limit.any():
-            # at the double-limit point the limit profile takes the fixed-beta
-            # theta-limit values: the linear component that survives the spin
-            # selection has twice the beta-first limit and the other one none
-            at_half_pi = self.limit(s, zeta, HALF_PI)
-            if s in (2, 3):
-                at_half_pi *= 2.0 if (s == 2) != swap else 0.0
+                params[i, :5] = (*self._row(beta), (1.0 + x0) ** 2 * (fk[0] + fk[1]))
+        # as beta -> 1, p_s at pi/2 tends to 16/(e norm) phi_s/phi_0 at cos = 0:
+        # the linear component that survives the spin selection takes all of
+        # phi_0 and the other one none
+        ratio = {0: 1.0, 1: 0.5, -1: 0.5}.get(s, float((s == 2) != swap))
 
         def profile(rows, theta):
-            lim = at_limit[rows]
+            *cols, lim = params[rows] if np.ndim(rows) == 0 else params[rows].T[..., None]
             if not lim.any():
-                b2, a, norm = params[rows] if np.ndim(rows) == 0 else params[rows].T[..., None]
-                return self._body(s, swap, theta, b2, a, norm)
-            if np.ndim(rows):
-                theta = np.broadcast_to(theta, (len(rows), theta.shape[1]))
-            if lim.all():
-                return np.where(theta == HALF_PI, at_half_pi, self.limit(s, zeta, theta))
-            values = np.empty(theta.shape)
-            values[lim] = profile(rows[lim], theta[lim])
-            values[~lim] = profile(rows[~lim], theta[~lim])
-            return values
+                return self._body(s, swap, theta, *cols)
+            with np.errstate(invalid="ignore"):
+                values = self._body(s, swap, theta, *cols)
+            return np.where((lim == 1.0) & (theta == HALF_PI), 16.0 / (math.e * cols[4]) * ratio,
+                            values)
 
         return profile, failed
 

@@ -148,8 +148,8 @@ def photon_frequency(spec: ParticleSpec, state: KinematicState, req: PhotonReque
 
 
 def power_prefactor(beta: float) -> float:
-    """A(beta) = beta^6/(1 - beta^2); infinite at beta = 1."""
+    """A(beta) = beta^6/((1 - beta)(1 + beta)); infinite at beta = 1."""
     validate_beta(beta)
     if beta == 1.0:
         return math.inf
-    return beta**6 / (1.0 - beta**2)
+    return beta**6 / ((1.0 - beta) * (1.0 + beta))

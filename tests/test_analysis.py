@@ -48,8 +48,8 @@ def test_crossover_computes_each_ratio_once(monkeypatch):
     monkeypatch.setattr(analysis, "power_ratio", counting)
     beta0, gamma0 = crossover_beta()
     assert len(calls) == len(set(calls)) == 11
-    assert (beta0.hex(), gamma0.hex()) == ("0x1.a3d5e65fe9ef5p-1",
-                                           "0x1.bf422a646163bp+0")
+    assert (beta0.hex(), gamma0.hex()) == ("0x1.a3d5e65fe9ef4p-1",
+                                           "0x1.bf422a646163ap+0")
 
 
 def test_crossover_matches_the_oracle_root():
@@ -154,10 +154,10 @@ _KIND_ZETAS = [("boson", None), ("electron", -1), ("electron", 1), ("electron", 
 @pytest.mark.parametrize("kind, zeta", _KIND_ZETAS)
 @pytest.mark.parametrize("s", (0, 1, 3))
 def test_max_angle_scan_matches_the_per_beta_loop(s, kind, zeta, monkeypatch):
-    # beta = 1 limit rows, a row next to it, and seeded body rows share the
+    # beta = 1 rows, a row next to it, and seeded body rows share the
     # lockstep calls, and rows drop out of them as they converge; every
     # report keeps the bits of its one-beta search, also when the grid spans
-    # several chunks.  The electron's beta = 1 limit profiles rise toward
+    # several chunks.  The electron's beta = 1 profiles rise toward
     # pi/2 and have no interior maximum.
     rng = np.random.default_rng(1700 + s)
     betas = [0.0, 1.0, 1.0 - 1e-9, 0.9, *rng.uniform(0.0, 1.0, 10).tolist(),
@@ -196,34 +196,29 @@ def test_slope_is_dp_dtheta(kind, s, zeta):
         assert value == pytest.approx(want, rel=1e-12, abs=0.0), (beta, theta)
 
 
-# the 25 betas of figures 10 and 11, then 1 - beta = 1e-3 to 1e-6
+# the 25 betas of figures 10 and 11, then 1 - beta = 1e-3 to 1e-6 and 1e-9,
+# where the slope of s = 0, whose maximum lies within about 2/gamma^2 of
+# pi/2, would carry any rounding of 1 - beta^2 sin^2(theta) into the root
 _ROOT_BETAS = [*compare_outputs.checks.value_grid("0.75:0.995:25").tolist(),
-               *(1.0 - 10.0 ** -k for k in (3, 4, 5, 6))]
-# |theta_max - root| measured where it exceeds 1e-12: next to beta = 1 the
-# slope of s = 0, whose maximum lies within about 2/gamma^2 of pi/2, carries
-# the rounding of 1 - beta^2 sin^2(theta), cancelled to about 1 - beta, into
-# the root; the cancellation-free map of ROADMAP item 3 removes it.  At 1 -
-# beta = 1e-6 s = 0 has no maximum 1e-12 above p(pi/2).
-_ROOT_ERROR = {(0, 1.0 - 1e-5): 9.3e-12}
+               *(1.0 - 10.0 ** -k for k in (3, 4, 5, 6, 9))]
 
 
 @pytest.mark.parametrize("zeta", (1, -1))
 @pytest.mark.parametrize("s", (0, 1, 3))
 def test_theta_max_is_the_root_of_the_slope(s, zeta):
     # against the 40-digit mpmath root of dp/dtheta wherever a maximum
-    # exists, to 1e-12 or within 10% of the error measured above
+    # exists, to 1e-12
     found = 0
     for rep in max_angle_scan("electron", s, zeta, _ROOT_BETAS):
         if rep.exists:
             found += 1
             root, margin = compare_outputs.max_angle_mp("electron", s, zeta, rep.beta,
                                                         rep.theta_max)
-            bound = 1.1 * _ROOT_ERROR.get((s, rep.beta), 1e-12 / 1.1)
-            assert abs(rep.theta_max - root) <= bound, rep
+            assert abs(rep.theta_max - root) <= 1e-12, rep
             assert margin > 0.0
     # s = 1 has a maximum at every beta here, s = 0 at all but 1 - beta =
-    # 1e-6, s = 3 from beta = 0.8725 without spin flip and none with it
-    assert found == {0: 28, 1: 29, 3: 17 if zeta == -1 else 0}[s]
+    # 1e-6 and 1e-9, s = 3 from beta = 0.8725 without spin flip and none with it
+    assert found == {0: 28, 1: 30, 3: 18 if zeta == -1 else 0}[s]
 
 
 @pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
@@ -244,7 +239,7 @@ def test_p_max_is_above_both_endpoint_values(kind, s, zeta):
     ("electron", 1, [0.99999999999999, 1.0, 0.3]),
 ])
 def test_max_angle_scan_raises_the_first_failing_beta(kind, zeta, betas):
-    # unreachable tolerances: the limit row and the x -> 1 expansion need no
+    # unreachable tolerances: the beta = 1 row and the x -> 1 expansion need no
     # quadrature, so their reports come first; the first quadrature fails
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import srq1.io
-from srq1 import analysis, boson, electron, family, kinematics
+from srq1 import analysis, boson, electron, kinematics
 from srq1.cli import run_cli
 from srq1.errors import AmbiguousLimitError, ConvergenceError, DomainError
 from srq1.quadrature import DEFAULT_CONFIG, QuadratureConfig
@@ -77,7 +77,7 @@ def test_photon_frequency(spec, beta):
 
 
 # The CLI's density and the profile that analysis maximizes and integrates:
-# at beta = 0, next to beta = 1 and at beta = 1 (limit profile), with pi/2
+# at beta = 0, next to beta = 1 and at beta = 1 (the double limit), with pi/2
 # on the grid
 PROFILE_BETAS = (0.0, 1.0 - 1e-6, 1.0)
 PARTICLE_ZETAS = [("boson", -1), ("electron", 1), ("electron", -1)]
@@ -174,8 +174,8 @@ def test_double_limit_scan_takes_the_array_path(fmt, monkeypatch):
 
 # ---------- theta within 1e-8 of pi/2 at beta = 1, not snapped to it ----------
 
-# There sin^2(theta) rounds to 1, so the body formula would meet x = 1 and
-# divide 0 or inf by inf; the ratio of the limit profiles is exactly 1/2.
+# There sin^2(theta) rounds to 1, but 1 - x = 2r/(1 + r) with r = |cos(theta)|
+# keeps its digits, and the linear components' share prints as 1/2.
 _NEAR_HALF_PI = ("scan --quantity q_local --particle electron --s 2 --beta 1 "
                  "--theta 1.5707963267:1.5707963269:9").split()
 _NEAR_HEAD = ("# quantity=q_local\n# version=0.1.0\n# abs_tol=1e-10\n# rel_tol=1e-10\n"
@@ -234,7 +234,8 @@ def test_beta_1_q_local_is_exact_on_a_fine_grid(s, zeta):
 
 def test_density_profiles_rows_match_each_profile():
     # one call for the profiles of a whole beta grid (the width scans) gives
-    # each row the bits of its beta's own analysis profile, beta = 1 included
+    # each row the bits of its beta's own analysis profile, beta = 1 and its
+    # pi/2 cell included, on (n, k) rows and on one (1, k) row for all
     rows = _RNG.integers(0, len(BETAS), 40)
     theta = _RNG.uniform(0.0, math.pi, (40, 15))
     theta[:8, 0] = HALF_PI
@@ -243,25 +244,11 @@ def test_density_profiles_rows_match_each_profile():
             for s in S_VALUES:
                 profile, failed = fam.density_profiles(s, zeta, list(BETAS))
                 assert failed == [None] * len(BETAS)
-                got = profile(rows, theta)
+                got, shared = profile(rows, theta), profile(rows, theta[:1])
                 for r, b in enumerate(rows):
-                    want = fam.density_profile(s, zeta, BETAS[b])(theta[r])
-                    assert got[r].tobytes() == want.tobytes(), (fam.spin, zeta, s, BETAS[b])
-
-
-def test_density_profiles_all_at_the_limit_match_the_mixed_rows():
-    # a call whose rows are all at the beta = 1 limit takes the limit profile
-    # on theta as it is; a mixed call takes it on the limit rows alone
-    rows = _RNG.integers(0, 2, 40)
-    theta = _RNG.uniform(0.0, math.pi, (40, 15))
-    theta[:8, 0] = HALF_PI
-    for zeta in ZETAS:
-        for s in S_VALUES:
-            at_limit, _ = electron.ELECTRON.density_profiles(s, zeta, [1.0, 1.0])
-            mixed, _ = electron.ELECTRON.density_profiles(s, zeta, [0.5, 1.0])
-            lim = rows == 1
-            got = at_limit(rows, theta)[lim]
-            assert got.tobytes() == mixed(rows, theta)[lim].tobytes(), (zeta, s)
+                    one = fam.density_profile(s, zeta, BETAS[b])
+                    assert got[r].tobytes() == one(theta[r]).tobytes(), (fam.spin, zeta, s, b)
+                    assert shared[r].tobytes() == one(theta[0]).tobytes(), (fam.spin, zeta, s, b)
 
 
 def test_density_profiles_report_each_failed_normalization():
@@ -269,7 +256,7 @@ def test_density_profiles_report_each_failed_normalization():
     for fam in (boson.BOSON, electron.ELECTRON):
         _, failed = fam.density_profiles(0, -1, list(BETAS), cfg)
         for beta, error in zip(BETAS, failed):
-            if fam.at_limit(beta):  # the limit profile needs no f_k
+            if fam.at_limit(beta):  # f_2 = f_3 = 2 - 3/e exactly, with no quadrature
                 assert error is None
                 continue
             with pytest.raises(ConvergenceError) as want:
@@ -280,33 +267,46 @@ def test_density_profiles_report_each_failed_normalization():
 
 # ---------- the in-place density body against its plain expressions ----------
 
-# family._phi and Family._body as they read before they ran in place: one new
-# array per operation.  Every stage of the in-place chain must keep these bits.
-def _x_reference(fam, b2, theta):
-    sin = np.sin(theta)
+# Family._phi and Family._body as plain expressions: one new array per
+# operation.  Every stage of the in-place chain must keep these bits.
+def _row_reference(fam, beta):
     A, B, sqrt_A = fam.xmap
-    r = np.sqrt(A - B * (b2 * (sin * sin)))
-    return (sqrt_A - r) / (sqrt_A + r)
+    bb2 = B * (beta * beta)
+    lead = (A - B) + B * ((1.0 - beta) * (1.0 + beta))
+    r0 = math.sqrt(lead)
+    x0 = bb2 / (r0 + sqrt_A) / (r0 + sqrt_A)
+    return (bb2, lead, x0, 2.0 * r0 / (r0 + sqrt_A)) if fam.spin else (bb2, lead, 1.0, 0.0)
 
 
-def _phi_reference(s, swap, x, a, theta):
+def _map_reference(fam, theta, bb2, lead):
     cos = np.where(theta == HALF_PI, 0.0, np.cos(theta))
+    sin = np.where(theta == math.pi, 0.0, np.sin(theta))
+    r = np.sqrt(cos * cos * bb2 + lead)
+    spr = r + fam.xmap[2]
+    return cos, sin * sin, r, spr, sin * sin * bb2 / spr / spr, 2.0 * r / spr
+
+
+def _phi_reference(fam, s, swap, theta, bb2, lead, a, oma):
+    cos, sin2, r, spr, x, omx = _map_reference(fam, theta, bb2, lead)
     opx = 1.0 + x
-    straight = 1.0 - a * x
-    bent = opx * opx * cos * cos / straight
+    straight = a * omx + oma
+    bent = opx * opx * (cos * cos) / straight
     phi0 = straight + bent
     if s in (2, 3):
         return (straight if (s == 2) != swap else bent), phi0
     if s == 0:
         return phi0, phi0
-    return 0.5 * phi0 + s * opx * cos, phi0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dark = oma * x + sin2 * (2.0 * lead) / ((r + (-s * fam.xmap[2]) * cos) * spr)
+    root = np.where(s * cos < 0.0, dark, straight + s * opx * cos)
+    return root * root / straight * 0.5, phi0
 
 
-def _body_reference(fam, s, swap, theta, b2, a, norm):
-    x = _x_reference(fam, b2, theta)
-    opx = 1.0 + x
-    num = np.power(opx, 3) * np.exp(-x) * _phi_reference(s, swap, x, a, theta)[0]
-    return num / ((1.0 - x) * norm) if fam.spin else num / norm
+def _body_reference(fam, s, swap, theta, bb2, lead, a, oma, norm):
+    x, omx = _map_reference(fam, theta, bb2, lead)[4:]
+    phi_s = _phi_reference(fam, s, swap, theta, bb2, lead, a, oma)[0]
+    num = np.power(1.0 + x, 3) * np.exp(-x) * phi_s
+    return num / (omx * norm) if fam.spin else num / norm
 
 
 def _hex(values):
@@ -331,21 +331,24 @@ _BODY_THETAS = np.concatenate([[0.0, HALF_PI, math.pi], _RNG.uniform(0.0, math.p
 @pytest.mark.parametrize("fam", [boson.BOSON, electron.ELECTRON], ids=["boson", "electron"])
 @pytest.mark.parametrize("s", S_VALUES)
 def test_body_keeps_the_bits_of_its_plain_expressions(s, fam, zeta):
+    # not the electron's beta = 1 row, whose pi/2 cell, where the body is 0/0, is replaced
     betas = [b for b in BODY_BETAS if not fam.at_limit(b)]
     swap = fam._swap(zeta)
-    x0s = [float(_x_reference(fam, b * b, HALF_PI)) for b in betas]
+    rows0 = [_row_reference(fam, b) for b in betas]
+    x0s = [float(_map_reference(fam, np.array([HALF_PI]), *row[:2])[4][0]) for row in rows0]
     assert x0s == [fam.x0(b) for b in betas]
+    assert rows0 == [fam._row(b) for b in betas]
     fks = fam.f((2, 3) * len(betas), [x0 for x0 in x0s for _ in (2, 3)], DEFAULT_CONFIG)
-    params = np.array([(b * b, x0 if fam.spin else 1.0, (1.0 + x0) ** 2 * (f2 + f3))
-                       for b, x0, f2, f3 in zip(betas, x0s, fks[::2], fks[1::2])])
+    params = np.array([(*row, (1.0 + x0) ** 2 * (f2 + f3))
+                       for row, x0, f2, f3 in zip(rows0, x0s, fks[::2], fks[1::2])])
     profile, failed = fam.density_profiles(s, zeta, betas)
     assert failed == [None] * len(betas)
     # (n, k) rows and one (1, k) row broadcast against every beta
     rows = np.arange(len(betas)).repeat(3)
     theta = np.resize(_BODY_THETAS, (len(rows), 12))
-    b2, a, norm = params[rows].T[..., None]
+    cols = params[rows].T[..., None]
     for t in (theta, theta[:1]):
-        want, warned = _runtime_warnings(lambda: _body_reference(fam, s, swap, t, b2, a, norm))
+        want, warned = _runtime_warnings(lambda: _body_reference(fam, s, swap, t, *cols))
         got, warns = _runtime_warnings(lambda: profile(rows, t))
         assert got.shape == theta.shape and _hex(got) == _hex(want)
         assert warns == warned
@@ -365,8 +368,7 @@ def test_body_keeps_the_bits_of_its_plain_expressions(s, fam, zeta):
                 assert fam.density(s, zeta, beta, arg).hex() == got.hex()
 
         # phi_s and phi_s/phi_0, a float for a float or a 0-d theta
-        phi_s, phi0 = _phi_reference(s, swap, _x_reference(fam, beta * beta, _BODY_THETAS),
-                                     params[i][1], _BODY_THETAS)
+        phi_s, phi0 = _phi_reference(fam, s, swap, _BODY_THETAS, *params[i][:4])
         want_q = np.ones_like(phi0) if s == 0 else phi_s / phi0
         for t in (_BODY_THETAS, _BODY_THETAS.reshape(4, 9)):
             got, warns = _runtime_warnings(lambda: fam.local_polarization(s, zeta, beta, t))
@@ -388,13 +390,16 @@ X1_THETAS = [0.0, HALF_PI, math.pi, *_X1_RNG.uniform(0.0, math.pi, len(X1_BETAS)
 
 @pytest.mark.parametrize("fam", [boson.BOSON, electron.ELECTRON], ids=["boson", "electron"])
 def test_scalar_deformation_keeps_the_bits_of_the_array_map(fam):
+    # x0 and the one-point x against the body's array map, which takes x0 at
+    # pi/2, at a row of each beta's coefficients
     assert abs(electron.x0(0.998614) - 0.9) < 1e-5
-    sines = [math.sin(t) for t in X1_THETAS]
-    for us, got in (([b * b for b in X1_BETAS], [fam.x0(b) for b in X1_BETAS]),
-                    ([b * b * s * s for b, s in zip(X1_BETAS, sines)],
-                     [fam.deformation(b, t)[1] for b, t in zip(X1_BETAS, X1_THETAS)])):
+    rows = np.array([fam._row(b) for b in X1_BETAS]).T
+    for thetas, got in ((np.full(len(X1_BETAS), HALF_PI), [fam.x0(b) for b in X1_BETAS]),
+                        (np.array(X1_THETAS), [fam.deformation(b, t)[1]
+                                               for b, t in zip(X1_BETAS, X1_THETAS)])):
         assert all(type(x) is float for x in got)
-        want = family._deform(np.array(us), *fam.xmap).tolist()
+        with np.errstate(invalid="ignore"):  # phi_0, not x, is 0/0 at the double limit
+            want = fam._phi(0, False, thetas, *rows)[2].tolist()
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
 

@@ -3,12 +3,18 @@
 import contextlib
 import io
 import json
+import math
 
+import pytest
+
+from srq1.analysis import PARTICLES
 from srq1.cli import run_cli
+from srq1.quadrature import DEFAULT_CONFIG
 
 from oracles import bench_module
 
 compare_outputs = bench_module("compare_outputs", "scripts")
+HALF_PI = math.pi / 2
 
 ARGV = {key: ["scan", "--quantity", "freq", "--particle", "boson", "--beta", "0.5",
               "--theta", theta]
@@ -145,3 +151,44 @@ def test_oracle_diff_reports_each_exists_flip_with_the_oracle_margin(tmp_path):
     # the reverse flips are refused by the checks of the new table
     code, out = _diff(b, a, oracle=True)
     assert code == 1 and "maxima: check fails: " in out
+
+
+TIE = ["scan", "--quantity", "p", "--particle", "boson", "--s", "1", "--beta", "0.999999",
+       "--theta", "2.049417967569301"]
+
+
+def _tie_pair(tmp_path, printed):
+    """Records of TIE, in a directory of their own, whose p cells print
+    printed[0], then printed[1]."""
+    tmp_path.mkdir()
+    exact = _stdout(TIE)
+    return [_record(tmp_path, name, {"tie": (TIE, 0, exact.replace("0.0190261746", p))})
+            for name, p in zip(("before", "after"), printed)]
+
+
+def test_oracle_diff_breaks_a_rounding_tie_at_40_digits(tmp_path):
+    # p = 0.019026174550000004 lies 4e-18 above the rounding boundary, closer
+    # than the oracle's f_k resolve it; at 40 digits the upper print is nearer
+    assert "\n2.04941797,0.0190261746\n" in _stdout(TIE)
+    up = ("0.0190261745", "0.0190261746")
+    code, out = _diff(*_tie_pair(tmp_path / "up", up), oracle=True)
+    assert code == 0 and "tie: p (40 digits) at 2.049417967569301: " in out
+    assert "oracle 0.019026174550000004, " in out and ", closer: " in out
+    code, out = _diff(*_tie_pair(tmp_path / "down", up[::-1]), oracle=True)
+    assert code == 1 and ", farther: " in out
+
+
+def test_density_mp_is_the_program_density():
+    # the tie-break's 40-digit density against the program's, to 1e-13,
+    # off the electron's double limit
+    for kind, zetas in (("boson", (-1,)), ("electron", (1, -1))):
+        for zeta in zetas:
+            for s in (0, 1, -1, 2, 3):
+                for beta in (0.0, 0.7, 0.999999, 1.0):
+                    for theta in (0.3, HALF_PI, 2.5):
+                        if kind == "electron" and beta == 1.0 and theta == HALF_PI:
+                            continue
+                        want = float(compare_outputs.density_mp(kind, s, zeta, beta, theta))
+                        got = PARTICLES[kind].density(s, zeta, beta, theta, DEFAULT_CONFIG)
+                        assert got == pytest.approx(want, rel=1e-13, abs=1e-40), (
+                            kind, zeta, s, beta, theta)

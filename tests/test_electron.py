@@ -165,8 +165,9 @@ def test_only_the_electron_at_beta_one_is_at_the_limit():
 
 
 def test_beta_one_phi_is_finite_and_vanishes_at_half_pi():
-    # phi_2 = phi_3 = 2|cos|/(1 + |cos|) at beta = 1, and every phi_s is 0 at
-    # pi/2, where the body formula is 0/0
+    # phi_2 = phi_3 = 2|cos|/(1 + |cos|) at beta = 1, phi_{+-1} is exactly 0
+    # on its dark half, and every phi_s is 0 at pi/2, where the body formula
+    # is 0/0
     thetas = [0.0, 1.0, 1.5707963267, HALF_PI - 1e-15, HALF_PI,
               HALF_PI + 1e-15, 1.5707963268, 2.5, math.pi]
     with warnings.catch_warnings():
@@ -179,7 +180,10 @@ def test_beta_one_phi_is_finite_and_vanishes_at_half_pi():
                         2.0 * c / (1.0 + c), rel=1e-15, abs=0.0), (s, zeta, t)
                 phi0 = phi_e(0, zeta, 1.0, t)
                 assert phi0 == pytest.approx(4.0 * c / (1.0 + c), rel=1e-15, abs=0.0)
-                assert phi_e(1, zeta, 1.0, t) + phi_e(-1, zeta, 1.0, t) == phi0
+                circular = [phi_e(g, zeta, 1.0, t) for g in (1, -1)]
+                assert sum(circular) == pytest.approx(phi0, rel=1e-15, abs=0.0)
+                if t != HALF_PI:  # the dark half: s = 1 below cos = 0, s = -1 above
+                    assert circular[0 if np.cos(t) < 0.0 else 1] == 0.0
                 if t == HALF_PI:
                     assert [phi_e(s, zeta, 1.0, t) for s in (0, 1, -1, 2, 3)] == [0.0] * 5
 
@@ -223,13 +227,19 @@ def test_local_polarization():
                 local_polarization_e(3, zeta, beta, t) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(AmbiguousLimitError):
         local_polarization_e(2, -1, 1.0, HALF_PI)
-    # at beta = 1 away from the ambiguous angle: the ratio of the limit profiles
+    # at beta = 1 away from the ambiguous angle: 1/2 for the linear
+    # components to rounding, and for the circular ones exactly 0 on the dark
+    # half and 1 to rounding on the other
     for zeta in (1, -1):
         for t in (1.0, HALF_PI - 1e-9, HALF_PI + 1e-9, 2.5):
-            assert local_polarization_e(2, zeta, 1.0, t) == 0.5
-            assert local_polarization_e(3, zeta, 1.0, t) == 0.5
-            assert local_polarization_e(1, zeta, 1.0, t) == (1.0 if t < HALF_PI else 0.0)
-            assert local_polarization_e(-1, zeta, 1.0, t) == (0.0 if t < HALF_PI else 1.0)
+            assert local_polarization_e(2, zeta, 1.0, t) == pytest.approx(0.5, rel=1e-15)
+            assert local_polarization_e(3, zeta, 1.0, t) == pytest.approx(0.5, rel=1e-15)
+            for g in (1, -1):
+                q = local_polarization_e(g, zeta, 1.0, t)
+                if (g == 1) == (t < HALF_PI):
+                    assert q == pytest.approx(1.0, rel=1e-15)
+                else:
+                    assert q == 0.0
 
 
 def test_domain_errors():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -119,3 +120,14 @@ def test_power_prefactor():
     assert math.isinf(power_prefactor(1.0))
     beta = 0.6
     assert power_prefactor(beta) == pytest.approx(beta**6 / (1 - beta**2), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", range(6, 16))
+def test_power_prefactor_next_to_beta_one(k):
+    # beta^6/((1 - beta)(1 + beta)) against 40-digit mpmath at the float beta:
+    # 1 - beta is exact there, where 1 - beta^2 would round beta^2 first
+    beta = 1.0 - 10.0 ** -k
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        want = b ** 6 / ((1 - b) * (1 + b))
+    assert power_prefactor(beta) == pytest.approx(float(want), rel=1e-14, abs=0.0)

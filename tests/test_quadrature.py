@@ -404,7 +404,7 @@ def test_figure_10_maxima_work_is_pinned(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run_cli(argv) == 0
         work[argv[argv.index("--s") + 1]] = values[0]
-    assert work == {"0": 9278, "1": 9282, "3": 9208}
+    assert work == {"0": 9276, "1": 9282, "3": 9208}
 
 
 def test_pair_reduction_equals_separate_dots():
