@@ -6,8 +6,9 @@ large-gamma asymptotics, and RMS effective angular widths.
 
 The beta scans ``power_ratio_scan``, ``effective_angle_scan`` and
 ``max_angle_scan`` (and ``table1``) evaluate ``GRID_CHUNK`` betas at a time
-together: the f_2, f_3 of each particle in one batch, the weighted and
-plain width integrals of every beta in one more, and the maxima in
+together: the f_2, f_3 of each particle in one call, the ratios as columns
+(see ``family``), the weighted and plain width integrals of every beta in
+one batch, and the maxima in
 lockstep: one coarse scan of [0, pi/2], one row broadcast against the
 betas, brackets each maximum, and ``_root`` finds the zero of the slope
 dp/dtheta in every bracket together, one profile call per step.  The slope
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import boson, electron, family, kinematics
-from .errors import ConvergenceError, DomainError, checked
+from .errors import ConvergenceError, DomainError
 from .family import GRID_CHUNK, HALF_PI
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
 from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
@@ -97,18 +98,33 @@ class EffectiveAngleReport:
     definition_id: str = "rms"
 
 
-def power_ratio_scan(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Yield ``power_ratio`` at each beta, in order.  The f_2, f_3 of both
-    particles at GRID_CHUNK betas at a time run as one batch per particle,
-    and the first error of a sequential evaluation (betas in order, the
-    electron's before the boson's) is raised when its beta is reached."""
+def _shape_chunks(first, second, betas, cfg):
+    """Yield (beta, f(beta) of ``first``, f(beta) of ``second``, the
+    electron's x0, error) per GRID_CHUNK betas, as arrays: the f_2, f_3 of
+    each particle in one batch, and the rows of the betas before the first
+    whose f_k fails in either, with that beta's error, ``first``'s before
+    ``second``'s (None if none failed)."""
+    for a, b in zip(first.f_chunks((2, 3), betas, cfg), second.f_chunks((2, 3), betas, cfg)):
+        m = min(len(a[2]), len(b[2]))
+        error = next((c[3] for c in (a, b) if len(c[2]) == m and c[3] is not None), None)
+        shapes = [fam.shape(c[1][:m], c[2][:m]) for fam, c in ((first, a), (second, b))]
+        yield a[0][:m], *shapes, (a if first.spin else b)[1][:m], error
+
+
+def power_ratio_rows(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Per GRID_CHUNK betas: the (m, 2) array of beta and ``power_ratio``,
+    and the error of a sequential evaluation (betas in order, the
+    electron's f_k before the boson's) raised after it, or None."""
     if zeta not in (1, -1):
         raise DomainError(f"zeta must be +1 or -1, got {zeta}")
-    shapes = zip(electron.ELECTRON.shape_integral_scan(betas, cfg),
-                 boson.BOSON.shape_integral_scan(betas, cfg))
-    for beta, (fe, fb) in zip(betas, shapes):
+    for beta, fe, fb, x0, error in _shape_chunks(electron.ELECTRON, boson.BOSON, betas, cfg):
         k_minus = 27.0 / 8.0 * fe / fb
-        yield k_minus if zeta == -1 else electron.x0(beta) * k_minus
+        yield np.column_stack((beta, k_minus if zeta == -1 else x0 * k_minus)), error
+
+
+def power_ratio_scan(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Yield ``power_ratio`` at each beta, in order (see ``power_ratio_rows``)."""
+    yield from (k for _, k in family.rows_of(power_ratio_rows(zeta, betas, cfg)))
 
 
 def power_ratio(zeta: int, beta: float,
@@ -137,18 +153,20 @@ def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float
     return beta0, 1.0 / math.sqrt(1.0 - beta0 * beta0)
 
 
+def table1_rows(cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The (11, 5) array of ``table1``: beta, f_b, f_e, k_minus and k_plus."""
+    betas = [i / 10.0 for i in range(11)]
+    # one chunk; the boson's errors come first, as in a sequential evaluation
+    [(beta, fb, fe, x0, error)] = _shape_chunks(boson.BOSON, electron.ELECTRON, betas, cfg)
+    if error is not None:
+        raise error
+    k_minus = 27.0 / 8.0 * fe / fb
+    return np.column_stack((beta, fb, fe, k_minus, x0 * k_minus))
+
+
 def table1(cfg: QuadratureConfig = DEFAULT_CONFIG) -> list[RatioRow]:
     """Shape factors and power ratios for beta = 0.0, 0.1, ..., 1.0."""
-    betas = [i / 10.0 for i in range(11)]
-    rows = []
-    # the boson's errors come first, as in a sequential evaluation
-    shapes = zip(boson.BOSON.shape_integral_scan(betas, cfg),
-                 electron.ELECTRON.shape_integral_scan(betas, cfg))
-    for beta, (fb, fe) in zip(betas, shapes):
-        k_minus = 27.0 / 8.0 * fe / fb
-        rows.append(RatioRow(beta=beta, f_b=fb, f_e=fe, k_minus=k_minus,
-                             k_plus=electron.x0(beta) * k_minus))
-    return rows
+    return [RatioRow(*row) for row in table1_rows(cfg).tolist()]
 
 
 def _particle(kind):
@@ -291,21 +309,22 @@ def _width_pieces(beta):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
+def effective_angle_rows(kind: str, s: int, zeta: int | None, betas,
                          cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Yield the RMS width delta of ``effective_angle`` at each beta, in order.
+    """Per GRID_CHUNK betas: the (m, 2) array of beta and the RMS width delta
+    of ``effective_angle`` of the betas before the first whose integrals
+    fail, and that beta's error, raised after it, or None.
 
     p_0, p_2 and p_3 are even about pi/2, at the beta = 1 limit too, and so
     is the weight (theta - pi/2)^2, so both integrals run over [0, pi/2]
     only.  p_{+-1} = p_0/2 +- a term odd about pi/2, so s = +-1 integrates
-    p_0 and its width is delta_0, bit for bit.  The integrals of GRID_CHUNK
-    betas at a time run as two batches: the normalizations f_2, f_3 of their
-    profiles, then, for each beta whose normalization converged, the
-    weighted and the plain integral on each of its ``_width_pieces``.  A
-    beta's sums add its pieces from theta = 0 up.  The first error of a
-    sequential evaluation (betas in order; within a beta f_2, f_3, the
-    weighted pieces, then the plain pieces) is raised when its beta is
-    reached.
+    p_0 and its width is delta_0, bit for bit.  The integrals of a chunk run
+    as two batches: the normalizations f_2, f_3 of their profiles, then, for
+    each beta whose normalization converged, the weighted and the plain
+    integral on each of its ``_width_pieces``.  A beta's sums add its pieces
+    from theta = 0 up.  The error is the first of a sequential evaluation
+    (betas in order; within a beta f_2, f_3, the weighted pieces, then the
+    plain pieces).
     """
     fam = _particle(kind).family
     kinematics.validate_s(s)
@@ -329,12 +348,25 @@ def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
             return np.where(weighted[rows, None], (theta - HALF_PI) ** 2 * p, p) * np.sin(theta)
 
         values = iter(quad_batch(integrand, intervals, cfg))
+        deltas = []
         for beta, error in zip(chunk, failed):
             if error is not None:
-                raise error
+                break
             n = len(_width_pieces(beta))
-            parts = checked([next(values) for _ in range(2 * n)])
-            yield math.sqrt(sum(parts[:n]) / sum(parts[n:]))
+            parts = [next(values) for _ in range(2 * n)]
+            error = next((v for v in parts if isinstance(v, Exception)), None)
+            if error is not None:
+                break
+            deltas.append(math.sqrt(sum(parts[:n]) / sum(parts[n:])))
+        yield np.column_stack((chunk[:len(deltas)], deltas)), error
+
+
+def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
+                         cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Yield the RMS width delta of ``effective_angle`` at each beta, in
+    order (see ``effective_angle_rows``)."""
+    yield from (delta for _, delta in family.rows_of(
+        effective_angle_rows(kind, s, zeta, betas, cfg)))
 
 
 def effective_angle(kind: str, s: int, zeta: int | None, beta: float,

@@ -9,8 +9,11 @@ error text.  A theta
 scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
 handed to the writers as one (theta, value) float array; a q_local grid
 through the double-limit point names that cell a text cell, "ambiguous".
-Every value equals that of a one-point call bit for bit (see ``family``); p
-is the profile that maxima and eff_angle read.
+A beta scan of floats (q_halfplane, polarization, power, ratio, eff_angle
+and table1) is handed to them as one array of its columns too; maxima, with
+its flag and "none" cells, as a list of rows.  Every value equals that of a
+one-point call bit for bit (see ``family``); p is the profile that maxima
+and eff_angle read.
 
 Inputs: a value is a finite number or one of the symbolic angles ``pi`` and
 ``pi/2``; a range ``a:b:n`` is n evenly spaced values, 2 <= n <= 1000000.
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import __version__, analysis, electron, kinematics
 from .errors import ConvergenceError, DomainError
-from .family import HALF_PI
+from .family import HALF_PI, table_of
 from .io import ScanResult, serialize
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -126,14 +129,14 @@ def _max_angle(c):
              "none" if r.p_max is None else r.p_max] for r in reports]
 
 
-def _beta_rows(c, values):
-    """The [beta, value] rows of a beta scan's values, one per beta."""
-    return [[b, v] for b, v in zip(c.betas, values)]
-
-
 def _polarization(c):
-    qs = c.api.family.half_plane_fractions_scan(c.zeta, c.betas, c.cfg)
-    return [[b, q[1], q[-1], q[2], q[3]] for b, q in zip(c.betas, qs)]
+    return table_of(c.api.family.half_plane_fractions_rows(c.zeta, c.betas, c.cfg))
+
+
+def _eff_angle(c):
+    table = table_of(analysis.effective_angle_rows(c.particle, c.s, c.zeta, c.betas, c.cfg))
+    table[:, 1] = c.angle(table[:, 1])
+    return table
 
 
 class Quantity(NamedTuple):
@@ -151,20 +154,16 @@ QUANTITIES = {
                      _SCAN + ("beta", "units=m0*c^2/hbar"), _freq),
     "p": Quantity("theta beta", ("theta", "p"), _SCAN + ("beta",), _p),
     "q_local": Quantity("theta beta", ("theta", "q"), _SCAN + ("beta",), _q_local),
-    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c: _beta_rows(
-        c, c.api.family.half_plane_fraction_scan(c.s, c.zeta, c.betas, c.cfg))),
-    "power": Quantity("beta", ("beta", "power", "shape"), _SCAN + ("units=Q0",), lambda c: [
-        [b, *r] for b, r in zip(c.betas, c.api.family.total_power_scan(c.zeta, c.betas, c.cfg))]),
-    "ratio": Quantity("beta", ("beta", "k"), _SCAN, lambda c: _beta_rows(
-        c, analysis.power_ratio_scan(c.zeta, c.betas, c.cfg))),
+    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c: table_of(
+        c.api.family.half_plane_fraction_rows(c.s, c.zeta, c.betas, c.cfg))),
+    "power": Quantity("beta", ("beta", "power", "shape"), _SCAN + ("units=Q0",),
+                      lambda c: table_of(c.api.family.power_rows(c.zeta, c.betas, c.cfg))),
+    "ratio": Quantity("beta", ("beta", "k"), _SCAN, lambda c: table_of(
+        analysis.power_ratio_rows(c.zeta, c.betas, c.cfg))),
     "max_angle": Quantity("beta", ("beta", "exists", "theta_max", "p_max"), _SCAN, _max_angle),
-    "eff_angle": Quantity("beta", ("beta", "delta"), _SCAN + ("definition_id=rms",),
-                          lambda c: _beta_rows(c, map(c.angle, analysis.effective_angle_scan(
-                              c.particle, c.s, c.zeta, c.betas, c.cfg)))),
+    "eff_angle": Quantity("beta", ("beta", "delta"), _SCAN + ("definition_id=rms",), _eff_angle),
     "table1": Quantity("", ("beta", "f_b", "f_e", "k_minus", "k_plus"),
-                       ("units=dimensionless",), lambda c: [
-                           [r.beta, r.f_b, r.f_e, r.k_minus, r.k_plus]
-                           for r in analysis.table1(c.cfg)]),
+                       ("units=dimensionless",), lambda c: analysis.table1_rows(c.cfg)),
     "limits": Quantity("theta", ("theta", "p_bar"),
                        ("particle=electron", "zeta", "s", "units=dimensionless"),
                        lambda c: _theta_rows(c, electron.ultrarelativistic_density(
@@ -195,15 +194,14 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
         thetas = np.radians(thetas)
     if reads_theta and reads_beta and len(betas) != 1:
         raise DomainError(f"this theta scan takes a single beta, got {len(betas)} values")
-    for b in betas:
-        api.family.check(b)
+    api.family.check_betas(betas)
     api.family.check(0.0, thetas)  # beta = 0 is always in the domain
     deg = angle_unit == "deg"
     c = SimpleNamespace(particle=particle, api=api, zeta=int(zeta), s=int(s), betas=betas,
                         beta=betas[0] if betas else None, thetas=thetas, cfg=cfg, extra={},
                         texts={},
                         angles=np.degrees(thetas) if deg else thetas,
-                        angle=math.degrees if deg else (lambda t: t))
+                        angle=np.degrees if deg else (lambda t: t))
     rows = q.rows(c)
     md = {"quantity": quantity, "version": __version__, "abs_tol": cfg.abs_tol,
           "rel_tol": cfg.rel_tol, "max_depth": cfg.max_depth, "angle_unit": angle_unit}

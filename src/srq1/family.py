@@ -40,10 +40,20 @@ array it owns, with the operands and order of the plain expression.
 
 A beta scan (``shape_integral_scan``, ``total_power_scan``,
 ``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
-checks every beta, then evaluates the f_k of ``GRID_CHUNK`` betas at a time
-in one call of ``f``, which bounds its memory at any grid length.  It yields
-beta by beta and raises a failed f_k when its beta is reached, as a
-beta-by-beta evaluation would; the one-beta methods are scans of one beta.
+runs as columns.  It checks every beta with one array test, which names the
+first bad beta as a beta-by-beta check would, then takes ``GRID_CHUNK``
+betas at a time, which bounds its memory at any grid length: their x0 from
+the array form of the one-beta map (``_x1``), with its bits, their f_k in
+one call of ``f`` as an (n, k) array, and q_s, f(beta) and W_0 as ufunc
+columns with the operands and order of the one-beta expressions.  A power
+is taken by C's pow, element by element, as Python's ``**`` takes it
+(``_pow``), since numpy's own power loop differs in the last bit.  So each
+value has the bits of its one-beta scan, and the one-beta methods are scans
+of one beta.  The ``*_rows`` methods yield per chunk the array of the rows
+before the first beta whose f_k fails, and that f_k's error; the scans
+yield those rows beta by beta and raise the error when its beta is
+reached, as a beta-by-beta evaluation would (``rows_of``), and the CLI
+writes them as one array (``table_of``).
 """
 
 from __future__ import annotations
@@ -95,19 +105,28 @@ class Family:
         if self.spin and zeta is not None and zeta not in (1, -1):
             raise DomainError(f"zeta must be +1 or -1, got {zeta}")
 
+    def check_betas(self, betas, zeta=None):
+        """``check`` of each beta with zeta, in order, as one array test."""
+        if len(betas):
+            self.check(betas[0], zeta=zeta)
+        if len(betas) > 1:
+            kinematics.validate_betas(betas[1:])
+
     def _swap(self, zeta) -> bool:
         """True for zeta = +1 of spin 1/2: phi_2, phi_3 swap and W_0 scales by x0."""
         return self.spin and zeta == 1
 
-    def _x1(self, beta, cos2=0.0, sin2=1.0):
-        """(B beta^2, lead, x, 1 - x) at one beta, cos^2 and sin^2 (x0 by
-        default), with the operations of ``_phi`` in its order, so its bits."""
+    def _x1(self, beta, cos2=None, sin2=None, sqrt=math.sqrt):
+        """(B beta^2, lead, x, 1 - x) at one beta, cos^2 and sin^2, with the
+        operations of ``_phi`` in its order, so its bits; with np.sqrt, at an
+        array of betas.  Without cos^2 and sin^2 it is x0, where they are 0
+        and 1 and drop out exactly."""
         A, B, sqrt_A = self.xmap
         bb2 = B * (beta * beta)
         lead = (A - B) + B * ((1.0 - beta) * (1.0 + beta))
-        r = math.sqrt(lead + bb2 * cos2)
+        r = sqrt(lead if cos2 is None else lead + bb2 * cos2)
         spr = r + sqrt_A
-        return bb2, lead, sin2 * bb2 / spr / spr, 2.0 * r / spr
+        return bb2, lead, (bb2 if sin2 is None else sin2 * bb2) / spr / spr, 2.0 * r / spr
 
     def _row(self, beta):
         """(B beta^2, lead, a, 1 - a), the body's coefficients at one beta."""
@@ -230,23 +249,21 @@ class Family:
         self.check(beta, theta, zeta)
         return kinematics.like_theta(self.density_profile(s, zeta, beta, cfg)(theta), theta)
 
-    def _f_rows(self, ks, betas, cfg):
-        """[(x0, [f_k(x0) for k in ks])] at each beta, all integrals in one
-        batch; an entry is the error its evaluation raises if it fails."""
-        x0s = [self.x0(beta) for beta in betas]
-        values = self.f(ks * len(x0s), [x0 for x0 in x0s for _ in ks], cfg)
-        return [(x0, values[i * len(ks):(i + 1) * len(ks)]) for i, x0 in enumerate(x0s)]
-
-    def _f_scan(self, ks, betas, cfg, zeta=None):
-        """Yield (x0, [f_k(x0) for k in ks]) at each beta in order, after
-        checking every beta.  The integrals of GRID_CHUNK betas at a time run
-        as one batch, and the first error in the order of a sequential
-        evaluation (betas, then ks) is raised when its beta is reached."""
-        for beta in betas:
-            self.check(beta, zeta=zeta)
+    def f_chunks(self, ks, betas, cfg, zeta=None):
+        """After checking every beta, yield (beta, x0, f, error) per
+        GRID_CHUNK betas: the betas and their x0 as arrays, the (m, len(ks))
+        array of f_k(x0) of the first m of them, those before the first beta
+        whose f_k fails, and that beta's first failed f_k (None if none
+        failed), the first error of a sequential evaluation (betas, then
+        ks).  The integrals of a chunk run as one call of ``f``."""
+        self.check_betas(betas, zeta)
         for start in range(0, len(betas), GRID_CHUNK):
-            for x0, values in self._f_rows(ks, betas[start:start + GRID_CHUNK], cfg):
-                yield x0, checked(values)
+            beta = np.array(betas[start:start + GRID_CHUNK], dtype=float)
+            x0 = self._x1(beta, sqrt=np.sqrt)[2]
+            f, errors = _f_table(self.f(list(ks) * len(beta), [v for v in x0.tolist() for _ in ks],
+                                        cfg), len(beta), len(ks))
+            m = next((i for i, e in enumerate(errors) if e is not None), len(beta))
+            yield beta, x0, f[:m], errors[m] if m < len(beta) else None
 
     def _body(self, s, swap, theta, bb2, lead, a, oma, norm):
         """p_s at theta for the ``_row`` values and the normalization norm,
@@ -275,16 +292,18 @@ class Family:
         the normalizations run as one batch.  An ``at_limit`` cell at pi/2
         takes the fixed-beta theta-limit value, every other the body."""
         kinematics.validate_s(s)
-        for beta in betas:
-            self.check(beta, zeta=zeta)
+        self.check_betas(betas, zeta)
         swap = self._swap(zeta)
+        beta = np.array(betas, dtype=float)
+        bb2, lead, x0, omx0 = self._x1(beta, sqrt=np.sqrt)
+        fk, failed = _f_table(self.f([2, 3] * len(beta), [v for v in x0.tolist() for _ in (2, 3)],
+                                     cfg), len(beta), 2)
         # per beta: the _row values, the normalization of the body, at_limit
-        params, failed = np.ones((len(betas), 6)), [None] * len(betas)
-        params[:, 5] = [self.at_limit(beta) for beta in betas]
-        for i, (beta, (x0, fk)) in enumerate(zip(betas, self._f_rows((2, 3), betas, cfg))):
-            failed[i] = next((v for v in fk if isinstance(v, Exception)), None)
-            if failed[i] is None:
-                params[i, :5] = (*self._row(beta), (1.0 + x0) ** 2 * (fk[0] + fk[1]))
+        params = np.empty((6, len(betas)))
+        params[0], params[1], params[4] = bb2, lead, _pow(1.0 + x0, 2) * (fk[:, 0] + fk[:, 1])
+        params[2], params[3] = (x0, omx0) if self.spin else (1.0, 0.0)
+        params[5] = self.spin & (beta == 1.0)
+        params = params.T
         # as beta -> 1, p_s at pi/2 tends to 16/(e norm) phi_s/phi_0 at cos = 0:
         # the linear component that survives the spin selection takes all of
         # phi_0 and the other one none
@@ -301,38 +320,55 @@ class Family:
 
         return profile, failed
 
-    def half_plane_fraction_scan(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Yield q_s(zeta; beta) at each beta, in order (see ``_f_scan``)."""
+    def half_plane_fractions_rows(self, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Per chunk of ``f_chunks``: the (m, 5) array of beta, q_1, q_-1,
+        q_2 and q_3, and its error."""
+        z = 1 if self._swap(zeta) else -1
+        for beta, _, f, error in self.f_chunks((1, 2, 3), betas, cfg, zeta):
+            f0 = f[:, 1] + f[:, 2]
+            q1 = 0.5 + f[:, 0] / f0
+            q2 = 0.5 * (1.0 + z - 2.0 * z * (f[:, 1] / f0))
+            yield np.column_stack((beta[:len(f)], q1, 1.0 - q1, q2, 1.0 - q2)), error
+
+    def half_plane_fraction_rows(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Per chunk of ``f_chunks``: the (m, 2) array of beta and
+        q_s(zeta; beta), and its error."""
         kinematics.validate_s(s)
         if s == 0:
-            yield from (1.0 for _ in self._f_scan((), betas, cfg, zeta))
+            for beta, _, _, error in self.f_chunks((), betas, cfg, zeta):
+                yield np.column_stack((beta, np.ones(len(beta)))), error
         else:
-            yield from (q[s] for q in self.half_plane_fractions_scan(zeta, betas, cfg))
+            column = (1, -1, 2, 3).index(s) + 1
+            for rows, error in self.half_plane_fractions_rows(zeta, betas, cfg):
+                yield rows[:, [0, column]], error
+
+    def half_plane_fraction_scan(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Yield q_s(zeta; beta) at each beta, in order (see ``f_chunks``)."""
+        yield from (q for _, q in rows_of(self.half_plane_fraction_rows(s, zeta, betas, cfg)))
 
     def half_plane_fractions_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Yield {s: q_s(zeta; beta)} at each beta, in order (see ``_f_scan``),
+        """Yield {s: q_s(zeta; beta)} at each beta, in order (see ``f_chunks``),
         from one evaluation of f_1, f_2, f_3 per beta: the share of the power of
         component s radiated into 0 <= theta <= pi/2, with q_0 = 1, q_2 + q_3 =
         1, q_g + q_{-g} = 1 and q_2(zeta) = q_3(-zeta)."""
-        z = 1 if self._swap(zeta) else -1
-        for x0, (f1, f2, f3) in self._f_scan((1, 2, 3), betas, cfg, zeta):
-            f0 = f2 + f3
-            q1 = 0.5 + f1 / f0
-            q2 = 0.5 * (1.0 + z - 2.0 * z * (f2 / f0))
-            yield {0: 1.0, 1: q1, -1: 1.0 - q1, 2: q2, 3: 1.0 - q2}
+        for _, q1, q_1, q2, q3 in rows_of(self.half_plane_fractions_rows(zeta, betas, cfg)):
+            yield {0: 1.0, 1: q1, -1: q_1, 2: q2, 3: q3}
 
     def half_plane_fraction(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> float:
         """q_s(zeta; beta) of ``half_plane_fractions_scan``."""
         return next(self.half_plane_fraction_scan(s, zeta, [beta], cfg))
 
-    def _shape_scan(self, betas, cfg, zeta=None):
-        """Yield (x0, f(beta)) at each beta, in order (see ``_f_scan``)."""
-        for x0, (f2, f3) in self._f_scan((2, 3), betas, cfg, zeta):
-            yield x0, 3.0 * (1.0 + x0) ** self.shape_power / 8.0 * (f2 + f3)
+    def shape(self, x0, f):
+        """f(beta) = 3 (1 + x0)^m f_0(x0) / 8 at an array of x0, from the
+        (f_2, f_3) rows f of ``f_chunks``."""
+        return 3.0 * _pow(1.0 + x0, self.shape_power) / 8.0 * (f[:, 0] + f[:, 1])
 
     def shape_integral_scan(self, betas, cfg=DEFAULT_CONFIG):
-        """Yield f(beta) at each beta, in order (see ``_f_scan``)."""
-        yield from (shape for _, shape in self._shape_scan(betas, cfg))
+        """Yield f(beta) at each beta, in order (see ``f_chunks``)."""
+        for _, x0, f, error in self.f_chunks((2, 3), betas, cfg):
+            yield from self.shape(x0[:len(f)], f).tolist()
+            if error is not None:
+                raise error
 
     def shape_integral(self, beta: float, cfg=DEFAULT_CONFIG) -> float:
         """f(beta) = 3 (1 + x0)^m f_0(x0) / 8; equals 1 at beta = 0."""
@@ -343,14 +379,63 @@ class Family:
         self.check(beta, zeta=zeta)
         return self.x0(beta) if self._swap(zeta) else 1.0
 
-    def total_power_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Yield ``total_power`` at each beta, in order (see ``_f_scan``)."""
+    def power_rows(self, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Per chunk of ``f_chunks``: the (m, 3) array of beta, W_0 and
+        f(beta), and its error."""
         num, den = self.power_const
         swap = self._swap(zeta)
-        for beta, (x0, shape) in zip(betas, self._shape_scan(betas, cfg, zeta)):
-            power = num * (x0 if swap else 1.0) * kinematics.power_prefactor(beta) / den
-            yield PowerResult(power=power * shape, shape=shape)
+        for beta, x0, f, error in self.f_chunks((2, 3), betas, cfg, zeta):
+            beta, x0 = beta[:len(f)], x0[:len(f)]
+            shape = self.shape(x0, f)
+            with np.errstate(divide="ignore"):  # A(1) = 1/0 = inf
+                prefactor = _pow(beta, 6) / ((1.0 - beta) * (1.0 + beta))
+            power = num * (x0 if swap else 1.0) * prefactor / den
+            yield np.column_stack((beta, power * shape, shape)), error
+
+    def total_power_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
+        """Yield ``total_power`` at each beta, in order (see ``f_chunks``)."""
+        for _, power, shape in rows_of(self.power_rows(zeta, betas, cfg)):
+            yield PowerResult(power=power, shape=shape)
 
     def total_power(self, zeta, beta: float, cfg=DEFAULT_CONFIG) -> PowerResult:
         """W_0 (units Q0; infinite at beta = 1) and the shape factor f(beta)."""
         return next(self.total_power_scan(zeta, [beta], cfg))
+
+
+def _pow(base, exponent):
+    """base ** exponent at each element of an array, as Python's float **
+    takes it, by C's pow: numpy's power loop gives other last bits for about
+    1 in 1000 squares and 1 in 20 sixth powers."""
+    return np.array([b ** exponent for b in base.tolist()])
+
+
+def _f_table(values, n, k):
+    """The n x k values of a call of ``f`` as an (n, k) array, nan where one
+    failed, and per row its first failed value or None."""
+    try:
+        return np.array(values, dtype=float).reshape(n, k), [None] * n
+    except TypeError:  # an error among the values
+        rows = [values[i * k:(i + 1) * k] for i in range(n)]
+        errors = [next((v for v in row if isinstance(v, Exception)), None) for row in rows]
+        table = [math.nan if isinstance(v, Exception) else v for v in values]
+        return np.array(table).reshape(n, k), errors
+
+
+def rows_of(chunks):
+    """Yield the rows, as lists, of the (rows, error) chunks of a beta scan,
+    raising each chunk's error after its rows."""
+    for rows, error in chunks:
+        yield from rows.tolist()
+        if error is not None:
+            raise error
+
+
+def table_of(chunks):
+    """The rows of the (rows, error) chunks of a beta scan as one array; the
+    first error is raised."""
+    tables = []
+    for rows, error in chunks:
+        if error is not None:
+            raise error
+        tables.append(rows)
+    return np.concatenate(tables)

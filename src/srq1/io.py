@@ -6,8 +6,8 @@ point.  JSON mirrors the same content in the indent=2 layout of
 ``json.dumps``; non-finite and ambiguous entries are the tagged strings
 "inf" and "ambiguous" in both formats.
 
-A theta scan's rows are an ``(n, k)`` float array, written by one ``%`` call
-over a template; a beta scan's rows are a list of rows, written cell by cell
+A scan's float rows are an ``(n, k)`` array, written by one ``%`` call over
+a template; other rows (maxima's) are a list of rows, written cell by cell
 (``format_number``, ``_json_row``).  Both give the bytes of the per-cell
 writers.  An array cell named in ``ScanResult.texts`` is a text cell: its
 float is a placeholder, and it is a ``%s`` field that takes its text, as it
@@ -60,8 +60,8 @@ import numpy as np
 class ScanResult:
     metadata: dict = field(default_factory=dict)
     columns: list = field(default_factory=list)
-    # a beta scan's list of rows, or a theta scan's (n, k) float array, inf
-    # and nan allowed
+    # a scan's (n, k) float array, inf and nan allowed, or a list of rows
+    # (maxima's)
     rows: list | np.ndarray = field(default_factory=list)
     # the text cells of an array: flat cell index -> text, written in place
     # of the cell's float (the double-limit cell's "ambiguous")

@@ -38,6 +38,14 @@ def validate_beta(beta: float) -> None:
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
 
 
+def validate_betas(betas) -> None:
+    """``validate_beta`` of each beta in order, as one array test."""
+    b = np.asarray(betas, dtype=float)
+    inside = (0.0 <= b) & (b <= 1.0)
+    if not inside.all():
+        validate_beta(betas[int(inside.argmin())])
+
+
 def validate_theta(theta):
     """Reject a scalar or array theta outside [0, pi], naming the first such value."""
     t = np.asarray(theta)

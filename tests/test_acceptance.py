@@ -17,6 +17,7 @@ from srq1.analysis import crossover_beta, max_angle, table1
 from srq1.integrals import f_b, f_e
 
 import oracles
+import series
 
 HALF_PI = math.pi / 2
 E = math.e
@@ -37,7 +38,7 @@ REFERENCE_TABLE1 = {
 }
 
 # cells where the reference table disagrees with both this implementation
-# and the independent Riemann-sum oracle (apparent misprints); these are
+# and the exact-series oracle (apparent misprints); these are
 # checked against the oracle instead
 FLAGGED_CELLS = {(0.1, "f_e"), (0.7, "f_b"), (0.7, "f_e")}
 
@@ -211,12 +212,12 @@ def test_criterion_7_asymptotic_exponents():
 def test_criterion_8_oracle_equivalence():
     worst = 0.0
     for x in (0.05, 0.1, 0.2, 0.26, 0.5, 0.9):
-        worst = max(worst, abs(f_b(2, x) - oracles.f2_b_sub(x)))
-        worst = max(worst, abs(f_b(3, x) - oracles.f3_b_sub(x)))
-        worst = max(worst, abs(f_e(2, x) - oracles.f2_e_sub(x)))
-        worst = max(worst, abs(f_e(3, x) - oracles.f3_e_sub(x)))
-    ok = worst <= 1e-7
-    report(8, ok, f"integral vs Riemann oracle worst dev {worst:.2e} (limit 1e-7)")
+        for fam, name in ((f_b, "boson"), (f_e, "electron")):
+            for k in (2, 3):
+                want = series.yform(name, k, x)
+                worst = max(worst, abs(float((fam(k, x) - want) / want)))
+    ok = worst <= 1e-15
+    report(8, ok, f"integral vs 40-digit y-form worst relative dev {worst:.2e} (limit 1e-15)")
     assert ok
 
 

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import random
+import re
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -216,42 +218,64 @@ def test_exit_code_convergence_error():
     assert "convergence error" in err
 
 
-# Scans whose quadratures cannot converge: the message is that of the first
-# integral to fail when each is evaluated on its own in the order betas in
-# grid order; within a beta f_1, f_2, f_3, then the width's weighted pieces
-# and its plain pieces; electron before boson in ratio, boson before electron
-# in table1.
+# Scans whose integrals cannot meet their tolerance: the message is that of
+# the first integral to fail when each is evaluated on its own in the order
+# betas in grid order; within a beta f_1, f_2, f_3, then the width's weighted
+# pieces and its plain pieces; electron before boson in ratio, boson before
+# electron in table1.  An f_2 up to x = 1/sqrt2 fails with its power series'
+# bound, a width piece with its quadrature's.
 _UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-depth", "10"]
+
+
+def _series_error(bound, tol):
+    return f"power series error bound {bound} exceeds tolerance {tol}"
+
+
 FIRST_FAILURE = [
-    ([*q, "--particle", p, *s, "--beta", "0.2:0.95:4", *_UNREACHABLE], bound, tol)
-    for p, bound, tol in (("boson", "2.201e-14", "1.982e-300"),
-                          ("electron", "2.220e-14", "2.000e-300"))
+    ([*q, "--particle", p, *s, "--beta", "0.2:0.95:4", *_UNREACHABLE], _series_error(bound, tol))
+    for p, bound, tol in (("boson", "3.988e-14", "1.982e-300"),
+                          ("electron", "4.041e-14", "2.000e-300"))
     for q, s in ((["scan", "--quantity", "power"], []),
                  (["scan", "--quantity", "q_halfplane"], ["--s", "2"]),
                  (["polarization"], []),
                  (["scan", "--quantity", "eff_angle"], ["--s", "3"]))
 ] + [
     (["scan", "--quantity", "ratio", "--particle", p, "--beta", "0.2:0.95:4", *_UNREACHABLE],
-     "2.220e-14", "2.000e-300") for p in ("boson", "electron")
+     _series_error("4.041e-14", "2.000e-300")) for p in ("boson", "electron")
 ] + [
-    (["table1", *_UNREACHABLE], "2.220e-14", "2.000e-300"),
+    (["table1", *_UNREACHABLE], _series_error("3.952e-14", "2.000e-300")),
     (["scan", "--quantity", "ratio", "--beta", "0.95:0.2:4", *_UNREACHABLE],
-     "1.898e-14", "1.710e-300"),
+     _series_error("4.808e-14", "1.710e-300")),
     (["scan", "--quantity", "eff_angle", "--s", "0", "--beta", "0.95:0.2:4", *_UNREACHABLE],
-     "1.620e-14", "1.459e-300"),
-    # the beta = 1 profile's f_2, f_3 need no quadrature: beta 1 of 4 fails in its
+     _series_error("5.271e-14", "1.459e-300")),
+    # the beta = 1 profile's f_2, f_3 need no integral: beta 1 of 4 fails in its
     # first weighted width piece, and betas 2 to 4 in their f_2, which run first
     (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
-      "--beta", "1:0.9:4", *_UNREACHABLE], "8.576e-16", "1.000e-300"),
+      "--beta", "1:0.9:4", *_UNREACHABLE],
+     "quadrature did not converge at max_depth=10: residual error bound 8.576e-16 exceeds "
+     "tolerance 1.000e-300"),
 ]
 
 
-@pytest.mark.parametrize("argv, bound, tol", FIRST_FAILURE,
-                         ids=[" ".join(a) for a, _, _ in FIRST_FAILURE])
-def test_first_failing_integral_is_reported(argv, bound, tol):
-    assert run(argv) == (2, "", "convergence error: quadrature did not converge at "
-                                f"max_depth=10: residual error bound {bound} exceeds "
-                                f"tolerance {tol}\n")
+@pytest.mark.parametrize("argv, message", FIRST_FAILURE,
+                         ids=[" ".join(a) for a, _ in FIRST_FAILURE])
+def test_first_failing_integral_is_reported(argv, message):
+    assert run(argv) == (2, "", f"convergence error: {message}\n")
+
+
+@pytest.mark.parametrize("particle, beta", [("boson", "0.2"), ("electron", "0.45"),
+                                            ("electron", "0.5"), ("electron", "0.95")])
+def test_an_unreachable_tolerance_ends_where_the_series_serves(particle, beta):
+    # at the default max_depth a tolerance below rounding once ran without
+    # bound; the series' bound refuses it at once
+    argv = ["scan", "--quantity", "power", "--particle", particle, "--beta", beta,
+            "--abs-tol", "1e-300", "--rel-tol", "1e-300"]
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"convergence error: power series error bound \d\.\d{3}e-14 exceeds "
+                        r"tolerance \d\.\d{3}e-300\n", err)
 
 
 def test_widths_next_to_beta_one_converge_at_depth_ten():

@@ -67,7 +67,7 @@ def test_power_spin_ratio_is_x0():
 
 def test_shape_integral():
     assert shape_integral_e(0.0) == pytest.approx(1.0, abs=1e-10)
-    assert shape_integral_e(0.5) == pytest.approx(oracles.shape_e_oracle(0.5), abs=1e-7)
+    assert shape_integral_e(0.5) == pytest.approx(oracles.shape_e_oracle(0.5), rel=1e-15, abs=0.0)
     assert shape_integral_e(1.0) == pytest.approx(
         3.0 / 4.0 * 2.0 * (2.0 - 3.0 / E), abs=1e-10)
 

@@ -245,8 +245,10 @@ def _kernel_integrand(kernel, k, x):
 
 
 def test_paired_bisection_matches_reference_on_f2_f3():
+    # the s-form serves x above SERIES_X only
     rng = np.random.default_rng(2024)
-    xs = [0.0, 0.5, 0.99, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 12)]
+    xs = [math.nextafter(integrals.SERIES_X, 1.0), 0.8, 0.99, 1.0 - 1e-6,
+          *rng.uniform(integrals.SERIES_X, 1.0 - 1e-6, 12)]
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for k in (2, 3):
             for x in xs:
@@ -350,8 +352,10 @@ def test_batch_matches_reference_member_by_member():
 
 
 def test_f_values_batch_matches_one_quadrature_per_pair():
+    # the s-form serves x above SERIES_X only
     rng = np.random.default_rng(3)
-    xs = [0.0, 0.3, 0.99, 1.0 - 2e-6, *rng.uniform(0.0, 0.999, 6)]
+    xs = [math.nextafter(integrals.SERIES_X, 1.0), 0.8, 0.99, 1.0 - 2e-6,
+          *rng.uniform(integrals.SERIES_X, 0.999, 6)]
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for cfg in (DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_depth=10)):
             ks = [k for x in xs for k in (1, 2, 3)]
@@ -367,10 +371,11 @@ def test_f_values_batch_matches_one_quadrature_per_pair():
                 assert _hex(value) == want, (k, x)
 
 
-def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
-    # one pass of the beta_sweep benchmark workload (seed 3): integrand calls,
-    # GK15 panel rows and integrals, which no bookkeeping change may move
+def _quadrature_work(monkeypatch, argvs):
+    """Integrand calls, GK15 panel rows and integrals of one pass of argvs,
+    after checking that no f_2, f_3 pair up to SERIES_X reaches the s-form."""
     work = {"calls": 0, "rows": 0, "integrals": 0}
+    s_form = integrals._s_form
 
     def counted(f, intervals, cfg=DEFAULT_CONFIG):
         def g(rows, t):
@@ -381,12 +386,34 @@ def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
         work["integrals"] += len(intervals)
         return quadrature.quad_batch(g, intervals, cfg)
 
+    def checked_s_form(kernel, ks, xs, cfg):
+        assert min(xs) > integrals.SERIES_X
+        return s_form(kernel, ks, xs, cfg)
+
     monkeypatch.setattr(integrals, "quad_batch", counted)
     monkeypatch.setattr(analysis, "quad_batch", counted)
+    monkeypatch.setattr(integrals, "_s_form", checked_s_form)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        for argv in bench_module("workloads").beta_sweep(3):
+        for argv in argvs:
             cli.run_cli(argv)
-    assert work == {"calls": 240, "rows": 6080, "integrals": 4220}
+    return work
+
+
+def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
+    # one pass of the beta_sweep benchmark workload (seed 3), which no
+    # bookkeeping change may move; 240 calls, 6 080 rows and 4 220 integrals
+    # when the s-form served f_2, f_3 at every x
+    work = _quadrature_work(monkeypatch, bench_module("workloads").beta_sweep(3))
+    assert work == {"calls": 163, "rows": 4568, "integrals": 2708}
+
+
+def test_figures_quadrature_work_is_pinned(monkeypatch):
+    # one pass of the figures benchmark workload (seed 3): the widths, and the
+    # f_2, f_3 above x = 1/sqrt2; 76 calls, 2 952 rows and 2 764 integrals
+    # when the s-form served f_2, f_3 at every x
+    work = _quadrature_work(monkeypatch, [argv for _, group in sorted(FIGURE_SCANS.items())
+                                          for argv in group])
+    assert work == {"calls": 44, "rows": 824, "integrals": 652}
 
 
 def test_figure_10_maxima_work_is_pinned(monkeypatch):
