@@ -4,23 +4,25 @@ Power ratio at equal gamma and level, its crossover speed, the reference
 table of shape factors, interior maxima of the angular densities with their
 large-gamma asymptotics, and RMS effective angular widths.
 
-The beta scans ``power_ratio_scan``, ``effective_angle_scan`` and
-``max_angle_scan`` (and ``table1``) evaluate ``GRID_CHUNK`` betas at a time
-together: the f_2, f_3 of each particle in one call, the ratios as columns
-(see ``family``), the weighted and plain width integrals of every beta in
-one batch, and the maxima in
-lockstep: one coarse scan of [0, pi/2], one row broadcast against the
-betas, brackets each maximum, and ``_root`` finds the zero of the slope
-dp/dtheta in every bracket together, one profile call per step.  The slope
-is the complex step of the density body itself (``_slope``), so there is
-no second formula.  ``crossover_beta`` takes its root with ``_root`` too.
-A width integrates over [0, pi/2] only, on pieces graded toward pi/2 at
-1/gamma, and s = +-1 takes the width of s = 0.  Each value
-keeps the bits of its one-beta evaluation, which is the scan of one beta,
-and the error raised is the one a beta-by-beta evaluation meets first:
-betas in grid order, the electron's f_k before the boson's in a ratio (the
-boson's first in ``table1``), and a width's f_2, f_3, weighted pieces, then
-plain pieces.  The maxima and widths read p_s from the profiles of
+A beta quantity (``power_ratio_rows``, ``table1_rows`` and
+``effective_angle_rows``) is one array over its beta grid, as in
+``family``: the f_2, f_3 of each particle from ``Family.f_table``, the
+ratios as columns, and the weighted and plain width integrals of
+``GRID_CHUNK`` betas in one batch.  ``max_angle_scan`` yields a report per
+beta and locates ``GRID_CHUNK`` betas at a time in lockstep: one coarse
+scan of [0, pi/2], one row broadcast against the betas, brackets each
+maximum, and ``_root`` finds the zero of the slope dp/dtheta in every
+bracket together, one profile call per step.  The slope is the complex
+step of the density body itself (``_slope``), so there is no second
+formula.  ``crossover_beta`` takes its root with ``_root`` too.  A width
+integrates over [0, pi/2] only, on pieces graded toward pi/2 at 1/gamma,
+and s = +-1 takes the width of s = 0.  Each value keeps the bits of its
+one-beta evaluation, which reads row 0 of its table (the report of a scan
+of one beta for a maximum).  A table raises, before any row is returned,
+the error that a beta-by-beta evaluation meets first: betas in grid order,
+the electron's f_k before the boson's in a ratio (the boson's first in
+``table1``), and a width's f_2, f_3, weighted pieces, then plain pieces.
+The maxima and widths read p_s from the profiles of
 ``Family.density_profiles``.
 """
 
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import boson, electron, family, kinematics
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, checked
 from .family import GRID_CHUNK, HALF_PI
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
 from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
@@ -95,36 +97,26 @@ class EffectiveAngleReport:
     zeta: int | None
     beta: float
     delta: float
-    definition_id: str = "rms"
 
 
-def _shape_chunks(first, second, betas, cfg):
-    """Yield (beta, f(beta) of ``first``, f(beta) of ``second``, the
-    electron's x0, error) per GRID_CHUNK betas, as arrays: the f_2, f_3 of
-    each particle in one batch, and the rows of the betas before the first
-    whose f_k fails in either, with that beta's error, ``first``'s before
-    ``second``'s (None if none failed)."""
-    for a, b in zip(first.f_chunks((2, 3), betas, cfg), second.f_chunks((2, 3), betas, cfg)):
-        m = min(len(a[2]), len(b[2]))
-        error = next((c[3] for c in (a, b) if len(c[2]) == m and c[3] is not None), None)
-        shapes = [fam.shape(c[1][:m], c[2][:m]) for fam, c in ((first, a), (second, b))]
-        yield a[0][:m], *shapes, (a if first.spin else b)[1][:m], error
+def _shapes(first, second, betas, cfg):
+    """(beta, f(beta) of ``first``, f(beta) of ``second``, the electron's x0)
+    as arrays, from the f_2, f_3 of each particle; raises the error of a
+    sequential evaluation (betas in order, ``first``'s f_k before
+    ``second``'s)."""
+    (beta, (_, _, x_a, _), f_a, failed_a), (_, (_, _, x_b, _), f_b, failed_b) = (
+        fam.f_table((2, 3), betas, cfg) for fam in (first, second))
+    checked([a if a is not None else b for a, b in zip(failed_a, failed_b)])
+    return beta, first.shape(x_a, f_a), second.shape(x_b, f_b), x_a if first.spin else x_b
 
 
-def power_ratio_rows(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Per GRID_CHUNK betas: the (m, 2) array of beta and ``power_ratio``,
-    and the error of a sequential evaluation (betas in order, the
-    electron's f_k before the boson's) raised after it, or None."""
+def power_ratio_rows(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The (n, 2) array of beta and ``power_ratio``."""
     if zeta not in (1, -1):
         raise DomainError(f"zeta must be +1 or -1, got {zeta}")
-    for beta, fe, fb, x0, error in _shape_chunks(electron.ELECTRON, boson.BOSON, betas, cfg):
-        k_minus = 27.0 / 8.0 * fe / fb
-        yield np.column_stack((beta, k_minus if zeta == -1 else x0 * k_minus)), error
-
-
-def power_ratio_scan(zeta: int, betas, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Yield ``power_ratio`` at each beta, in order (see ``power_ratio_rows``)."""
-    yield from (k for _, k in family.rows_of(power_ratio_rows(zeta, betas, cfg)))
+    beta, fe, fb, x0 = _shapes(electron.ELECTRON, boson.BOSON, betas, cfg)
+    k_minus = 27.0 / 8.0 * fe / fb
+    return np.column_stack((beta, k_minus if zeta == -1 else x0 * k_minus))
 
 
 def power_ratio(zeta: int, beta: float,
@@ -133,7 +125,7 @@ def power_ratio(zeta: int, beta: float,
 
     k(-1; beta) = (27/8) f_e(beta)/f_b(beta); k(+1) = x0(beta) * k(-1).
     """
-    return next(power_ratio_scan(zeta, [beta], cfg))
+    return power_ratio_rows(zeta, [beta], cfg)[0, 1].item()
 
 
 def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float]:
@@ -155,11 +147,8 @@ def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float
 
 def table1_rows(cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The (11, 5) array of ``table1``: beta, f_b, f_e, k_minus and k_plus."""
-    betas = [i / 10.0 for i in range(11)]
-    # one chunk; the boson's errors come first, as in a sequential evaluation
-    [(beta, fb, fe, x0, error)] = _shape_chunks(boson.BOSON, electron.ELECTRON, betas, cfg)
-    if error is not None:
-        raise error
+    # the boson's errors come first, as in a sequential evaluation
+    beta, fb, fe, x0 = _shapes(boson.BOSON, electron.ELECTRON, [i / 10.0 for i in range(11)], cfg)
     k_minus = 27.0 / 8.0 * fe / fb
     return np.column_stack((beta, fb, fe, k_minus, x0 * k_minus))
 
@@ -235,6 +224,7 @@ def max_angle_scan(kind: str, s: int, zeta: int | None, betas,
     if s not in (0, 1, 3):
         raise DomainError(f"extrema are tracked for s in (0, 1, 3), got {s}")
     fam = _particle(kind).family
+    fam.check_betas(betas[:1], zeta)  # zeta on an empty grid too
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
         profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
@@ -310,63 +300,45 @@ def _width_pieces(beta):
 
 
 def effective_angle_rows(kind: str, s: int, zeta: int | None, betas,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Per GRID_CHUNK betas: the (m, 2) array of beta and the RMS width delta
-    of ``effective_angle`` of the betas before the first whose integrals
-    fail, and that beta's error, raised after it, or None.
+                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The (n, 2) array of beta and the RMS width delta of ``effective_angle``.
 
     p_0, p_2 and p_3 are even about pi/2, at the beta = 1 limit too, and so
     is the weight (theta - pi/2)^2, so both integrals run over [0, pi/2]
     only.  p_{+-1} = p_0/2 +- a term odd about pi/2, so s = +-1 integrates
-    p_0 and its width is delta_0, bit for bit.  The integrals of a chunk run
-    as two batches: the normalizations f_2, f_3 of their profiles, then, for
-    each beta whose normalization converged, the weighted and the plain
-    integral on each of its ``_width_pieces``.  A beta's sums add its pieces
-    from theta = 0 up.  The error is the first of a sequential evaluation
-    (betas in order; within a beta f_2, f_3, the weighted pieces, then the
-    plain pieces).
+    p_0 and its width is delta_0, bit for bit.  The integrals of GRID_CHUNK
+    betas run as two batches: the normalizations f_2, f_3 of their profiles,
+    then, for each beta whose normalization converged, the weighted and the
+    plain integral on each of its ``_width_pieces``.  A beta's sums add its
+    pieces from theta = 0 up.  The error raised is the first of a sequential
+    evaluation (betas in order; within a beta f_2, f_3, the weighted pieces,
+    then the plain pieces).
     """
     fam = _particle(kind).family
     kinematics.validate_s(s)
     s = 0 if s in (1, -1) else s
+    fam.check_betas(betas[:1], zeta)  # zeta on an empty grid too
+    deltas = []
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
         profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
-        # a converged beta's weighted pieces, then its plain pieces, in order
-        intervals, owner, weighted = [], [], []
-        for i, (beta, error) in enumerate(zip(chunk, failed)):
-            if error is None:
-                beta_pieces = _width_pieces(beta)
-                n = len(beta_pieces)
-                intervals += beta_pieces * 2
-                owner += [i] * (2 * n)
-                weighted += [True] * n + [False] * n
-        owner, weighted = np.array(owner, int), np.array(weighted, bool)
+        pieces = [[] if error is not None else _width_pieces(beta)
+                  for beta, error in zip(chunk, failed)]
+        # each beta's weighted pieces, then its plain pieces, in order
+        intervals = [piece for beta_pieces in pieces for piece in beta_pieces * 2]
+        owner = np.repeat(np.arange(len(chunk)), [2 * len(p) for p in pieces])
+        weighted = np.array([w for p in pieces for w in (True, False) for _ in p], bool)
 
         def integrand(rows, theta):
             p = profile(owner[rows], theta)
             return np.where(weighted[rows, None], (theta - HALF_PI) ** 2 * p, p) * np.sin(theta)
 
         values = iter(quad_batch(integrand, intervals, cfg))
-        deltas = []
-        for beta, error in zip(chunk, failed):
-            if error is not None:
-                break
-            n = len(_width_pieces(beta))
-            parts = [next(values) for _ in range(2 * n)]
-            error = next((v for v in parts if isinstance(v, Exception)), None)
-            if error is not None:
-                break
+        for error, beta_pieces in zip(failed, pieces):
+            n = len(beta_pieces)  # 0 where the normalization failed
+            parts = checked([error, *(next(values) for _ in range(2 * n))])[1:]
             deltas.append(math.sqrt(sum(parts[:n]) / sum(parts[n:])))
-        yield np.column_stack((chunk[:len(deltas)], deltas)), error
-
-
-def effective_angle_scan(kind: str, s: int, zeta: int | None, betas,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Yield the RMS width delta of ``effective_angle`` at each beta, in
-    order (see ``effective_angle_rows``)."""
-    yield from (delta for _, delta in family.rows_of(
-        effective_angle_rows(kind, s, zeta, betas, cfg)))
+    return np.column_stack((np.array(betas, dtype=float), deltas))
 
 
 def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
@@ -375,8 +347,8 @@ def effective_angle(kind: str, s: int, zeta: int | None, beta: float,
 
         delta^2 = int (theta - pi/2)^2 p_s dOmega / int p_s dOmega
 
-    over [0, pi].  This is ``effective_angle_scan`` of one beta, which
-    evaluates it over [0, pi/2].
+    over [0, pi], row 0 of ``effective_angle_rows``, which evaluates it over
+    [0, pi/2].
     """
-    delta = next(effective_angle_scan(kind, s, zeta, [beta], cfg))
+    delta = effective_angle_rows(kind, s, zeta, [beta], cfg)[0, 1].item()
     return EffectiveAngleReport(kind=kind, s=s, zeta=zeta, beta=beta, delta=delta)

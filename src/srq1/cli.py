@@ -10,8 +10,9 @@ scan (p, q_local, freq, limits) is one array evaluation of the whole grid,
 handed to the writers as one (theta, value) float array; a q_local grid
 through the double-limit point names that cell a text cell, "ambiguous".
 A beta scan of floats (q_halfplane, polarization, power, ratio, eff_angle
-and table1) is handed to them as one array of its columns too; maxima, with
-its flag and "none" cells, as a list of rows.  Every value equals that of a
+and table1) is the one array of its quantity's table, which raises its
+error before any row is returned, handed to them as it is; maxima, with its
+flag and "none" cells, as a list of rows.  Every value equals that of a
 one-point call bit for bit (see ``family``); p is the profile that maxima
 and eff_angle read.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__, analysis, electron, kinematics
 from .errors import ConvergenceError, DomainError
-from .family import HALF_PI, table_of
+from .family import HALF_PI
 from .io import ScanResult, serialize
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 
@@ -130,11 +131,11 @@ def _max_angle(c):
 
 
 def _polarization(c):
-    return table_of(c.api.family.half_plane_fractions_rows(c.zeta, c.betas, c.cfg))
+    return c.api.family.half_plane_fractions_rows(c.zeta, c.betas, c.cfg)
 
 
 def _eff_angle(c):
-    table = table_of(analysis.effective_angle_rows(c.particle, c.s, c.zeta, c.betas, c.cfg))
+    table = analysis.effective_angle_rows(c.particle, c.s, c.zeta, c.betas, c.cfg)
     table[:, 1] = c.angle(table[:, 1])
     return table
 
@@ -154,12 +155,12 @@ QUANTITIES = {
                      _SCAN + ("beta", "units=m0*c^2/hbar"), _freq),
     "p": Quantity("theta beta", ("theta", "p"), _SCAN + ("beta",), _p),
     "q_local": Quantity("theta beta", ("theta", "q"), _SCAN + ("beta",), _q_local),
-    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c: table_of(
-        c.api.family.half_plane_fraction_rows(c.s, c.zeta, c.betas, c.cfg))),
+    "q_halfplane": Quantity("beta", ("beta", "q"), _SCAN, lambda c:
+                            c.api.family.half_plane_fraction_rows(c.s, c.zeta, c.betas, c.cfg)),
     "power": Quantity("beta", ("beta", "power", "shape"), _SCAN + ("units=Q0",),
-                      lambda c: table_of(c.api.family.power_rows(c.zeta, c.betas, c.cfg))),
-    "ratio": Quantity("beta", ("beta", "k"), _SCAN, lambda c: table_of(
-        analysis.power_ratio_rows(c.zeta, c.betas, c.cfg))),
+                      lambda c: c.api.family.power_rows(c.zeta, c.betas, c.cfg)),
+    "ratio": Quantity("beta", ("beta", "k"), _SCAN,
+                      lambda c: analysis.power_ratio_rows(c.zeta, c.betas, c.cfg)),
     "max_angle": Quantity("beta", ("beta", "exists", "theta_max", "p_max"), _SCAN, _max_angle),
     "eff_angle": Quantity("beta", ("beta", "delta"), _SCAN + ("definition_id=rms",), _eff_angle),
     "table1": Quantity("", ("beta", "f_b", "f_e", "k_minus", "k_plus"),

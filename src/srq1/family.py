@@ -38,22 +38,20 @@ the profiles of ``density_profiles`` (``density_profile`` and ``density``
 are their one-beta cases), and runs in place: each stage writes into an
 array it owns, with the operands and order of the plain expression.
 
-A beta scan (``shape_integral_scan``, ``total_power_scan``,
-``half_plane_fraction[s]_scan``, and the profiles of ``density_profiles``)
-runs as columns.  It checks every beta with one array test, which names the
-first bad beta as a beta-by-beta check would, then takes ``GRID_CHUNK``
-betas at a time, which bounds its memory at any grid length: their x0 from
-the array form of the one-beta map (``_x1``), with its bits, their f_k in
-one call of ``f`` as an (n, k) array, and q_s, f(beta) and W_0 as ufunc
-columns with the operands and order of the one-beta expressions.  A power
-is taken by C's pow, element by element, as Python's ``**`` takes it
-(``_pow``), since numpy's own power loop differs in the last bit.  So each
-value has the bits of its one-beta scan, and the one-beta methods are scans
-of one beta.  The ``*_rows`` methods yield per chunk the array of the rows
-before the first beta whose f_k fails, and that f_k's error; the scans
-yield those rows beta by beta and raise the error when its beta is
-reached, as a beta-by-beta evaluation would (``rows_of``), and the CLI
-writes them as one array (``table_of``).
+A beta quantity (``power_rows``, ``half_plane_fraction[s]_rows`` and the
+profiles of ``density_profiles``) is one array over its beta grid, built on
+``f_table``.  That checks every beta with one array test, which names the
+first bad beta as a beta-by-beta check would (and zeta on an empty grid
+too), takes the x0 of every beta from the array form of the one-beta map
+(``_x1``), with its bits, and their f_k as an (n, k) array, from one call of
+``f`` per ``GRID_CHUNK`` betas, which bounds the memory of the integrals at
+any grid length.  q_s, f(beta) and W_0 are ufunc columns with the operands
+and order of the one-beta expressions.  A power is taken by C's pow,
+element by element, as Python's ``**`` takes it (``_pow``), since numpy's
+own power loop differs in the last bit.  So each row has the bits of its
+one-beta value, and a one-beta method reads row 0 of its table.  A table
+raises the error that a beta-by-beta evaluation meets first, the first
+failed f_k of the first beta with one, before any row is returned.
 """
 
 from __future__ import annotations
@@ -106,9 +104,9 @@ class Family:
             raise DomainError(f"zeta must be +1 or -1, got {zeta}")
 
     def check_betas(self, betas, zeta=None):
-        """``check`` of each beta with zeta, in order, as one array test."""
-        if len(betas):
-            self.check(betas[0], zeta=zeta)
+        """``check`` of each beta with zeta, in order, as one array test; of
+        zeta alone on an empty grid."""
+        self.check(betas[0] if len(betas) else 0.0, zeta=zeta)
         if len(betas) > 1:
             kinematics.validate_betas(betas[1:])
 
@@ -249,22 +247,6 @@ class Family:
         self.check(beta, theta, zeta)
         return kinematics.like_theta(self.density_profile(s, zeta, beta, cfg)(theta), theta)
 
-    def f_chunks(self, ks, betas, cfg, zeta=None):
-        """After checking every beta, yield (beta, x0, f, error) per
-        GRID_CHUNK betas: the betas and their x0 as arrays, the (m, len(ks))
-        array of f_k(x0) of the first m of them, those before the first beta
-        whose f_k fails, and that beta's first failed f_k (None if none
-        failed), the first error of a sequential evaluation (betas, then
-        ks).  The integrals of a chunk run as one call of ``f``."""
-        self.check_betas(betas, zeta)
-        for start in range(0, len(betas), GRID_CHUNK):
-            beta = np.array(betas[start:start + GRID_CHUNK], dtype=float)
-            x0 = self._x1(beta, sqrt=np.sqrt)[2]
-            f, errors = _f_table(self.f(list(ks) * len(beta), [v for v in x0.tolist() for _ in ks],
-                                        cfg), len(beta), len(ks))
-            m = next((i for i, e in enumerate(errors) if e is not None), len(beta))
-            yield beta, x0, f[:m], errors[m] if m < len(beta) else None
-
     def _body(self, s, swap, theta, bb2, lead, a, oma, norm):
         """p_s at theta for the ``_row`` values and the normalization norm,
         each a float or a column per row of theta, in place.  The cube is
@@ -289,17 +271,13 @@ class Family:
         ``betas[rows]``; for 1-D rows, row i of the (n, k) array theta at
         ``betas[rows[i]]``, or a (1, k) theta at every row.  Returned with,
         per beta, the error that its normalization f_2, f_3 raises, or None;
-        the normalizations run as one batch.  An ``at_limit`` cell at pi/2
+        the normalizations are those of ``f_table``.  An ``at_limit`` cell at pi/2
         takes the fixed-beta theta-limit value, every other the body."""
         kinematics.validate_s(s)
-        self.check_betas(betas, zeta)
+        beta, (bb2, lead, x0, omx0), fk, failed = self.f_table((2, 3), betas, cfg, zeta)
         swap = self._swap(zeta)
-        beta = np.array(betas, dtype=float)
-        bb2, lead, x0, omx0 = self._x1(beta, sqrt=np.sqrt)
-        fk, failed = _f_table(self.f([2, 3] * len(beta), [v for v in x0.tolist() for _ in (2, 3)],
-                                     cfg), len(beta), 2)
         # per beta: the _row values, the normalization of the body, at_limit
-        params = np.empty((6, len(betas)))
+        params = np.empty((6, len(beta)))
         params[0], params[1], params[4] = bb2, lead, _pow(1.0 + x0, 2) * (fk[:, 0] + fk[:, 1])
         params[2], params[3] = (x0, omx0) if self.spin else (1.0, 0.0)
         params[5] = self.spin & (beta == 1.0)
@@ -320,59 +298,55 @@ class Family:
 
         return profile, failed
 
+    def f_table(self, ks, betas, cfg, zeta=None):
+        """After checking every beta with zeta: the betas as an array, their
+        ``_x1`` columns (B beta^2, lead, x0, 1 - x0), the (n, len(ks)) array
+        of f_k(x0), nan where one failed, and per beta its first failed f_k,
+        or None.  The integrals of GRID_CHUNK betas run as one call of ``f``."""
+        self.check_betas(betas, zeta)
+        beta = np.array(betas, dtype=float)
+        x1 = self._x1(beta, sqrt=np.sqrt)
+        f, failed = np.empty((len(beta), len(ks))), []
+        for start in range(0, len(beta), GRID_CHUNK):
+            x0 = x1[2][start:start + GRID_CHUNK].tolist()
+            values = self.f(list(ks) * len(x0), [v for v in x0 for _ in ks], cfg)
+            f[start:start + len(x0)], errors = _f_table(values, len(x0), len(ks))
+            failed += errors
+        return beta, x1, f, failed
+
     def half_plane_fractions_rows(self, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Per chunk of ``f_chunks``: the (m, 5) array of beta, q_1, q_-1,
-        q_2 and q_3, and its error."""
+        """The (n, 5) array of beta, q_1, q_-1, q_2 and q_3 from one f_1, f_2,
+        f_3 per beta: the share of the power of component s radiated into
+        0 <= theta <= pi/2, with q_0 = 1, q_2 + q_3 = 1, q_g + q_{-g} = 1 and
+        q_2(zeta) = q_3(-zeta)."""
         z = 1 if self._swap(zeta) else -1
-        for beta, _, f, error in self.f_chunks((1, 2, 3), betas, cfg, zeta):
-            f0 = f[:, 1] + f[:, 2]
-            q1 = 0.5 + f[:, 0] / f0
-            q2 = 0.5 * (1.0 + z - 2.0 * z * (f[:, 1] / f0))
-            yield np.column_stack((beta[:len(f)], q1, 1.0 - q1, q2, 1.0 - q2)), error
+        beta, _, f, failed = self.f_table((1, 2, 3), betas, cfg, zeta)
+        checked(failed)
+        f0 = f[:, 1] + f[:, 2]
+        q1 = 0.5 + f[:, 0] / f0
+        q2 = 0.5 * (1.0 + z - 2.0 * z * (f[:, 1] / f0))
+        return np.column_stack((beta, q1, 1.0 - q1, q2, 1.0 - q2))
 
     def half_plane_fraction_rows(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Per chunk of ``f_chunks``: the (m, 2) array of beta and
-        q_s(zeta; beta), and its error."""
+        """The (n, 2) array of beta and q_s(zeta; beta)."""
         kinematics.validate_s(s)
         if s == 0:
-            for beta, _, _, error in self.f_chunks((), betas, cfg, zeta):
-                yield np.column_stack((beta, np.ones(len(beta)))), error
-        else:
-            column = (1, -1, 2, 3).index(s) + 1
-            for rows, error in self.half_plane_fractions_rows(zeta, betas, cfg):
-                yield rows[:, [0, column]], error
-
-    def half_plane_fraction_scan(self, s: int, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Yield q_s(zeta; beta) at each beta, in order (see ``f_chunks``)."""
-        yield from (q for _, q in rows_of(self.half_plane_fraction_rows(s, zeta, betas, cfg)))
-
-    def half_plane_fractions_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Yield {s: q_s(zeta; beta)} at each beta, in order (see ``f_chunks``),
-        from one evaluation of f_1, f_2, f_3 per beta: the share of the power of
-        component s radiated into 0 <= theta <= pi/2, with q_0 = 1, q_2 + q_3 =
-        1, q_g + q_{-g} = 1 and q_2(zeta) = q_3(-zeta)."""
-        for _, q1, q_1, q2, q3 in rows_of(self.half_plane_fractions_rows(zeta, betas, cfg)):
-            yield {0: 1.0, 1: q1, -1: q_1, 2: q2, 3: q3}
+            self.check_betas(betas, zeta)
+            return np.column_stack((np.array(betas, dtype=float), np.ones(len(betas))))
+        return self.half_plane_fractions_rows(zeta, betas, cfg)[:, [0, (1, -1, 2, 3).index(s) + 1]]
 
     def half_plane_fraction(self, s: int, zeta, beta: float, cfg=DEFAULT_CONFIG) -> float:
-        """q_s(zeta; beta) of ``half_plane_fractions_scan``."""
-        return next(self.half_plane_fraction_scan(s, zeta, [beta], cfg))
+        """q_s(zeta; beta), row 0 of ``half_plane_fraction_rows``."""
+        return self.half_plane_fraction_rows(s, zeta, [beta], cfg)[0, 1].item()
 
     def shape(self, x0, f):
         """f(beta) = 3 (1 + x0)^m f_0(x0) / 8 at an array of x0, from the
-        (f_2, f_3) rows f of ``f_chunks``."""
+        (f_2, f_3) rows f of ``f_table``."""
         return 3.0 * _pow(1.0 + x0, self.shape_power) / 8.0 * (f[:, 0] + f[:, 1])
-
-    def shape_integral_scan(self, betas, cfg=DEFAULT_CONFIG):
-        """Yield f(beta) at each beta, in order (see ``f_chunks``)."""
-        for _, x0, f, error in self.f_chunks((2, 3), betas, cfg):
-            yield from self.shape(x0[:len(f)], f).tolist()
-            if error is not None:
-                raise error
 
     def shape_integral(self, beta: float, cfg=DEFAULT_CONFIG) -> float:
         """f(beta) = 3 (1 + x0)^m f_0(x0) / 8; equals 1 at beta = 0."""
-        return next(self.shape_integral_scan([beta], cfg))
+        return self.power_rows(None, [beta], cfg)[0, 2].item()
 
     def spin_factor(self, zeta, beta: float) -> float:
         """d(zeta; beta): spin-flip suppression x0 for zeta = +1, else 1."""
@@ -380,26 +354,20 @@ class Family:
         return self.x0(beta) if self._swap(zeta) else 1.0
 
     def power_rows(self, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Per chunk of ``f_chunks``: the (m, 3) array of beta, W_0 and
-        f(beta), and its error."""
+        """The (n, 3) array of beta, W_0 and f(beta)."""
         num, den = self.power_const
-        swap = self._swap(zeta)
-        for beta, x0, f, error in self.f_chunks((2, 3), betas, cfg, zeta):
-            beta, x0 = beta[:len(f)], x0[:len(f)]
-            shape = self.shape(x0, f)
-            with np.errstate(divide="ignore"):  # A(1) = 1/0 = inf
-                prefactor = _pow(beta, 6) / ((1.0 - beta) * (1.0 + beta))
-            power = num * (x0 if swap else 1.0) * prefactor / den
-            yield np.column_stack((beta, power * shape, shape)), error
-
-    def total_power_scan(self, zeta, betas, cfg=DEFAULT_CONFIG):
-        """Yield ``total_power`` at each beta, in order (see ``f_chunks``)."""
-        for _, power, shape in rows_of(self.power_rows(zeta, betas, cfg)):
-            yield PowerResult(power=power, shape=shape)
+        beta, (_, _, x0, _), f, failed = self.f_table((2, 3), betas, cfg, zeta)
+        checked(failed)
+        shape = self.shape(x0, f)
+        with np.errstate(divide="ignore"):  # A(1) = 1/0 = inf
+            prefactor = _pow(beta, 6) / ((1.0 - beta) * (1.0 + beta))
+        power = num * (x0 if self._swap(zeta) else 1.0) * prefactor / den
+        return np.column_stack((beta, power * shape, shape))
 
     def total_power(self, zeta, beta: float, cfg=DEFAULT_CONFIG) -> PowerResult:
-        """W_0 (units Q0; infinite at beta = 1) and the shape factor f(beta)."""
-        return next(self.total_power_scan(zeta, [beta], cfg))
+        """W_0 (units Q0; infinite at beta = 1) and the shape factor f(beta),
+        row 0 of ``power_rows``."""
+        return PowerResult(*self.power_rows(zeta, [beta], cfg)[0, 1:].tolist())
 
 
 def _pow(base, exponent):
@@ -420,22 +388,3 @@ def _f_table(values, n, k):
         table = [math.nan if isinstance(v, Exception) else v for v in values]
         return np.array(table).reshape(n, k), errors
 
-
-def rows_of(chunks):
-    """Yield the rows, as lists, of the (rows, error) chunks of a beta scan,
-    raising each chunk's error after its rows."""
-    for rows, error in chunks:
-        yield from rows.tolist()
-        if error is not None:
-            raise error
-
-
-def table_of(chunks):
-    """The rows of the (rows, error) chunks of a beta scan as one array; the
-    first error is raised."""
-    tables = []
-    for rows, error in chunks:
-        if error is not None:
-            raise error
-        tables.append(rows)
-    return np.concatenate(tables)

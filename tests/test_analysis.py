@@ -266,7 +266,6 @@ def test_asymptotic_max_angle_values():
 def test_effective_angle_closed_form():
     # p_0(0; theta) = (3/8)(1 + cos^2): delta^2 = pi^2/4 - 17/9
     rep = effective_angle("boson", 0, None, 0.0)
-    assert rep.definition_id == "rms"
     assert rep.delta == pytest.approx(math.sqrt(math.pi**2 / 4 - 17.0 / 9.0), abs=1e-9)
 
 
@@ -278,7 +277,7 @@ _WIDTH_BETAS = [0.0, 0.5, *(1.0 - 10.0**-k for k in range(1, 13)), 1.0]
 @pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
 @pytest.mark.parametrize("s", (0, 1, -1, 2, 3))
 def test_effective_angle_scan_matches_the_graded_oracle(kind, zeta, s):
-    got = list(analysis.effective_angle_scan(kind, s, zeta, _WIDTH_BETAS))
+    got = analysis.effective_angle_rows(kind, s, zeta, _WIDTH_BETAS)[:, 1].tolist()
     rms_width = oracles.bench_module("oracle").rms_width
     want = [rms_width(kind, s, zeta, b) for b in _WIDTH_BETAS]
     assert got == pytest.approx(want, rel=1e-11, abs=0.0)
@@ -287,7 +286,7 @@ def test_effective_angle_scan_matches_the_graded_oracle(kind, zeta, s):
 @pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
 def test_circular_widths_are_the_total_width(kind, zeta):
     # p_{+-1} = p_0/2 +- a term odd about pi/2 under an even weight
-    widths = [[d.hex() for d in analysis.effective_angle_scan(kind, s, zeta, _WIDTH_BETAS)]
+    widths = [[d.hex() for d in analysis.effective_angle_rows(kind, s, zeta, _WIDTH_BETAS)[:, 1]]
               for s in (0, 1, -1)]
     assert widths[1] == widths[0] and widths[2] == widths[0]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srq1 import analysis
-from srq1.analysis import effective_angle_scan, max_angle_scan
+from srq1.analysis import effective_angle_rows, max_angle_scan
 from srq1.boson import (BOSON, XBAR0_MAX, angular_density_b, boson_deformation,
                         density_profile_b, half_plane_fraction_b,
                         local_polarization_b, phi_b, shape_integral_b,
@@ -147,20 +147,28 @@ def test_domain_errors():
         half_plane_fraction_b(2, -0.5)
 
 
-def test_beta_scan_memory_is_bounded_by_its_chunk():
-    # the integrals of a beta scan run GRID_CHUNK betas at a time, so a scan
-    # 8 times longer peaks at about the memory of one chunk; its values are
-    # counted, not kept, as a list of them grows with the scan
-    def peak(n):
-        betas = [0.999 * i / (n - 1) for i in range(n)]
+def _growth_per_beta(table, one_chunk):
+    """How much more memory, per extra beta, a table of 8 copies of a
+    one-chunk grid peaks at than a table of that grid; each run starts warm,
+    so every chunk of both does the same work."""
+    def peak(betas):
         tracemalloc.start()
-        count = sum(1 for _ in BOSON.total_power_scan(None, betas))
+        rows = table(betas)
         used = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert count == n
+        assert len(rows) == len(betas)
         return used
 
-    assert peak(8 * GRID_CHUNK) < 2 * peak(GRID_CHUNK)
+    table(one_chunk * 8)
+    return (peak(one_chunk * 8) - peak(one_chunk)) / (7 * len(one_chunk))
+
+
+def test_beta_scan_memory_is_bounded_by_its_chunk():
+    # the integrals of a beta table run GRID_CHUNK betas at a time, so a
+    # longer table adds little more than its rows: about 75 bytes a beta,
+    # where integrals of the whole grid at once would add about 300
+    betas = [0.999 * i / (GRID_CHUNK - 1) for i in range(GRID_CHUNK)]
+    assert _growth_per_beta(lambda b: BOSON.power_rows(None, b), betas) < 200
 
 
 def test_max_angle_scan_memory_is_bounded_by_its_chunk():
@@ -179,19 +187,12 @@ def test_max_angle_scan_memory_is_bounded_by_its_chunk():
 
 
 def test_effective_angle_scan_memory_is_bounded_by_its_chunk(monkeypatch):
-    # effective_angle_scan integrates the graded width pieces of GRID_CHUNK
-    # betas at a time, up to 8 pieces per electron beta next to 1, so a scan
-    # 4 times longer peaks at about the memory of one chunk (a smaller chunk
-    # keeps the electron's x -> 1 quadratures short)
-    monkeypatch.setattr(analysis, "GRID_CHUNK", 128)
-
-    def peak(n):
-        betas = [1.0 - 10.0 ** -(2.0 + 7.0 * i / (n - 1)) for i in range(n)]
-        tracemalloc.start()
-        found = sum(1 for _ in effective_angle_scan("electron", 0, -1, betas))
-        used = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert found == n
-        return used
-
-    assert peak(4 * 128) < 2 * peak(128)
+    # effective_angle_rows integrates the graded width pieces of GRID_CHUNK
+    # betas at a time, up to 8 pieces per electron beta next to 1, so a
+    # longer table adds little more than its rows: about 85 bytes a beta,
+    # where the pieces of the whole grid at once would add about 16000 (a
+    # smaller chunk keeps the electron's x -> 1 quadratures short)
+    monkeypatch.setattr(analysis, "GRID_CHUNK", 64)
+    betas = [1.0 - 10.0 ** -(2.0 + 7.0 * i / 63) for i in range(64)]
+    growth = _growth_per_beta(lambda b: effective_angle_rows("electron", 0, -1, b), betas)
+    assert growth < 200

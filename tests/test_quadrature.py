@@ -276,7 +276,7 @@ def test_paired_bisection_matches_reference_on_effective_angle(monkeypatch):
     for kind, zetas in (("boson", (None,)), ("electron", (1, -1))):
         for zeta in zetas:
             for s in (0, 1, 2, 3):
-                list(analysis.effective_angle_scan(kind, s, zeta, betas))
+                analysis.effective_angle_rows(kind, s, zeta, betas)
     assert len(batches) == 3 * 4
     # the weighted pieces of each beta, then its plain pieces
     pieces = [analysis._width_pieces(b) * 2 for b in betas]

@@ -1,7 +1,7 @@
-"""Beta scans as columns: the x0 of a chunk has the bits of x0(beta), each
-value of a scan has the bits of its one-beta scan, and a scan checks every
-beta first and raises the error of a sequential evaluation when its beta is
-reached."""
+"""Beta tables: the x0 columns have the bits of x0(beta), each row of a
+table has the bits of its one-beta value at any GRID_CHUNK, and a table
+checks every beta first and raises the error that a sequential evaluation
+meets first."""
 
 import math
 import re
@@ -43,43 +43,47 @@ def test_x0_columns_keep_the_bits_of_x0(fam):
 SCAN_BETAS = [0.0, 0.3, 0.5, 0.9, 0.98, 0.99, 0.999, 0.999999, 1.0 - 1e-12, 1.0, 0.7]
 
 
-def _scans(fam, zeta):
-    """(scan of a list of betas, its one-beta value) of each beta scan of fam."""
-    yield (lambda betas: list(fam.shape_integral_scan(betas)), fam.shape_integral)
-    yield (lambda betas: list(fam.total_power_scan(zeta, betas)),
-           lambda beta: fam.total_power(zeta, beta))
+def _tables(fam, zeta):
+    """(table of a list of betas, its one-beta row after beta) of each beta
+    table of fam."""
+    yield (lambda betas: fam.power_rows(None, betas)[:, [0, 2]],
+           lambda beta: [fam.shape_integral(beta)])
+    yield (lambda betas: fam.power_rows(zeta, betas), lambda beta: [*fam.total_power(zeta, beta)])
     for s in VALID_S:
-        yield (lambda betas, s=s: list(fam.half_plane_fraction_scan(s, zeta, betas)),
-               lambda beta, s=s: fam.half_plane_fraction(s, zeta, beta))
-    yield (lambda betas: list(fam.half_plane_fractions_scan(zeta, betas)),
-           lambda beta: {s: fam.half_plane_fraction(s, zeta, beta) for s in VALID_S})
+        yield (lambda betas, s=s: fam.half_plane_fraction_rows(s, zeta, betas),
+               lambda beta, s=s: [fam.half_plane_fraction(s, zeta, beta)])
+    yield (lambda betas: fam.half_plane_fractions_rows(zeta, betas),
+           lambda beta: [fam.half_plane_fraction(s, zeta, beta) for s in (1, -1, 2, 3)])
 
 
-def _bits(value):
-    if isinstance(value, dict):
-        return {k: v.hex() for k, v in value.items()}
-    if isinstance(value, tuple):
-        return tuple(v.hex() for v in value)
-    return value.hex()
+def _bits(rows):
+    return [[v.hex() for v in row] for row in rows]
+
+
+def _rows_of_one_beta(one, betas):
+    return _bits([beta, *one(beta)] for beta in betas)
+
+
+# chunks of every length from 1 to all of SCAN_BETAS
+CHUNKS = (family.GRID_CHUNK, 1, 3, 4)
 
 
 @pytest.mark.parametrize("fam, zeta", FAMILIES, ids=_IDS)
 def test_scan_values_keep_the_bits_of_one_beta(fam, zeta, monkeypatch):
-    for scan, one in _scans(fam, zeta):
-        want = [_bits(one(beta)) for beta in SCAN_BETAS]
-        assert [_bits(v) for v in scan(SCAN_BETAS)] == want
-        monkeypatch.setattr(family, "GRID_CHUNK", 3)  # chunks of 3, 3, 3 and 2 betas
-        assert [_bits(v) for v in scan(SCAN_BETAS)] == want
-        monkeypatch.undo()
+    for table, one in _tables(fam, zeta):
+        want = _rows_of_one_beta(one, SCAN_BETAS)
+        for chunk in CHUNKS:
+            monkeypatch.setattr(family, "GRID_CHUNK", chunk)
+            assert _bits(table(SCAN_BETAS).tolist()) == want, chunk
 
 
 def test_ratio_and_table1_keep_the_bits_of_one_beta(monkeypatch):
     for zeta in (1, -1):
-        want = [analysis.power_ratio(zeta, beta).hex() for beta in SCAN_BETAS]
-        assert [k.hex() for k in analysis.power_ratio_scan(zeta, SCAN_BETAS)] == want
-        monkeypatch.setattr(family, "GRID_CHUNK", 4)
-        assert [k.hex() for k in analysis.power_ratio_scan(zeta, SCAN_BETAS)] == want
-        monkeypatch.undo()
+        want = _rows_of_one_beta(lambda beta: [analysis.power_ratio(zeta, beta)], SCAN_BETAS)
+        for chunk in CHUNKS:
+            monkeypatch.setattr(family, "GRID_CHUNK", chunk)
+            assert _bits(analysis.power_ratio_rows(zeta, SCAN_BETAS).tolist()) == want, chunk
+    monkeypatch.undo()
     for row in analysis.table1():
         assert row.f_b == boson.shape_integral_b(row.beta)
         assert row.f_e == electron.shape_integral_e(row.beta)
@@ -88,33 +92,34 @@ def test_ratio_and_table1_keep_the_bits_of_one_beta(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1)])
-def test_width_scan_keeps_the_bits_of_one_beta(kind, zeta):
+def test_width_scan_keeps_the_bits_of_one_beta(kind, zeta, monkeypatch):
     betas = [0.0, 0.5, 0.99, 1.0, 0.3]
-    want = [analysis.effective_angle(kind, 2, zeta, beta).delta.hex() for beta in betas]
-    assert [d.hex() for d in analysis.effective_angle_scan(kind, 2, zeta, betas)] == want
+    want = _rows_of_one_beta(lambda beta: [analysis.effective_angle(kind, 2, zeta, beta).delta],
+                             betas)
+    for chunk in (analysis.GRID_CHUNK, 1, 3):
+        monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+        assert _bits(analysis.effective_angle_rows(kind, 2, zeta, betas).tolist()) == want
 
 
 def _sequential(one, betas):
-    """The values of one(beta) in order up to the first that raises, and that
+    """The rows of one(beta) in order up to the first that raises, and that
     error's type and text."""
-    values = []
+    rows = []
     for beta in betas:
         try:
-            values.append(_bits(one(beta)))
-        except Exception as exc:  # noqa: BLE001  (the error a scan must repeat)
-            return values, (type(exc), str(exc))
-    return values, None
+            rows.append(one(beta))
+        except Exception as exc:  # noqa: BLE001  (the error a table must repeat)
+            return rows, (type(exc), str(exc))
+    return rows, None
 
 
-def _lazily(scan, betas):
-    """The values a scan yields before it raises, and the error's type and text."""
-    values = []
+def _raised(table, betas):
+    """The type and text of the error that table(betas) raises, or None."""
     try:
-        for v in scan(betas):
-            values.append(_bits(v))
+        table(betas)
     except Exception as exc:  # noqa: BLE001
-        return values, (type(exc), str(exc))
-    return values, None
+        return type(exc), str(exc)
+    return None
 
 
 @pytest.mark.parametrize("fam, zeta", FAMILIES, ids=_IDS)
@@ -122,22 +127,24 @@ def test_scans_raise_the_first_failing_beta_when_it_is_reached(fam, zeta, monkey
     # a tolerance that the series' bound meets at x0 = 0 and not at 0.95
     cfg = QuadratureConfig(abs_tol=4.2e-14, rel_tol=1e-300)
     betas = [0.0, 0.05, 0.95, 0.0]
-    scans = [
-        (lambda b: fam.shape_integral_scan(b, cfg), lambda beta: fam.shape_integral(beta, cfg)),
-        (lambda b: fam.total_power_scan(zeta, b, cfg), lambda beta: fam.total_power(zeta, beta,
-                                                                                   cfg)),
-        (lambda b: fam.half_plane_fraction_scan(2, zeta, b, cfg),
+    kind = "electron" if fam.spin else "boson"
+    tables = [
+        (lambda b: fam.power_rows(None, b, cfg), lambda beta: fam.shape_integral(beta, cfg)),
+        (lambda b: fam.power_rows(zeta, b, cfg), lambda beta: fam.total_power(zeta, beta, cfg)),
+        (lambda b: fam.half_plane_fraction_rows(2, zeta, b, cfg),
          lambda beta: fam.half_plane_fraction(2, zeta, beta, cfg)),
-        (lambda b: analysis.power_ratio_scan(-1, b, cfg),
+        (lambda b: analysis.power_ratio_rows(-1, b, cfg),
          lambda beta: analysis.power_ratio(-1, beta, cfg)),
+        (lambda b: analysis.effective_angle_rows(kind, 2, zeta, b, cfg),
+         lambda beta: analysis.effective_angle(kind, 2, zeta, beta, cfg)),
     ]
-    for scan, one in scans:
-        want = _sequential(one, betas)
-        assert len(want[0]) == 2 and want[1] is not None
-        assert _lazily(scan, betas) == want
-        monkeypatch.setattr(family, "GRID_CHUNK", 1)
-        assert _lazily(scan, betas) == want
-        monkeypatch.undo()
+    for table, one in tables:
+        rows, error = _sequential(one, betas)
+        assert len(rows) == 2 and error is not None
+        for chunk in (family.GRID_CHUNK, 1):
+            monkeypatch.setattr(family, "GRID_CHUNK", chunk)
+            monkeypatch.setattr(analysis, "GRID_CHUNK", chunk)
+            assert _raised(table, betas) == error
 
 
 def test_scans_check_every_beta_first_naming_the_first_bad_one():
@@ -147,12 +154,28 @@ def test_scans_check_every_beta_first_naming_the_first_bad_one():
                               ([0.5, math.nan, 2.0], -1, "beta must lie in [0, 1], got nan"),
                               ([2.0, 0.5], 5, "beta must lie in [0, 1], got 2.0"),
                               ([0.5, 2.0], 5, "zeta must be +1 or -1, got 5")):
-        scans = [lambda: next(fam.total_power_scan(zeta, betas)),
-                 lambda: next(fam.half_plane_fractions_scan(zeta, betas)),
-                 lambda: fam.density_profiles(0, zeta, betas)]
-        if zeta == -1:
-            scans.append(lambda: next(fam.shape_integral_scan(betas)))
-        for scan in scans:
+        tables = [lambda: fam.power_rows(zeta, betas),
+                  lambda: fam.half_plane_fractions_rows(zeta, betas),
+                  lambda: fam.half_plane_fraction_rows(0, zeta, betas),
+                  lambda: fam.density_profiles(0, zeta, betas),
+                  lambda: analysis.effective_angle_rows("electron", 0, zeta, betas),
+                  lambda: list(analysis.max_angle_scan("electron", 0, zeta, betas))]
+        for table in tables:
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
-                scan()
-    assert list(fam.shape_integral_scan([])) == []
+                table()
+
+
+def test_empty_grids_check_zeta():
+    fam = electron.ELECTRON
+    tables = [lambda zeta: fam.power_rows(zeta, []),
+              lambda zeta: fam.half_plane_fractions_rows(zeta, []),
+              lambda zeta: fam.half_plane_fraction_rows(0, zeta, []),
+              lambda zeta: fam.half_plane_fraction_rows(2, zeta, []),
+              lambda zeta: analysis.power_ratio_rows(zeta, []),
+              lambda zeta: analysis.effective_angle_rows("electron", 0, zeta, []),
+              lambda zeta: fam.density_profiles(0, zeta, [])[1],
+              lambda zeta: list(analysis.max_angle_scan("electron", 0, zeta, []))]
+    for table in tables:
+        with pytest.raises(DomainError, match=r"^zeta must be \+1 or -1, got 5$"):
+            table(5)
+        assert len(table(-1)) == 0
