@@ -173,9 +173,10 @@ EDGE_ARGV += [
     ["scan", "--quantity", "power", "--beta=-0.5"],
     *PARSER_ERRORS,
 ]
-# The electron's beta scans where the s-form's [0, 1] is first cut in two, at
-# x0 = 1/sqrt2 (beta about 0.985171), and in three, at x0 = 1/sqrt(1 + 1/64)
-# (beta about 0.9999925).
+# The electron's beta scans across x0 = 1/sqrt2 (beta about 0.985171), where
+# f_2, f_3 pass from the power series to the closed form, and across x0 =
+# 1/sqrt(1 + 1/64) (beta about 0.9999925), where the s-form quadrature that
+# the closed form replaced was cut into three pieces.
 EDGE_ARGV += [
     [*a, "--beta", b] for a in _BETA_SCANS if "electron" in a
     for b in ("0.9845:0.986:7", "0.985171:0.985174:4", "0.99999:0.999995:6")
@@ -317,7 +318,7 @@ def _p_mp(kind, s, zeta, beta, w):
 
 
 def _f0_mp(kind, x):
-    """f_2 + f_3 at x (at least 40 digits) in the s-form of ``integrals``, by
+    """f_2 + f_3 at x (at least 40 digits) in the s-form, y = 1 - s^2, by
     mp.quad on [0, 1] cut at w0 8^k, w0 = sqrt(1 - x^2)/x, the width of the
     integrands' layer at s = 0."""
     om = (1 - x) * (1 + x)

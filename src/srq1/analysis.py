@@ -18,10 +18,12 @@ formula.  ``crossover_beta`` takes its root with ``_root`` too.  A width
 integrates over [0, pi/2] only, on pieces graded toward pi/2 at 1/gamma,
 and s = +-1 takes the width of s = 0.  Each value keeps the bits of its
 one-beta evaluation, which reads row 0 of its table (the report of a scan
-of one beta for a maximum).  A table raises, before any row is returned,
-the error that a beta-by-beta evaluation meets first: betas in grid order,
-the electron's f_k before the boson's in a ratio (the boson's first in
-``table1``), and a width's f_2, f_3, weighted pieces, then plain pieces.
+of one beta for a maximum).  A table checks its betas before any integral,
+as ``family``'s do (a width table and ``max_angle_scan`` per ``GRID_CHUNK``
+of them), and then raises, before any row is returned, the first failed
+integral in grid order: the electron's f_k before the boson's in a ratio
+(the boson's first in ``table1``), and a width's f_2, f_3, weighted pieces,
+then plain pieces.
 The maxima and widths read p_s from the profiles of
 ``Family.density_profiles``.
 """
@@ -101,9 +103,9 @@ class EffectiveAngleReport:
 
 def _shapes(first, second, betas, cfg):
     """(beta, f(beta) of ``first``, f(beta) of ``second``, the electron's x0)
-    as arrays, from the f_2, f_3 of each particle; raises the error of a
-    sequential evaluation (betas in order, ``first``'s f_k before
-    ``second``'s)."""
+    as arrays, from the f_2, f_3 of each particle; after every beta is
+    checked, raises the first failed f_k in beta order, ``first``'s before
+    ``second``'s."""
     (beta, (_, _, x_a, _), f_a, failed_a), (_, (_, _, x_b, _), f_b, failed_b) = (
         fam.f_table((2, 3), betas, cfg) for fam in (first, second))
     checked([a if a is not None else b for a, b in zip(failed_a, failed_b)])
@@ -310,9 +312,9 @@ def effective_angle_rows(kind: str, s: int, zeta: int | None, betas,
     betas run as two batches: the normalizations f_2, f_3 of their profiles,
     then, for each beta whose normalization converged, the weighted and the
     plain integral on each of its ``_width_pieces``.  A beta's sums add its
-    pieces from theta = 0 up.  The error raised is the first of a sequential
-    evaluation (betas in order; within a beta f_2, f_3, the weighted pieces,
-    then the plain pieces).
+    pieces from theta = 0 up.  The betas of a chunk are checked first; the
+    error then raised is the first in beta order (within a beta f_2, f_3,
+    the weighted pieces, then the plain pieces).
     """
     fam = _particle(kind).family
     kinematics.validate_s(s)

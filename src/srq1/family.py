@@ -50,8 +50,10 @@ and order of the one-beta expressions.  A power is taken by C's pow,
 element by element, as Python's ``**`` takes it (``_pow``), since numpy's
 own power loop differs in the last bit.  So each row has the bits of its
 one-beta value, and a one-beta method reads row 0 of its table.  A table
-raises the error that a beta-by-beta evaluation meets first, the first
-failed f_k of the first beta with one, before any row is returned.
+checks every beta of its grid before any integral, as the CLI does, so a bad
+beta's DomainError comes first even where an earlier beta's f_k fail; then
+it raises the first failed f_k of the first beta with one, before any row is
+returned.
 """
 
 from __future__ import annotations

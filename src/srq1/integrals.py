@@ -1,8 +1,7 @@
 """Parametric integrals f_k(x) entering the n = 1 radiation formulas.
 
-Two families, one per particle kind.  f_1 is elementary for both, written
-with expm1, and as a series below x = 1e-4.  f_2 and f_3 are y-form
-integrals, y = 1 - s^2,
+Two families, one per particle kind.  f_1 is elementary for both; f_2 and
+f_3 are y-form integrals, y = 1 - s^2,
 
     f = int_0^1 (1 + x y) e^{-x y} N(x, y) (1 - y)^{-1/2} dy
 
@@ -12,7 +11,13 @@ integrals, y = 1 - s^2,
 
 f_0 = f_2 + f_3.  At x = 1 the electron's exact limits f_1 = f_2 = f_3 =
 2 - 3/e hold; the boson's x stays below 2 - sqrt3, and its f_2, f_3 are
-refused at x = 1.
+refused at x = 1.  No f_k is integrated numerically.
+
+f_1 is ((1 + x)^2 e^-x - 1)/x for the boson and (2 - (2 + x) e^-x)/x for the
+electron, written with expm1, and a series below x = 1e-4.  The f_1 pairs of
+a call at x >= 1e-4 are formed in one array step in numpy's extended
+precision (x87's 64-bit significand on x86-64); ``f1_b`` and ``f1_e`` are
+that step at one x.
 
 Up to x = 1/sqrt2 (``SERIES_X``, which holds every boson x and the
 electron's up to beta = 0.985) f_2 and f_3 are power series.  Expanded in x,
@@ -21,58 +26,71 @@ more with the (1 - y) of f_3), and y^j integrates against (1 - y)^{-1/2} to
 B(j + 1, 1/2) = 2^{2j+1} (j!)^2 / (2j + 1)!, so f = sum c_n x^n with rational
 c_n, convergent for |x| < 1.  ``series_coefficients`` holds them as doubles.
 The first N terms are summed, N = 89 for the boson and 91 for the electron:
-the first ``HEAD`` of them in numpy's extended precision (x87's 64-bit
-significand on x86-64), with c_n to 106 bits, the rest in doubles from the
-smallest term up, so that f_k is correctly rounded at all but rare x.  Its
-error bound is the tail, (|c_N| x^N + |c_{N+1}| x^{N+1}) / (1 - x^2) (each
-parity of |c_n| decreases from N on), plus the rounding of the sum, N eps
-sum |c_m x^m| (Higham, 2002, ch. 5).  A tolerance below the bound gives that
-pair a ConvergenceError with the bound; ``max_depth`` plays no part.  The
-series pairs of a call run together, ``_BLOCK`` at a time, as (terms,
-pairs) arrays: every step is elementwise or a sum down a column, so each
-value has the bits of its one-pair call.
+the first ``HEAD`` of them in extended precision, with c_n to 106 bits, the
+rest in doubles from the smallest term up, so that f_k is correctly rounded
+at all but rare x.  Its error bound is the tail, (|c_N| x^N + |c_{N+1}|
+x^{N+1}) / (1 - x^2) (each parity of |c_n| decreases from N on), plus the
+rounding of the sum, N eps sum |c_m x^m| (Higham, 2002, ch. 5).  The series
+pairs of a call run together, ``_BLOCK`` at a time, as (terms, pairs)
+arrays: every step is elementwise or a sum down a column, so each value has
+the bits of its one-pair call.
 
-Above 1/sqrt2 f_2 and f_3 are taken in the s-form, on [0, 1] with no
-prefactor:
+Above 1/sqrt2 f_2 and f_3 are a closed form.  In s, with t = (1 - x)(1 + x)
+and J = sqrt(t + x^2 s^2), the weight 2 (1 + x y) e^{-x y} is the entire
+sum_m w_m s^{2m}, w_m = 2 e^-x (x^m / m!) (1 + x - m), and 1 - x y =
+(1 - x) + x s^2, so
 
-    w = 2 (1 + x y) e^{-x y},   q = (1 - x)(1 + x) + x^2 s^2,
+              f_2                           f_3
+    boson     int w ((1 - x) + x s^2)^2/J   int w s^2 J
+    electron  int w J                       int w s^2 / J
 
-              f_2                          f_3
-    boson     int w (1 - x y)^2 / sqrt(q)  int w s^2 sqrt(q)
-    electron  int w sqrt(q)                int w s^2 / sqrt(q)
+on [0, 1] are sums of w_m G_m over the moments K_m = int_0^1 s^{2m}/J ds and
+I_m = int_0^1 s^{2m} J ds = t K_m + x^2 K_{m+1}: G_m is I_m (electron f_2),
+K_{m+1} (electron f_3), (1 - x)^2 (K_m - K_{m+1}) + I_{m+1} (boson f_2) and
+I_{m+1} (boson f_3).  As t + x^2 = 1, K_0 = atanh(x)/x, and the derivative
+of s^{2m-1} J gives
 
-One integrand serves both families, through a kernel record per family that
-holds its f_1, its series and which numerators it takes; it forms w and
-sqrt(q) once per node.  The boson's s-form serves the public ``f_b`` only:
-the particle's x never needs it.  The integrands' only structure is a layer
-of width w0 = sqrt((1 - x)(1 + x))/x < 1 at s = 0, which narrows as x -> 1.
-[0, 1] is cut at s = w0 8^k while below 1 (``_s_pieces``): two pieces up to
-x = 1/sqrt(1 + 1/64), and one more per factor 8 that w0 shrinks.  A pair's
-value is the sum of its pieces from s = 0 up, its error that of its first
-failing piece.  One to three lockstep rounds settle an f_2, f_3 pair, within
-1.3e-15 relative of a 30-digit oracle up to 1 - x = 1e-15.
+    2m x^2 K_m = 1 - (2m - 1) t K_{m-1}.
 
-``f_values`` evaluates a list of (k, x) pairs of one family: its series
-pairs as one array evaluation, and the pieces of its other f_2, f_3 pairs as
-one ``quad_batch``: each node row of an integrand call carries its own x and
-k (f_2 and f_3 rows share the call, their numerators selected by
-``np.where``; an x or k that every row shares is passed as a number).  The
-integrand is elementwise, with x broadcast per row in the operation order of
-the one-integral form, so each value has the bits of its own
-``quad_adaptive`` calls.  A failed pair's entry is the error that evaluating
-it alone raises, so that callers can raise the first one in their own order.
+Each step multiplies an error by (2m - 1) t / (2m x^2) < t/x^2, which is
+below 1 exactly where x > 1/sqrt2 (Gautschi, SIAM Rev. 9, 1967): the
+recurrence is stable where the series stops.  Unrolled, with r = t/x^2, it
+reads x^2 K_m = sum_{l<m} T_ml r^l + C_m r^m x atanh(x) with rational T and
+C, so the x^2 K_m of every x come from one matrix product with the powers of
+r.  The first ``TERMS`` = 22 of the w_m G_m are summed, all in extended
+precision; the rest add up to less than 4.3e-22.  Against 40-digit mpmath
+quadrature the extended sums are within 3.1e-19 relative, and the doubles
+within 1/2 ulp, at 44 x per f_k from nextafter(1/sqrt2, 1) to 1 - 1e-15, so
+f_2 and f_3 are correctly rounded at all but rare x.  The error bound is that
+tail plus the rounding: half an ulp of the double, and a first-order count
+of the extended roundings, 8 (TERMS + 24) eps sum_m (m + 3) |w_m x^2
+K_{m+j}|, combined as f_2 and f_3 are from the sums S_j = sum_m w_m x^2
+K_{m+j} (each x^2 K_m, m < 24, is a sum of at most 24 terms whose sizes add
+up to less than 4 (m + 1) x^2 K_m).  It is below 3.6e-16, and about 500
+times the error measured above.  As for the series, a tolerance below it
+gives that pair a ConvergenceError with the bound, and ``max_depth`` plays
+no part.
+The distinct x of a call run together, ``_BLOCK`` at a time, as (terms, x)
+arrays, each step elementwise, a matrix product (numpy's own loop, which
+sums in the same order for any number of columns) or a sum down the
+columns, so again each value has the bits of its one-pair call.
+
+``f_values`` evaluates a list of (k, x) pairs of one family, each of its
+three array forms once per call.  A failed pair's entry is the error that
+evaluating it alone raises, so that callers can raise the first one in
+their own order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import series_coefficients as coefficients
 from .errors import ConvergenceError, DomainError, checked
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
 
 # below this x the elementary f_1 forms lose digits to cancellation, and
@@ -81,69 +99,65 @@ _F1_SERIES_X = 1e-4
 
 _F_AT_ONE_E = 2.0 - 3.0 / math.e
 
-# the largest x with sqrt((1 - x)(1 + x)) >= x, that is w0 >= 1: up to here
-# f_2 and f_3 are power series
+# the largest x with sqrt((1 - x)(1 + x)) >= x: up to here f_2 and f_3 are
+# power series, above it the recurrence of their closed form is stable
 SERIES_X = 1.0 / math.sqrt(2.0)
 # the leading terms of a series, summed in extended precision
 HEAD = 8
 # eps, the spacing of doubles at 1
 _EPS = 2.0 ** -52
-# the series pairs evaluated at a time: their (terms, pairs) arrays of 96
-# terms stay below 128 KiB, above which glibc's malloc maps fresh pages at
-# every call
+# the series pairs, or the closed form's distinct x, evaluated at a time:
+# their arrays stay below 128 KiB, above which glibc's malloc maps fresh
+# pages at every call
 _BLOCK = 160
+# the terms w_m G_m of the closed form, m < TERMS, from K_0 ... K_{TERMS+1}
+TERMS = 22
+_ROWS = TERMS + 2
+
+
+def _f1_series(electron, x):
+    """f_1 below _F1_SERIES_X, where the elementary forms cancel."""
+    if electron:
+        return 1.0 + x * x * (-1.0 / 6.0 + x / 12.0)
+    return 1.0 + x * (-0.5 + x * (-1.0 / 6.0 + x * 5.0 / 24.0))
+
+
+def _f1(electron, xs):
+    """f_1 at each x >= _F1_SERIES_X of xs, in one extended-precision array
+    step from m = expm1(-x): (m (2 + x) + x)/(-x) for the electron, and
+    (m (1 + x)^2 + x (2 + x))/x for the boson."""
+    x = np.array(xs, dtype=np.longdouble)
+    m = np.expm1(-x)
+    if electron:
+        f = m * (2.0 + x)
+        f += x
+        f /= -x
+    else:
+        f = m * np.square(1.0 + x)
+        f += x * (2.0 + x)
+        f /= x
+    return f.astype(float).tolist()
 
 
 def f1_b(x: float) -> float:
     """Elementary member of the boson family, ((1+x)^2 e^-x - 1)/x."""
-    if x < _F1_SERIES_X:
-        return 1.0 + x * (-0.5 + x * (-1.0 / 6.0 + x * 5.0 / 24.0))
-    return (math.expm1(-x) + x * (2.0 + x) * math.exp(-x)) / x
+    return _f1_series(False, x) if x < _F1_SERIES_X else _f1(False, [x])[0]
 
 
 def f1_e(x: float) -> float:
     """Elementary member of the electron family, (2 - (2+x) e^-x)/x."""
-    if x < _F1_SERIES_X:
-        return 1.0 + x * x * (-1.0 / 6.0 + x / 12.0)
-    return (-2.0 * math.expm1(-x) - x * math.exp(-x)) / x
+    return _f1_series(True, x) if x < _F1_SERIES_X else _f1(True, [x])[0]
 
 
-def _s_integrand(electron, x, om, k3, s):
-    """The f_2/f_3 integrand at nodes s, with the electron's numerators or
-    the boson's, and om = (1 - x)(1 + x); x, om and k3 (k = 3) are numbers,
-    or columns with one entry per row of s."""
-    ss = s * s
-    xy = x * (1.0 - ss)
-    w = 2.0 * (1.0 + xy) * np.exp(-xy)
-    root = np.sqrt(om + x * x * ss)
-    if k3 is not True:
-        two = w * root if electron else w * (1.0 - xy) ** 2 / root
-        if k3 is False:
-            return two
-    three = w * ss / root if electron else w * ss * root
-    return three if k3 is True else np.where(k3, three, two)
-
-
-def _s_pieces(x):
-    """The (lo, hi) pieces of [0, 1] that an s-form integral runs on, from 0
-    up, for x > ``SERIES_X``: cuts at s = w0 8^k while below 1, graded out of
-    the boundary layer of width w0 = sqrt((1 - x)(1 + x))/x < 1 at s = 0."""
-    edges, w = [0.0], math.sqrt((1.0 - x) * (1.0 + x)) / x
-    while w < 1.0:
-        edges.append(w)
-        w *= 8.0
-    edges.append(1.0)
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def _per_row(values):
-    """rows -> a column of values[rows], or the one value all entries share.
-    A shared value skips the row gathers and, for k, the np.where of both
-    numerators; columns throughout made one-beta f_k calls 10-50% slower."""
-    if values.count(values[0]) == len(values):
-        return lambda rows: values[0]
-    column = np.array(values)
-    return lambda rows: column[rows, None]
+def _refuse_unmet(values, bound, cfg, form):
+    """values, with a ConvergenceError in place of each whose error bound
+    exceeds its tolerance."""
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(np.array(values)))
+    for i in np.flatnonzero(~(bound <= tol)).tolist():
+        values[i] = ConvergenceError(
+            f"{form} error bound {bound[i]:.3e} exceeds tolerance {tol[i]:.3e}",
+            estimate=values[i], error_bound=float(bound[i]))
+    return values
 
 
 def _running_powers(x, rows):
@@ -194,15 +208,14 @@ def _series_table(f2, f3, f2_lo, f3_lo):
 
 
 class _Kernel(NamedTuple):
-    f1: Callable     # the elementary f_1
-    electron: bool   # the electron's f_2, f_3 numerators and 2 - 3/e at x = 1, else the boson's
+    electron: bool   # the electron's f_1, f_2, f_3 and 2 - 3/e at x = 1, else the boson's
     series: _Series  # f_2 and f_3 up to SERIES_X
 
 
-BOSON_KERNEL = _Kernel(f1_b, False, _series_table(
+BOSON_KERNEL = _Kernel(False, _series_table(
     coefficients.BOSON_F2, coefficients.BOSON_F3,
     coefficients.BOSON_F2_LO, coefficients.BOSON_F3_LO))
-ELECTRON_KERNEL = _Kernel(f1_e, True, _series_table(
+ELECTRON_KERNEL = _Kernel(True, _series_table(
     coefficients.ELECTRON_F2, coefficients.ELECTRON_F3,
     coefficients.ELECTRON_F2_LO, coefficients.ELECTRON_F3_LO))
 
@@ -228,62 +241,139 @@ def _series(kernel, ks, xs, cfg):
     values = np.add.reduce(top[::-1], axis=0).astype(float).tolist()
     if worst <= cfg.abs_tol:  # so is every bound
         return values
-    bound = _bound(terms, ks, x, low, t)
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(np.array(values)))
-    for i in np.flatnonzero(~(bound <= tol)).tolist():
-        values[i] = ConvergenceError(
-            f"power series error bound {bound[i]:.3e} exceeds tolerance {tol[i]:.3e}",
-            estimate=values[i], error_bound=float(bound[i]))
-    return values
+    return _refuse_unmet(values, _bound(terms, ks, x, low, t), cfg, "power series")
 
 
-def _s_form(kernel, ks, xs, cfg):
-    """f_k(x) of each pair (k = 2, 3 and SERIES_X < x < 1): the pieces of
-    all pairs as one batch, each pair's added from s = 0 up.  The pieces are
-    cut once per distinct x."""
-    cuts = {x: _s_pieces(x) for x in xs}
-    pieces = [cuts[x] for x in xs]
+def _nearest(num, den):
+    """The extended-precision number nearest num/den (integers), to a
+    rounding: the nearest double plus the double nearest what is left."""
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return np.longdouble(hi) + np.longdouble((num * b - a * den) / (den * b))
 
-    def per_piece(per_pair):
-        return _per_row([v for v, p in zip(per_pair, pieces) for _ in p])
 
-    x, om = per_piece(xs), per_piece([(1.0 - xr) * (1.0 + xr) for xr in xs])
-    k3 = per_piece([k == 3 for k in ks])
-    results = iter(quad_batch(lambda rows, s: _s_integrand(kernel.electron, x(rows), om(rows),
-                                                           k3(rows), s),
-                              [piece for p in pieces for piece in p], cfg))
-    values = []
-    for p in pieces:
-        parts = [next(results) for _ in p]
-        error = next((v for v in parts if isinstance(v, Exception)), None)
-        values.append(sum(parts) if error is None else error)
-    return values
+def _unrolled_recurrence():
+    """T (rows m, columns l) and the column C of x^2 K_m = sum_l T_ml r^l +
+    x^2 C_m r^m K_0, m < _ROWS: from x^2 K_m = 1/(2m) + q_m r x^2 K_{m-1},
+    q_m = -(2m - 1)/(2m), T_m0 = 1/(2m), T_ml = q_m T_{m-1,l-1} and C_m =
+    q_m C_{m-1}, exact as (numerator, denominator) and then rounded."""
+    t, c = [[(0, 1)] * _ROWS], [(1, 1)]
+    for m in range(1, _ROWS):
+        t.append([(1, 2 * m)] + [((1 - 2 * m) * n, 2 * m * d) for n, d in t[-1][:-1]])
+        c.append(((1 - 2 * m) * c[-1][0], 2 * m * c[-1][1]))
+    return (np.array([[_nearest(*v) for v in row] for row in t]),
+            np.array([[_nearest(*v)] for v in c]))
+
+
+_T, _C = _unrolled_recurrence()
+# the divisors of x^m/m! = x^{m-1}/(m-1)! * x/m, and the m of 1 + x - m
+_DIVISORS = np.arange(1, _ROWS, dtype=np.longdouble)[:, None]
+_M = np.arange(TERMS, dtype=np.longdouble)[:, None]
+# a sum down the columns of a (TERMS, n) array, in row order for every n, a
+# lone column too (np.add.reduce sums a lone column pairwise)
+_ONES = np.ones(TERMS, dtype=np.longdouble)
+# the rounding bound's weight of |w_m x^2 K_{m+j}|
+_ROUND = 8 * (TERMS + _ROWS) * float(np.finfo(np.longdouble).eps) * np.arange(3.0, TERMS + 3)
+# the terms m >= TERMS: |w_m| <= 2 e^-1 (m - 2)/m!, G_m <= sqrt2/(2m + 2), and
+# each |w_m G_m| is below 1/20 of the last
+_TAIL = (2.0 / math.e * (TERMS - 2) / math.factorial(TERMS)
+         * math.sqrt(2.0) / (2 * TERMS + 2) / 0.95)
+# the largest bound of a pair: f and every G_m are below sqrt2 int w <= 2 sqrt2,
+# and |w_m| <= 2 (m + 2)/m!
+_CLOSED_WORST = (_TAIL + 2.0 ** -53 * 2.0 * math.sqrt(2.0) + math.sqrt(2.0) * sum(
+    b * 2.0 * (m + 2) / math.factorial(m) for m, b in enumerate(_ROUND)))
+
+
+def _closed_sums(electron, xs, tight):
+    """f_2 and f_3 at each x of xs (in (SERIES_X, 1)) as a (2, len(xs))
+    extended-precision array, and with ``tight`` the same combination of the
+    sizes of their terms, else None: from S_j = sum_m w_m x^2 K_{m+j}, m <
+    TERMS, j = 0, 1 and for the boson 2, f_2 = r S_0 + S_1 and f_3 = S_1/x^2
+    for the electron, and f_2 = a^2 S_0 + 2a S_1 + S_2 and f_3 = r S_1 + S_2
+    for the boson, r = t/x^2 and a = (1 - x)/x."""
+    x = np.array(xs, dtype=np.longdouble)
+    one_minus, one_plus = 1.0 - x, 1.0 + x
+    xx = x * x
+    r = one_minus * one_plus / xx
+    # the powers r^l and 2 e^-x x^m/m!, each a product down its column
+    p = np.empty((2, _ROWS, len(xs)), np.longdouble)
+    p[0, 0], p[0, 1:] = 1.0, r
+    np.multiply(np.exp(-x), 2.0, out=p[1, 0])
+    np.divide(x, _DIVISORS, out=p[1, 1:])
+    np.multiply.accumulate(p, axis=1, out=p)
+    powers, w = p[0], p[1, :TERMS]
+    k = _T @ powers
+    powers *= _C
+    powers *= x * np.arctanh(x)
+    k += powers
+    w *= one_plus - _M
+    g = np.empty((2 if electron else 3, TERMS, len(xs)), np.longdouble)
+    for j, row in enumerate(g):
+        np.multiply(k[j:j + TERMS], w, out=row)
+    if electron:
+        def f23(s):
+            return np.array((r * s[0] + s[1], s[1] / xx))
+    else:
+        a = one_minus / x
+
+        def f23(s):
+            return np.array(((a * a) * s[0] + (2.0 * a) * s[1] + s[2], r * s[1] + s[2]))
+
+    return f23(_ONES @ g), f23(_ROUND @ np.abs(g)) if tight else None
+
+
+def _closed_form(kernel, ks, xs, cfg):
+    """f_k(x) of each pair (k = 2, 3 and SERIES_X < x < 1) in closed form, or
+    the ConvergenceError of a pair whose bound exceeds its tolerance; the
+    distinct x of all pairs in one set of array steps."""
+    distinct = list(dict.fromkeys(xs))
+    tight = cfg.abs_tol <= _CLOSED_WORST
+    f, bound = [], []
+    for i in range(0, len(distinct), _BLOCK):
+        sums, size = _closed_sums(kernel.electron, distinct[i:i + _BLOCK], tight)
+        sums = sums.astype(float)
+        f += sums.T.tolist()
+        if tight:
+            bound += (_TAIL + 2.0 ** -53 * np.abs(sums) + size.astype(float)).T.tolist()
+    f = dict(zip(distinct, f))
+    values = [f[x][k - 2] for k, x in zip(ks, xs)]
+    if not tight:  # every bound is met
+        return values
+    bound = dict(zip(distinct, bound))
+    return _refuse_unmet(values, np.array([bound[x][k - 2] for k, x in zip(ks, xs)]), cfg,
+                         "closed form")
 
 
 def f_values(kernel, ks, xs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """f_k(x) of the family of ``kernel`` for each pair of ``ks`` (1, 2 or 3)
     and ``xs`` (in [0, 1]): per pair the float, or the error that evaluating
     it alone raises (a DomainError for a k or an x outside those ranges).
-    The series of all pairs up to SERIES_X run as one array evaluation, and
-    the quadratures of all others as one batch."""
-    values, series, todo = [], [], []
+    The f_1 of all pairs at x >= 1e-4, the series of all up to SERIES_X and
+    the closed form of all others each run as one array evaluation."""
+    values, f1, series, closed = [], [], [], []
     for k, x in zip(ks, xs):
         if k not in (1, 2, 3):
             values.append(DomainError(f"integral index must be 1, 2 or 3, got {k}"))
         elif not 0.0 <= x <= 1.0:
             values.append(DomainError(f"argument must lie in [0, 1], got {x}"))
+        elif k == 1 and x < _F1_SERIES_X:
+            values.append(_f1_series(kernel.electron, x))
         elif k == 1:
-            values.append(kernel.f1(x))
+            f1.append(len(values))
+            values.append(None)
         elif x <= SERIES_X:
             series.append(len(values))
             values.append(None)
         elif x == 1.0:
             values.append(_F_AT_ONE_E if kernel.electron else DomainError(
-                "boson f_2, f_3 are evaluated by quadrature only for x < 1"))
+                "boson f_2, f_3 are evaluated in closed form only for x < 1"))
         else:
-            todo.append(len(values))
+            closed.append(len(values))
             values.append(None)
-    for pairs, evaluate in ((series, _series), (todo, _s_form)):
+    if f1:
+        for i, value in zip(f1, _f1(kernel.electron, [xs[i] for i in f1])):
+            values[i] = value
+    for pairs, evaluate in ((series, _series), (closed, _closed_form)):
         if pairs:
             done = evaluate(kernel, [ks[i] for i in pairs], [xs[i] for i in pairs], cfg)
             for i, value in zip(pairs, done):

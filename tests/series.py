@@ -13,7 +13,9 @@ Every factor is a series in x whose x^n term carries y^j with j <= n (the
 weight to B(j + 1, 1/2) = 2^{2j+1} (j!)^2 / (2j + 1)!, so f = sum c_n x^n
 with rational c_n.  ``coefficients`` gives them as Fractions, ``value`` sums
 them in mpmath at 40 digits, and ``yform`` integrates the y-form in mpmath at
-40 digits, for the check of the sums.
+40 digits, for the check of the sums.  ``sform`` integrates the same integral,
+written in s = sqrt(1 - y), at 40 digits on pieces graded toward s = 0, for
+the check of the closed form above x = 1/sqrt2.
 """
 
 import functools
@@ -95,3 +97,31 @@ def yform(family, k, x):
             return 2 * v
 
         return mpmath.quad(g, [0, 1])
+
+
+@functools.cache
+def sform(family, k, x):
+    """f_k of ``family`` for 1/sqrt2 < x < 1 by mpmath quadrature of the
+    s-form at 40 digits, 2 int_0^1 (1 + x y) e^{-x y} N(x, y) ds, on [0, 1] cut
+    at s = w0 4^j while below 1: the integrand has a layer of width w0 =
+    sqrt((1 - x)(1 + x))/x at s = 0, which one panel over [0, 1] resolves
+    badly as x -> 1."""
+    sign, one_minus_y, square = SERIES[(family, k)]
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        t = (1 - x) * (1 + x)
+
+        def g(s):
+            y = 1 - s * s
+            v = (1 + x * y) * mpmath.exp(-x * y) * (t + x * x * s * s) ** (mpmath.mpf(sign) / 2)
+            if one_minus_y:
+                v *= s * s
+            if square:
+                v *= (1 - x * y) ** 2
+            return 2 * v
+
+        cuts, w = [mpmath.mpf(0)], mpmath.sqrt(t) / x
+        while w < 1:
+            cuts.append(w)
+            w *= 4
+        return mpmath.quad(g, cuts + [mpmath.mpf(1)])

@@ -321,8 +321,8 @@ def _runtime_warnings(f):
     return got, [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)]
 
 
-# beta = 0, seeded speeds, electron x0 on both sides of 0.9 (its f_2, f_3 on
-# two s-form pieces), next to 1, and 1 itself where the body serves the boson
+# beta = 0, seeded speeds, electron x0 on both sides of 0.9 (its f_2, f_3 in
+# closed form), next to 1, and 1 itself where the body serves the boson
 BODY_BETAS = (0.0, *_RNG.uniform(0.05, 0.95, 2).tolist(), 0.9985, 0.9987, 1.0 - 1e-12, 1.0)
 _BODY_THETAS = np.concatenate([[0.0, HALF_PI, math.pi], _RNG.uniform(0.0, math.pi, 33)])
 

@@ -263,22 +263,25 @@ def test_first_failing_integral_is_reported(argv, message):
 
 
 @pytest.mark.parametrize("particle, beta", [("boson", "0.2"), ("electron", "0.45"),
-                                            ("electron", "0.5"), ("electron", "0.95")])
+                                            ("electron", "0.5"), ("electron", "0.95"),
+                                            ("electron", "0.999"), ("electron", "0.999999999")])
 def test_an_unreachable_tolerance_ends_where_the_series_serves(particle, beta):
     # at the default max_depth a tolerance below rounding once ran without
-    # bound; the series' bound refuses it at once
+    # bound; the bound of the series (x0 <= 1/sqrt2) or of the closed form
+    # (above it, from beta = 0.985 on) refuses it at once
     argv = ["scan", "--quantity", "power", "--particle", particle, "--beta", beta,
             "--abs-tol", "1e-300", "--rel-tol", "1e-300"]
+    form, size = ("closed form", "e-16") if float(beta) > 0.985 else ("power series", "e-14")
     start = time.perf_counter()
     code, out, err = run(argv)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
-    assert re.fullmatch(r"convergence error: power series error bound \d\.\d{3}e-14 exceeds "
+    assert re.fullmatch(rf"convergence error: {form} error bound \d\.\d{{3}}{size} exceeds "
                         r"tolerance \d\.\d{3}e-300\n", err)
 
 
 def test_widths_next_to_beta_one_converge_at_depth_ten():
-    # their f_2, f_3 settle at max_depth 10 on the graded s-form pieces
+    # their width integrals settle at max_depth 10, and f_2, f_3 take none
     argv = ["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
             "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
             "--max-depth", "10"]

@@ -81,56 +81,30 @@ def test_electron_small_x_series():
         assert ratios[0] < 1e-1
 
 
-def test_electron_boundary_expansion_path(monkeypatch):
-    # f_2 and f_3 run on the graded s-form pieces, and follow
-    # f = 2 - 3/e -+ (2/e)(1 - x) ln(1 - x) + O(1 - x) as x -> 1: the remainder
-    # over 1 - x stays bounded, which a log coefficient off by 2/e (the -4/e
-    # of f_2's old truncated expansion) would make grow like ln(1 - x)
-    intervals = []
-
-    def capture(f, pieces, cfg):
-        intervals.extend(pieces)
-        return quadrature.quad_batch(f, pieces, cfg)
-
-    monkeypatch.setattr(integrals, "quad_batch", capture)
+def test_electron_boundary_expansion_path():
+    # f_2 and f_3 follow f = 2 - 3/e -+ (2/e)(1 - x) ln(1 - x) + O(1 - x) as
+    # x -> 1: the remainder over 1 - x stays bounded, which a log coefficient
+    # off by 2/e (the -4/e of f_2's old truncated expansion) would make grow
+    # like ln(1 - x)
     for x in (1.0 - 1e-4, 1.0 - 1e-6, 1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-12):
         d = 1.0 - x
         w = d * math.log(d)
         for k, sign in ((2, -1.0), (3, 1.0)):
-            del intervals[:]
             remainder = (f_e(k, x) - (2.0 - 3.0 / E + sign * 2.0 / E * w)) / d
             assert abs(remainder) < 1.5, (k, d)
-            assert intervals == integrals._s_pieces(x)
-            assert intervals[0][0] == 0.0 and intervals[-1][1] == 1.0
-            assert intervals[1][0] == pytest.approx(math.sqrt(d * (2.0 - d)) / x, rel=1e-15)
 
 
-def _last_x_with_pieces(n, x):
-    """The largest double that ``_s_pieces`` cuts into n pieces, from a guess x
-    next to it."""
-    while len(integrals._s_pieces(x)) > n:
-        x = math.nextafter(x, 0.0)
-    while len(integrals._s_pieces(math.nextafter(x, 1.0))) == n:
-        x = math.nextafter(x, 1.0)
-    return x
-
-
-@pytest.mark.parametrize("n, guess", [(1, 1.0 / math.sqrt(2.0)),
-                                      (2, 1.0 / math.sqrt(1.0 + 1.0 / 64.0))],
-                         ids=["one-to-two", "two-to-three"])
-def test_s_pieces_cuts_are_continuous(n, guess):
-    # f_2, f_3 and f_0 of both kernels on the last x of n pieces and the next
-    # double up, of n + 1
-    # (the last x of one piece is the last x of the power series)
-    below = _last_x_with_pieces(n, guess)
+def test_series_and_closed_form_agree_across_series_x():
+    # f_2, f_3 and f_0 of both kernels at SERIES_X, the last x of the series,
+    # and at the next double up, the first of the closed form: within one
+    # unit in the last place of each other
+    below = integrals.SERIES_X
     above = math.nextafter(below, 1.0)
-    assert len(integrals._s_pieces(above)) == n + 1
-    assert (below == integrals.SERIES_X) == (n == 1)
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for k in (0, 2, 3):
             got = integrals._f(kernel, k, above, quadrature.DEFAULT_CONFIG)
             want = integrals._f(kernel, k, below, quadrature.DEFAULT_CONFIG)
-            assert got == pytest.approx(want, rel=1e-15, abs=0.0), (kernel.electron, k)
+            assert abs(got - want) <= math.ulp(want), (kernel.electron, k)
 
 
 def test_f1_series_switch_is_continuous():
@@ -182,65 +156,10 @@ def test_domain_errors():
         f_b(2, -0.1)
     with pytest.raises(DomainError):
         f_e(2, 1.1)
-    boson_x_one = r"^boson f_2, f_3 are evaluated by quadrature only for x < 1$"
-    for k in (0, 2, 3):  # boson quadrature form only valid below x = 1
+    boson_x_one = r"^boson f_2, f_3 are evaluated in closed form only for x < 1$"
+    for k in (0, 2, 3):  # the boson's closed form holds below x = 1 only
         with pytest.raises(DomainError, match=boson_x_one):
             f_b(k, 1.0)
-
-
-def _integrand_reference(kernel, k, x):
-    # the f_2/f_3 integrand of one x and k, the formulas of bench/oracle.py
-    # written without shared subexpressions
-    om = (1.0 - x) * (1.0 + x)
-
-    def g(s):
-        y = 1.0 - s * s
-        w = 2.0 * (1.0 + x * y) * np.exp(-(x * y))
-        q = om + x * x * (s * s)
-        if kernel.electron:
-            return w * np.sqrt(q) if k == 2 else w * (s * s) / np.sqrt(q)
-        return w * (1.0 - x * y) ** 2 / np.sqrt(q) if k == 2 else w * (s * s) * np.sqrt(q)
-
-    return g
-
-
-def _integrand(kernel, x, k3, s):
-    om = (1.0 - x) * (1.0 + x)
-    return integrals._s_integrand(kernel.electron, x, om, k3, s)
-
-
-def test_integrand_shares_subexpressions_bit_for_bit():
-    rng = np.random.default_rng(11)
-    s = np.concatenate([rng.uniform(0.0, 1.0, 300), [0.0, 1.0]])
-    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
-        for k in (2, 3):
-            for x in [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]:
-                got = _integrand(kernel, float(x), k == 3, s)
-                want = _integrand_reference(kernel, k, float(x))(s)
-                assert got.tobytes() == want.tobytes(), (kernel.electron, k, x)
-
-
-def test_integrand_rows_of_mixed_x_and_k_bit_for_bit():
-    # one call on rows of mixed x and k, as a batch of f_2 and f_3 pairs makes
-    # it, gives each row the bits of the one-integral form on its own nodes
-    rng = np.random.default_rng(11)
-    xs = [0.0, 0.5, 1.0 - 1e-6, *rng.uniform(0.0, 1.0, 10)]
-    pairs = [(k, float(x)) for x in xs for k in (2, 3)]
-    s = rng.uniform(0.0, 1.0, (len(pairs), 15))
-    s[:, :2] = 0.0, 1.0
-    x = np.array([x for _, x in pairs])[:, None]
-    k3 = np.array([k == 3 for k, _ in pairs])[:, None]
-    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
-        got = _integrand(kernel, x, k3, s)
-        for row, (k, xr) in enumerate(pairs):
-            want = _integrand_reference(kernel, k, xr)(s[row])
-            assert got[row].tobytes() == want.tobytes(), (kernel.electron, k, xr)
-        # one x shared by an f_2 and an f_3 row, as in f_0 or a one-beta batch
-        for xr in xs:
-            got = _integrand(kernel, float(xr), np.array([[False], [True]]), s[:2])
-            for row, k in enumerate((2, 3)):
-                want = _integrand_reference(kernel, k, float(xr))(s[row])
-                assert got[row].tobytes() == want.tobytes(), (kernel.electron, k, xr)
 
 
 def test_f_values_reports_domain_errors_per_pair():
@@ -275,22 +194,22 @@ def test_family_loads_neither_integrals_nor_a_particle():
 
 
 # float.hex of f_k(x) on every branch of the evaluator: the f_1 series
-# (x < 1e-4) and the expm1 form of f_1, the power series of f_2, f_3 (k = 0,
-# 2, 3 up to x = 1/sqrt2), the s-form quadrature above it, the electron's
-# exact x = 1 values, and the boson's x = 1 error
+# (x < 1e-4) and the extended-precision expm1 form of f_1, the power series
+# of f_2, f_3 (k = 0, 2, 3 up to x = 1/sqrt2), the closed form above it, and
+# the electron's exact x = 1 values
 PINS = [
     ("f_b", 1, 5e-05, "0x1.fffcb9200e68ap-1"),
     ("f_b", 0, 5e-05, "0x1.5550f6df7f761p+1"),
     ("f_b", 2, 0.0, "0x1.0000000000000p+1"),
-    ("f_b", 1, 0.1, "0x1.e5a615ef9be43p-1"),
-    ("f_b", 1, 0.3, "0x1.ae0cf64de4bb4p-1"),
+    ("f_b", 1, 0.1, "0x1.e5a615ef9be44p-1"),
+    ("f_b", 1, 0.3, "0x1.ae0cf64de4bb5p-1"),
     ("f_b", 0, 0.3, "0x1.f5414c7a9ada6p+0"),
     ("f_b", 2, 0.3, "0x1.4f31b39a75b68p+0"),
     ("f_b", 3, 0.3, "0x1.4c1f31c04a47cp-1"),
     ("f_b", 0, 0.9, "0x1.0b15afbff06b2p+0"),
-    ("f_b", 2, 0.9999999, "0x1.e2d590b54bc88p-2"),
-    ("f_b", 3, 0.9999999, "0x1.e2d590b54b439p-2"),
-    ("f_b", 1, 1.0, "0x1.e2d58d8b3bce0p-2"),
+    ("f_b", 2, 0.9999999, "0x1.e2d590b54bc86p-2"),
+    ("f_b", 3, 0.9999999, "0x1.e2d590b54b436p-2"),
+    ("f_b", 1, 1.0, "0x1.e2d58d8b3bcdfp-2"),
     ("f_e", 1, 5e-05, "0x1.fffffffc6bc36p-1"),
     ("f_e", 0, 5e-05, "0x1.5555554f32a03p+1"),
     ("f_e", 2, 0.0, "0x1.0000000000000p+1"),
@@ -299,12 +218,12 @@ PINS = [
     ("f_e", 0, 0.3, "0x1.49540e00eb128p+1"),
     ("f_e", 2, 0.3, "0x1.e6616ff711518p+0"),
     ("f_e", 3, 0.3, "0x1.588d581589a6fp-1"),
-    ("f_e", 0, 0.9, "0x1.f3a8555ad7c94p+0"),
+    ("f_e", 0, 0.9, "0x1.f3a8555ad7c93p+0"),
     ("f_e", 2, 0.999998, "0x1.caf2abba47779p-1"),
-    ("f_e", 3, 0.999998, "0x1.caeda26b95f66p-1"),
-    ("f_e", 2, 0.9999999, "0x1.caf0158ea39f2p-1"),
-    ("f_e", 3, 0.9999999, "0x1.caefc64cdf30fp-1"),
-    ("f_e", 0, 0.9999999, "0x1.caefededc1680p+0"),
+    ("f_e", 3, 0.999998, "0x1.caeda26b95f6ap-1"),
+    ("f_e", 2, 0.9999999, "0x1.caf0158ea39e8p-1"),
+    ("f_e", 3, 0.9999999, "0x1.caefc64cdf316p-1"),
+    ("f_e", 0, 0.9999999, "0x1.caefededc167fp+0"),
     ("f_e", 1, 1.0, "0x1.caefeaebc992cp-1"),
     ("f_e", 2, 1.0, "0x1.caefeaebc992cp-1"),
     ("f_e", 3, 1.0, "0x1.caefeaebc992cp-1"),
@@ -345,8 +264,8 @@ def test_series_tail_bound_holds_past_its_terms(family, k, name):
 
 
 def test_series_serves_up_to_the_last_x_of_one_piece():
-    # SERIES_X is the largest x with sqrt((1 - x)(1 + x)) >= x, where w0 >= 1
-    # and [0, 1] needs no cut
+    # SERIES_X is the largest x with sqrt((1 - x)(1 + x)) >= x, that is t/x^2
+    # >= 1: above it each step of the closed form's recurrence damps an error
     x = integrals.SERIES_X
     assert math.sqrt((1.0 - x) * (1.0 + x)) >= x
     above = math.nextafter(x, 1.0)
@@ -390,31 +309,71 @@ def test_series_bound_is_reported_with_its_estimate():
                 assert abs(value - series.value(family, k, x)) <= error.error_bound
 
 
-def test_no_series_pair_reaches_quad_batch(monkeypatch):
-    # f_2 and f_3 up to SERIES_X take no quadrature; above it they do
-    batches = []
+# 44 x from the first double above SERIES_X to 1 - 1e-15, evenly in ln(1 - x)
+_CLOSED_XS = [math.nextafter(integrals.SERIES_X, 1.0),
+              *(1.0 - np.geomspace(1.0 - integrals.SERIES_X, 1e-15, 44)[1:]).tolist()]
 
-    def capture(f, intervals, cfg):
-        batches.append(intervals)
-        return quadrature.quad_batch(f, intervals, cfg)
 
-    monkeypatch.setattr(integrals, "quad_batch", capture)
-    xs = np.linspace(0.0, integrals.SERIES_X, 50).tolist() + [integrals.SERIES_X]
+@pytest.mark.parametrize("kernel, family", [(integrals.BOSON_KERNEL, "boson"),
+                                            (integrals.ELECTRON_KERNEL, "electron")])
+def test_closed_form_against_the_40_digit_sform(kernel, family):
+    # above SERIES_X, against mpmath quadrature of the s-form at 40 digits,
+    # graded toward s = 0: within 2e-16 relative
+    for k in (2, 3):
+        values = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS)
+        for x, value in zip(_CLOSED_XS, values):
+            exact = series.sform(family, k, x)
+            assert abs(float((mpmath.mpf(value) - exact) / exact)) <= 2e-16, (k, x)
+
+
+@pytest.mark.parametrize("kernel, family", [(integrals.BOSON_KERNEL, "boson"),
+                                            (integrals.ELECTRON_KERNEL, "electron")])
+def test_closed_form_bound_is_reported_with_its_estimate(kernel, family):
+    # a tolerance below a pair's bound gives that pair a ConvergenceError with
+    # the bound and the estimate, which lies within the bound of the exact f_k
+    cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    for k in (2, 3):
+        plain = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS)
+        errors = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS, cfg)
+        for x, value, error in zip(_CLOSED_XS, plain, errors):
+            assert isinstance(error, ConvergenceError)
+            assert error.estimate == value
+            assert 0.0 < error.error_bound <= integrals._CLOSED_WORST
+            tol = max(1e-300, 1e-300 * abs(value))
+            assert str(error) == (f"closed form error bound {error.error_bound:.3e} "
+                                  f"exceeds tolerance {tol:.3e}")
+            assert abs(mpmath.mpf(value) - series.sform(family, k, x)) <= error.error_bound
+
+
+def test_no_f_k_pair_reaches_quad_batch(monkeypatch):
+    # no f_k is integrated numerically: on every branch of both kernels, at
+    # the default tolerance and at one below every bound
+    def refuse(*args, **kwargs):
+        raise AssertionError("an f_k pair reached the quadrature")
+
+    for name in ("quad_batch", "quad_adaptive"):
+        monkeypatch.setattr(quadrature, name, refuse)
+    monkeypatch.setattr(integrals, "quad_adaptive", refuse)
+    assert not hasattr(integrals, "quad_batch")
+    xs = [0.0, 5e-5, 0.3, integrals.SERIES_X, math.nextafter(integrals.SERIES_X, 1.0), 0.9,
+          1.0 - 1e-15, 1.0]
+    tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
-        integrals.f_values(kernel, [1, 2, 3] * len(xs), [x for x in xs for _ in range(3)])
-    assert batches == []
-    integrals.f_values(integrals.ELECTRON_KERNEL, [2], [math.nextafter(integrals.SERIES_X, 1.0)])
-    assert len(batches) == 1
+        for cfg in (quadrature.DEFAULT_CONFIG, tight):
+            got = integrals.f_values(kernel, [1, 2, 3] * len(xs),
+                                     [x for x in xs for _ in range(3)], cfg)
+            assert len(got) == 3 * len(xs)
 
 
 def test_f_values_bits_do_not_depend_on_the_batch():
     # each value of a batch has the bits of its one-pair call, in batches of
-    # 1 to 2048 pairs of mixed k, with x shared between pairs and on both
-    # sides of SERIES_X; a failed pair's message too
+    # 1 to 2048 pairs of mixed k, with x shared between pairs, on both sides
+    # of SERIES_X and up to 1; a failed pair's message too
     rng = np.random.default_rng(32)
     above = math.nextafter(integrals.SERIES_X, 1.0)
     xs = [0.0, integrals.SERIES_X, above, *rng.uniform(0.0, integrals.SERIES_X, 300).tolist(),
-          *rng.uniform(above, 0.999, 4).tolist()]
+          *rng.uniform(above, 0.999, 40).tolist(), *(1.0 - rng.uniform(0.0, 1e-3, 20)).tolist(),
+          1.0 - 1e-15, 1.0]
     pairs = [(int(k), xs[i]) for k, i in zip(rng.integers(1, 4, 2048),
                                                rng.integers(0, len(xs), 2048))]
     tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
@@ -422,10 +381,7 @@ def test_f_values_bits_do_not_depend_on_the_batch():
         for cfg, sizes in ((quadrature.DEFAULT_CONFIG, (1, 2, 3, 7, 8, 9, 127, 128, 129, 256,
                                                         257, 1000, 2048)),
                            (tight, (1, 2, 129))):
-            if cfg is tight:  # the series pairs, whose errors cost no quadrature
-                pool = [(k, x) for k, x in pairs if k > 1 and x <= integrals.SERIES_X]
-            else:
-                pool = pairs
+            pool = pairs
             one = {p: _hex(integrals.f_values(kernel, [p[0]], [p[1]], cfg)[0]) for p in set(pool)}
             for n in sizes:
                 got = integrals.f_values(kernel, [k for k, _ in pool[:n]],

@@ -239,27 +239,49 @@ def assert_batch_matches_reference(f, intervals, cfg=DEFAULT_CONFIG):
     return got
 
 
-def _kernel_integrand(kernel, k, x):
-    om = (1.0 - x) * (1.0 + x)
-    return lambda s: integrals._s_integrand(kernel.electron, x, om, k == 3, s)
+# f_2 and f_3 of both families in the s-form, y = 1 - s^2, above x =
+# 1/sqrt2: smooth integrands with a layer of width w0 = sqrt((1 - x)(1 +
+# x))/x at s = 0, which needs bisection, on [0, 1] cut at s = w0 8^j while
+# below 1
+
+def _s_integrand(electron, x, k3, s):
+    """The f_2 or f_3 (k3) integrand at nodes s; x and k3 are numbers, or
+    columns with one entry per row of s."""
+    ss = s * s
+    xy = x * (1.0 - ss)
+    w = 2.0 * (1.0 + xy) * np.exp(-xy)
+    root = np.sqrt((1.0 - x) * (1.0 + x) + x * x * ss)
+    two = w * root if electron else w * (1.0 - xy) ** 2 / root
+    three = w * ss / root if electron else w * ss * root
+    return np.where(k3, three, two)
+
+
+def _s_pieces(x):
+    edges, w = [0.0], math.sqrt((1.0 - x) * (1.0 + x)) / x
+    while w < 1.0:
+        edges.append(w)
+        w *= 8.0
+    return list(zip(edges, edges[1:] + [1.0]))
+
+
+_ABOVE = math.nextafter(1.0 / math.sqrt(2.0), 1.0)
 
 
 def test_paired_bisection_matches_reference_on_f2_f3():
-    # the s-form serves x above SERIES_X only
     rng = np.random.default_rng(2024)
-    xs = [math.nextafter(integrals.SERIES_X, 1.0), 0.8, 0.99, 1.0 - 1e-6,
-          *rng.uniform(integrals.SERIES_X, 1.0 - 1e-6, 12)]
-    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
-        for k in (2, 3):
+    xs = [_ABOVE, 0.8, 0.99, 1.0 - 1e-6, *rng.uniform(_ABOVE, 1.0 - 1e-6, 12)]
+    for electron in (False, True):
+        for k3 in (False, True):
             for x in xs:
-                for lo, hi in integrals._s_pieces(float(x)):
-                    assert_same_as_reference(_kernel_integrand(kernel, k, float(x)), lo, hi)
+                g = lambda s, x=float(x): _s_integrand(electron, x, k3, s)  # noqa: E731
+                for lo, hi in _s_pieces(float(x)):
+                    assert_same_as_reference(g, lo, hi)
 
 
 def test_paired_bisection_pins_the_panel_count():
     # electron f_2 at 1 - x = 1e-6: the GK15 panels of each of its five pieces
-    g = _kernel_integrand(integrals.ELECTRON_KERNEL, 2, 1.0 - 1e-6)
-    panels = [assert_same_as_reference(g, lo, hi) for lo, hi in integrals._s_pieces(1.0 - 1e-6)]
+    g = lambda s: _s_integrand(True, 1.0 - 1e-6, False, s)  # noqa: E731
+    panels = [assert_same_as_reference(g, lo, hi) for lo, hi in _s_pieces(1.0 - 1e-6)]
     assert panels == [1, 1, 3, 3, 1]
 
 
@@ -352,30 +374,36 @@ def test_batch_matches_reference_member_by_member():
 
 
 def test_f_values_batch_matches_one_quadrature_per_pair():
-    # the s-form serves x above SERIES_X only
+    # the pieces of f_2, f_3 pairs of mixed x and k as one batch, its
+    # integrand taking x and k per row: each pair, its pieces added from s = 0
+    # up, has the bits of one sequential quadrature per piece, or its first
+    # failing piece's error
     rng = np.random.default_rng(3)
-    xs = [math.nextafter(integrals.SERIES_X, 1.0), 0.8, 0.99, 1.0 - 2e-6,
-          *rng.uniform(integrals.SERIES_X, 0.999, 6)]
-    for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
+    xs = [_ABOVE, 0.8, 0.99, 1.0 - 2e-6, *rng.uniform(_ABOVE, 0.999, 6)]
+    pairs = [(k, float(x)) for x in xs for k in (2, 3)]
+    pieces = [_s_pieces(x) for _, x in pairs]
+    x_rows = np.array([x for (_, x), p in zip(pairs, pieces) for _ in p])
+    k3_rows = np.array([k == 3 for (k, _), p in zip(pairs, pieces) for _ in p])
+    for electron in (False, True):
+        def f(rows, s):
+            return _s_integrand(electron, x_rows[rows, None], k3_rows[rows, None], s)
+
         for cfg in (DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13, max_depth=10)):
-            ks = [k for x in xs for k in (1, 2, 3)]
-            got = integrals.f_values(kernel, ks, [x for x in xs for _ in (1, 2, 3)], cfg)
-            for k, x, value in zip(ks, [x for x in xs for _ in (1, 2, 3)], got):
-                if k == 1:
-                    want = kernel.f1(x).hex()
-                else:
-                    # the pieces, added from s = 0 up, and the first failing one
-                    want = _outcome(lambda f, a, b, cfg, x=x: sum(
-                        _quad_reference(f, lo, hi, cfg) for lo, hi in integrals._s_pieces(x)),
-                        _kernel_integrand(kernel, k, x), 0.0, 1.0, cfg)
-                assert _hex(value) == want, (k, x)
+            done = iter(quadrature.quad_batch(f, [q for p in pieces for q in p], cfg))
+            for (k, x), p in zip(pairs, pieces):
+                parts = [next(done) for _ in p]
+                error = next((v for v in parts if isinstance(v, Exception)), None)
+                got = _hex(sum(parts) if error is None else error)
+                want = _outcome(lambda g, a, b, cfg, p=p: sum(
+                    _quad_reference(g, lo, hi, cfg) for lo, hi in p),
+                    lambda s, x=x, k=k: _s_integrand(electron, x, k == 3, s), 0.0, 1.0, cfg)
+                assert got == want, (electron, k, x)
 
 
 def _quadrature_work(monkeypatch, argvs):
-    """Integrand calls, GK15 panel rows and integrals of one pass of argvs,
-    after checking that no f_2, f_3 pair up to SERIES_X reaches the s-form."""
+    """Integrand calls, GK15 panel rows and integrals of one pass of argvs:
+    the widths', as no f_k is integrated."""
     work = {"calls": 0, "rows": 0, "integrals": 0}
-    s_form = integrals._s_form
 
     def counted(f, intervals, cfg=DEFAULT_CONFIG):
         def g(rows, t):
@@ -386,13 +414,8 @@ def _quadrature_work(monkeypatch, argvs):
         work["integrals"] += len(intervals)
         return quadrature.quad_batch(g, intervals, cfg)
 
-    def checked_s_form(kernel, ks, xs, cfg):
-        assert min(xs) > integrals.SERIES_X
-        return s_form(kernel, ks, xs, cfg)
-
-    monkeypatch.setattr(integrals, "quad_batch", counted)
     monkeypatch.setattr(analysis, "quad_batch", counted)
-    monkeypatch.setattr(integrals, "_s_form", checked_s_form)
+    assert not hasattr(integrals, "quad_batch")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for argv in argvs:
             cli.run_cli(argv)
@@ -401,19 +424,17 @@ def _quadrature_work(monkeypatch, argvs):
 
 def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
     # one pass of the beta_sweep benchmark workload (seed 3), which no
-    # bookkeeping change may move; 240 calls, 6 080 rows and 4 220 integrals
-    # when the s-form served f_2, f_3 at every x
+    # bookkeeping change may move: the widths' integrals, as no f_k takes any
     work = _quadrature_work(monkeypatch, bench_module("workloads").beta_sweep(3))
-    assert work == {"calls": 163, "rows": 4568, "integrals": 2708}
+    assert work == {"calls": 28, "rows": 1216, "integrals": 804}
 
 
 def test_figures_quadrature_work_is_pinned(monkeypatch):
-    # one pass of the figures benchmark workload (seed 3): the widths, and the
-    # f_2, f_3 above x = 1/sqrt2; 76 calls, 2 952 rows and 2 764 integrals
-    # when the s-form served f_2, f_3 at every x
+    # one pass of the figures benchmark workload (seed 3): the widths'
+    # integrals
     work = _quadrature_work(monkeypatch, [argv for _, group in sorted(FIGURE_SCANS.items())
                                           for argv in group])
-    assert work == {"calls": 44, "rows": 824, "integrals": 652}
+    assert work == {"calls": 16, "rows": 704, "integrals": 576}
 
 
 def test_figure_10_maxima_work_is_pinned(monkeypatch):

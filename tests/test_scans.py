@@ -11,7 +11,7 @@ import pytest
 
 from srq1 import analysis, boson, electron, family
 from srq1.cli import parse_range
-from srq1.errors import DomainError
+from srq1.errors import ConvergenceError, DomainError
 from srq1.figures import FIGURE_SCANS
 from srq1.kinematics import VALID_S
 from srq1.quadrature import QuadratureConfig
@@ -163,6 +163,26 @@ def test_scans_check_every_beta_first_naming_the_first_bad_one():
         for table in tables:
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 table()
+
+
+def test_a_bad_beta_is_raised_before_a_failing_integral(monkeypatch):
+    # every beta of a grid is checked before any integral, as the CLI checks
+    # it: 0.95's f_k fail this tolerance, and yet a table of [0.95, 2.0]
+    # raises the bad beta; a width table checks per GRID_CHUNK of betas
+    cfg = QuadratureConfig(abs_tol=4.2e-14, rel_tol=1e-300)
+    fam = electron.ELECTRON
+    with pytest.raises(ConvergenceError):
+        fam.total_power(-1, 0.95, cfg)
+    bad = f"^{re.escape('beta must lie in [0, 1], got 2.0')}$"
+    with pytest.raises(DomainError, match=bad):
+        fam.power_rows(-1, [0.95, 2.0], cfg)
+    with pytest.raises(DomainError, match=bad):
+        analysis.power_ratio_rows(-1, [0.95, 2.0], cfg)
+    with pytest.raises(DomainError, match=bad):
+        analysis.effective_angle_rows("electron", 0, -1, [0.95, 2.0], cfg)
+    monkeypatch.setattr(analysis, "GRID_CHUNK", 1)
+    with pytest.raises(ConvergenceError):
+        analysis.effective_angle_rows("electron", 0, -1, [0.95, 2.0], cfg)
 
 
 def test_empty_grids_check_zeta():
