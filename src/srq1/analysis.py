@@ -8,7 +8,8 @@ A beta quantity (``power_ratio_rows``, ``table1_rows`` and
 ``effective_angle_rows``) is one array over its beta grid, as in
 ``family``: the f_2, f_3 of each particle from ``Family.f_table``, the
 ratios as columns, and the weighted and plain width integrals of
-``GRID_CHUNK`` betas in one batch.  ``max_angle_scan`` yields a report per
+``GRID_CHUNK`` betas from one profile call at the nodes of a fixed
+Gauss-Legendre rule (``quadrature``).  ``max_angle_scan`` yields a report per
 beta and locates ``GRID_CHUNK`` betas at a time in lockstep: one coarse
 scan of [0, pi/2], one row broadcast against the betas, brackets each
 maximum, and ``_root`` finds the zero of the slope dp/dtheta in every
@@ -16,14 +17,16 @@ bracket together, one profile call per step.  The slope is the complex
 step of the density body itself (``_slope``), so there is no second
 formula.  ``crossover_beta`` takes its root with ``_root`` too.  A width
 integrates over [0, pi/2] only, on pieces graded toward pi/2 at 1/gamma,
-and s = +-1 takes the width of s = 0.  Each value keeps the bits of its
+where the integrands are analytic, so a fixed rule converges geometrically
+on each; s = +-1 takes the width of s = 0.  Each value keeps the bits of its
 one-beta evaluation, which reads row 0 of its table (the report of a scan
 of one beta for a maximum).  A table checks its betas before any integral,
 as ``family``'s do (a width table and ``max_angle_scan`` per ``GRID_CHUNK``
 of them), and then raises, before any row is returned, the first failed
 integral in grid order: the electron's f_k before the boson's in a ratio
-(the boson's first in ``table1``), and a width's f_2, f_3, weighted pieces,
-then plain pieces.
+(the boson's first in ``table1``), and a width's f_2, f_3, then its
+weighted integral, then its plain one, each failing as soon as its error
+estimate exceeds the tolerance.
 The maxima and widths read p_s from the profiles of
 ``Family.density_profiles``.
 """
@@ -36,10 +39,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import boson, electron, family, kinematics
+from . import boson, electron, family, kinematics, quadrature
 from .errors import ConvergenceError, DomainError, checked
 from .family import GRID_CHUNK, HALF_PI
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, quad_batch
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .quadrature import quad_adaptive  # noqa: F401  (only for bench/trace_layers to wrap)
 
 
@@ -301,6 +304,38 @@ def _width_pieces(beta):
     return list(zip(edges[:-1], edges[1:]))
 
 
+def _chunk_widths(profile, failed, chunk, cfg):
+    """The widths of a chunk of betas from its ``density_profiles``: one
+    profile call at the ``quadrature.nodes`` of every ``_width_pieces`` piece
+    of each beta whose normalization converged.  The weighted and the plain
+    integral of a piece come from the same profile values, reduced by one
+    ``quadrature.sums``; a beta's two integrals add its pieces' values and
+    error estimates from theta = 0 up.  Raises the first failure in beta
+    order (within a beta f_2, f_3, the weighted integral, then the plain
+    one).  Its arrays go when it returns, before the next chunk's."""
+    pieces = [[] if error is not None else _width_pieces(beta)
+              for beta, error in zip(chunk, failed)]
+    counts = [len(q) for q in pieces]
+    lo, hi = np.array([piece for q in pieces for piece in q]).reshape(-1, 2).T
+    theta, half = quadrature.nodes(lo, hi)
+    p = profile(np.repeat(np.arange(len(chunk)), counts), theta) * np.sin(theta)
+    # every piece's weighted integral, then every piece's plain integral
+    values, errors = quadrature.sums(np.concatenate(((theta - HALF_PI) ** 2 * p, p)),
+                                     np.concatenate((half, half)))
+    n = len(lo)
+    parts = np.column_stack((values[:n], errors[:n], values[n:], errors[n:])).tolist()
+    ends = np.cumsum(counts).tolist()
+    deltas = []
+    for error, i, j in zip(failed, [0, *ends], ends):
+        checked([error])
+        weighted, weighted_err, plain, plain_err = map(sum, zip(*parts[i:j]))
+        weighted, plain = checked([
+            quadrature.settled(weighted, weighted_err, cfg, 0.0, HALF_PI),
+            quadrature.settled(plain, plain_err, cfg, 0.0, HALF_PI)])
+        deltas.append(math.sqrt(weighted / plain))
+    return deltas
+
+
 def effective_angle_rows(kind: str, s: int, zeta: int | None, betas,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
     """The (n, 2) array of beta and the RMS width delta of ``effective_angle``.
@@ -308,13 +343,10 @@ def effective_angle_rows(kind: str, s: int, zeta: int | None, betas,
     p_0, p_2 and p_3 are even about pi/2, at the beta = 1 limit too, and so
     is the weight (theta - pi/2)^2, so both integrals run over [0, pi/2]
     only.  p_{+-1} = p_0/2 +- a term odd about pi/2, so s = +-1 integrates
-    p_0 and its width is delta_0, bit for bit.  The integrals of GRID_CHUNK
-    betas run as two batches: the normalizations f_2, f_3 of their profiles,
-    then, for each beta whose normalization converged, the weighted and the
-    plain integral on each of its ``_width_pieces``.  A beta's sums add its
-    pieces from theta = 0 up.  The betas of a chunk are checked first; the
-    error then raised is the first in beta order (within a beta f_2, f_3,
-    the weighted pieces, then the plain pieces).
+    p_0 and its width is delta_0, bit for bit.  Per GRID_CHUNK betas: the
+    normalizations f_2, f_3 of their profiles as one batch, then their
+    widths by ``_chunk_widths``.  The betas of a chunk are checked first;
+    the error then raised is the first in beta order.
     """
     fam = _particle(kind).family
     kinematics.validate_s(s)
@@ -323,23 +355,7 @@ def effective_angle_rows(kind: str, s: int, zeta: int | None, betas,
     deltas = []
     for start in range(0, len(betas), GRID_CHUNK):
         chunk = betas[start:start + GRID_CHUNK]
-        profile, failed = fam.density_profiles(s, zeta, chunk, cfg)
-        pieces = [[] if error is not None else _width_pieces(beta)
-                  for beta, error in zip(chunk, failed)]
-        # each beta's weighted pieces, then its plain pieces, in order
-        intervals = [piece for beta_pieces in pieces for piece in beta_pieces * 2]
-        owner = np.repeat(np.arange(len(chunk)), [2 * len(p) for p in pieces])
-        weighted = np.array([w for p in pieces for w in (True, False) for _ in p], bool)
-
-        def integrand(rows, theta):
-            p = profile(owner[rows], theta)
-            return np.where(weighted[rows, None], (theta - HALF_PI) ** 2 * p, p) * np.sin(theta)
-
-        values = iter(quad_batch(integrand, intervals, cfg))
-        for error, beta_pieces in zip(failed, pieces):
-            n = len(beta_pieces)  # 0 where the normalization failed
-            parts = checked([error, *(next(values) for _ in range(2 * n))])[1:]
-            deltas.append(math.sqrt(sum(parts[:n]) / sum(parts[n:])))
+        deltas += _chunk_widths(*fam.density_profiles(s, zeta, chunk, cfg), chunk, cfg)
     return np.column_stack((np.array(betas, dtype=float), deltas))
 
 

@@ -179,10 +179,10 @@ QUANTITIES = {
 
 def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, theta=None,
           angle_unit="rad", abs_tol=DEFAULT_CONFIG.abs_tol, rel_tol=DEFAULT_CONFIG.rel_tol,
-          max_depth=DEFAULT_CONFIG.max_depth, keys=None):
+          keys=None):
     """Validate one call, evaluate ``quantity`` and write it to stdout;
     ``keys`` replaces the metadata keys of its table entry."""
-    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol, max_depth=max_depth)
+    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
     q = QUANTITIES[quantity]
     api = analysis.PARTICLES[particle]
     reads_beta, reads_theta = "beta" in q.reads, "theta" in q.reads
@@ -204,8 +204,10 @@ def _emit(quantity, fmt="csv", particle="boson", zeta="-1", s="0", beta=None, th
                         angles=np.degrees(thetas) if deg else thetas,
                         angle=np.degrees if deg else (lambda t: t))
     rows = q.rows(c)
+    # max_depth=60 stays a fixed field of the header, so that recorded outputs
+    # keep their bytes; no option sets it
     md = {"quantity": quantity, "version": __version__, "abs_tol": cfg.abs_tol,
-          "rel_tol": cfg.rel_tol, "max_depth": cfg.max_depth, "angle_unit": angle_unit}
+          "rel_tol": cfg.rel_tol, "max_depth": 60, "angle_unit": angle_unit}
     for key in q.keys if keys is None else keys:
         key, eq, value = key.partition("=")
         md[key] = value if eq else getattr(c, key)
@@ -227,7 +229,6 @@ _OPTIONS = {
     "--angle-unit": {"choices": ("rad", "deg"), "default": "rad"},
     "--abs-tol": {"type": float, "default": DEFAULT_CONFIG.abs_tol},
     "--rel-tol": {"type": float, "default": DEFAULT_CONFIG.rel_tol},
-    "--max-depth": {"type": int, "default": DEFAULT_CONFIG.max_depth},
 }
 
 
@@ -240,7 +241,7 @@ class Command(NamedTuple):
     defaults: dict = {}   # option defaults and fixed arguments of _emit, by dest
 
 
-_QUAD = " --abs-tol --rel-tol --max-depth"
+_QUAD = " --abs-tol --rel-tol"
 COMMANDS = (
     Command("table1", "table1", "Shape factors and power ratios on beta = 0.0 ... 1.0.",
             "--format" + _QUAD),

@@ -68,8 +68,7 @@ K_{m+j}|, combined as f_2 and f_3 are from the sums S_j = sum_m w_m x^2
 K_{m+j} (each x^2 K_m, m < 24, is a sum of at most 24 terms whose sizes add
 up to less than 4 (m + 1) x^2 K_m).  It is below 3.6e-16, and about 500
 times the error measured above.  As for the series, a tolerance below it
-gives that pair a ConvergenceError with the bound, and ``max_depth`` plays
-no part.
+gives that pair a ConvergenceError with the bound.
 The distinct x of a call run together, ``_BLOCK`` at a time, as (terms, x)
 arrays, each step elementwise, a matrix product (numpy's own loop, which
 sums in the same order for any number of columns) or a sum down the

@@ -241,7 +241,7 @@ def test_p_max_is_above_both_endpoint_values(kind, s, zeta):
 def test_max_angle_scan_raises_the_first_failing_beta(kind, zeta, betas):
     # unreachable tolerances: the beta = 1 row and the x -> 1 expansion need no
     # quadrature, so their reports come first; the first quadrature fails
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
 
     def reference():
         for beta in betas:
@@ -266,12 +266,12 @@ def test_asymptotic_max_angle_values():
 def test_effective_angle_closed_form():
     # p_0(0; theta) = (3/8)(1 + cos^2): delta^2 = pi^2/4 - 17/9
     rep = effective_angle("boson", 0, None, 0.0)
-    assert rep.delta == pytest.approx(math.sqrt(math.pi**2 / 4 - 17.0 / 9.0), abs=1e-9)
+    assert rep.delta == pytest.approx(math.sqrt(math.pi**2 / 4 - 17.0 / 9.0), rel=1e-14, abs=0.0)
 
 
-# 1 - beta from 0.5 down to 1e-12, the electron's widths narrowing to about
+# 1 - beta from 0.5 down to 1e-15, the electron's widths narrowing to about
 # 1/gamma around pi/2, and both ends of the beta range
-_WIDTH_BETAS = [0.0, 0.5, *(1.0 - 10.0**-k for k in range(1, 13)), 1.0]
+_WIDTH_BETAS = [0.0, 0.5, *(1.0 - 10.0**-k for k in range(1, 16)), 1.0]
 
 
 @pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])
@@ -280,7 +280,30 @@ def test_effective_angle_scan_matches_the_graded_oracle(kind, zeta, s):
     got = analysis.effective_angle_rows(kind, s, zeta, _WIDTH_BETAS)[:, 1].tolist()
     rms_width = oracles.bench_module("oracle").rms_width
     want = [rms_width(kind, s, zeta, b) for b in _WIDTH_BETAS]
-    assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+    # within 1.9e-15 with 40-point Gauss-Legendre pieces
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_a_width_meets_a_tolerance_down_to_its_error_estimates():
+    # the electron's beta = 1 width: each integral's estimate is the sum over
+    # its pieces of |I_40 - I_30|, floored at rounding.  The weighted integral
+    # fails first; at its estimate the plain one fails with its own, larger
+    # estimate; at that one the width is met with the default's bits, and
+    # just below it refused again
+    def refused(abs_tol):
+        with pytest.raises(ConvergenceError) as exc_info:
+            analysis.effective_angle_rows("electron", 3, -1, [1.0],
+                                          QuadratureConfig(abs_tol=abs_tol, rel_tol=1e-300))
+        return exc_info.value.estimate, exc_info.value.error_bound
+
+    weighted, weighted_err = refused(1e-300)
+    plain, plain_err = refused(weighted_err)
+    assert 0.0 < weighted_err < plain_err < 1e-14
+    assert math.sqrt(weighted / plain) == analysis.effective_angle("electron", 3, -1, 1.0).delta
+    met = QuadratureConfig(abs_tol=plain_err, rel_tol=1e-300)
+    assert (analysis.effective_angle_rows("electron", 3, -1, [1.0], met).tolist()
+            == analysis.effective_angle_rows("electron", 3, -1, [1.0]).tolist())
+    assert refused(math.nextafter(plain_err, 0.0)) == (plain, plain_err)
 
 
 @pytest.mark.parametrize("kind, zeta", [("boson", None), ("electron", -1), ("electron", 1)])

@@ -252,7 +252,7 @@ def test_density_profiles_rows_match_each_profile():
 
 
 def test_density_profiles_report_each_failed_normalization():
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for fam in (boson.BOSON, electron.ELECTRON):
         _, failed = fam.density_profiles(0, -1, list(BETAS), cfg)
         for beta, error in zip(BETAS, failed):

@@ -211,8 +211,7 @@ def test_exit_code_domain_error():
 def test_exit_code_convergence_error():
     code, _, err = run(["scan", "--quantity", "q_halfplane", "--particle",
                         "electron", "--s", "2", "--beta", "0.9",
-                        "--abs-tol", "1e-300", "--rel-tol", "1e-300",
-                        "--max-depth", "10"])
+                        "--abs-tol", "1e-300", "--rel-tol", "1e-300"])
     assert code == 2
     assert "convergence error" in err
 
@@ -220,10 +219,10 @@ def test_exit_code_convergence_error():
 # Scans whose integrals cannot meet their tolerance: the message is that of
 # the first integral to fail when each is evaluated on its own in the order
 # betas in grid order; within a beta f_1, f_2, f_3, then the width's weighted
-# pieces and its plain pieces; electron before boson in ratio, boson before
+# integral and its plain one; electron before boson in ratio, boson before
 # electron in table1.  An f_2 up to x = 1/sqrt2 fails with its power series'
-# bound, a width piece with its quadrature's.
-_UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300", "--max-depth", "10"]
+# bound, a width with its Gauss-Legendre error estimate.
+_UNREACHABLE = ["--abs-tol", "1e-300", "--rel-tol", "1e-300"]
 
 
 def _series_error(bound, tol):
@@ -248,11 +247,10 @@ FIRST_FAILURE = [
     (["scan", "--quantity", "eff_angle", "--s", "0", "--beta", "0.95:0.2:4", *_UNREACHABLE],
      _series_error("5.271e-14", "1.459e-300")),
     # the beta = 1 profile's f_2, f_3 need no integral: beta 1 of 4 fails in its
-    # first weighted width piece, and betas 2 to 4 in their f_2, which run first
+    # weighted width integral, and betas 2 to 4 in their f_2, which run first
     (["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
       "--beta", "1:0.9:4", *_UNREACHABLE],
-     "quadrature did not converge at max_depth=10: residual error bound 8.576e-16 exceeds "
-     "tolerance 1.000e-300"),
+     "Gauss-Legendre error estimate 9.252e-16 exceeds tolerance 1.000e-300"),
 ]
 
 
@@ -262,36 +260,61 @@ def test_first_failing_integral_is_reported(argv, message):
     assert run(argv) == (2, "", f"convergence error: {message}\n")
 
 
-@pytest.mark.parametrize("particle, beta", [("boson", "0.2"), ("electron", "0.45"),
-                                            ("electron", "0.5"), ("electron", "0.95"),
-                                            ("electron", "0.999"), ("electron", "0.999999999")])
-def test_an_unreachable_tolerance_ends_where_the_series_serves(particle, beta):
-    # at the default max_depth a tolerance below rounding once ran without
-    # bound; the bound of the series (x0 <= 1/sqrt2) or of the closed form
-    # (above it, from beta = 0.985 on) refuses it at once
-    argv = ["scan", "--quantity", "power", "--particle", particle, "--beta", beta,
-            "--abs-tol", "1e-300", "--rel-tol", "1e-300"]
-    form, size = ("closed form", "e-16") if float(beta) > 0.985 else ("power series", "e-14")
+# a power at each branch of f_2, f_3, and the electron's beta = 1 width
+_UNREACHABLE_RUNS = [
+    pytest.param(["scan", "--quantity", "power", "--particle", particle, "--beta", beta],
+                 id=f"{particle}-{beta}")
+    for particle, beta in (("boson", "0.2"), ("electron", "0.45"), ("electron", "0.5"),
+                           ("electron", "0.95"), ("electron", "0.999"),
+                           ("electron", "0.999999999"))
+] + [pytest.param(["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
+                   "--beta", "1"], id="eff_angle-electron-1")]
+
+
+@pytest.mark.parametrize("argv", _UNREACHABLE_RUNS)
+def test_an_unreachable_tolerance_ends_where_the_series_serves(argv):
+    # a tolerance below rounding once ran without bound, under the adaptive
+    # quadrature's default depth of 60; the bound of the series (x0 <=
+    # 1/sqrt2) or of the closed form (above it, from beta = 0.985 on), or the
+    # error estimate of the widths' fixed Gauss-Legendre rule, refuses it at
+    # once
+    if "eff_angle" in argv:
+        form, size = "Gauss-Legendre error estimate", "e-16"
+    elif float(argv[-1]) > 0.985:
+        form, size = "closed form error bound", "e-16"
+    else:
+        form, size = "power series error bound", "e-14"
     start = time.perf_counter()
-    code, out, err = run(argv)
+    code, out, err = run(argv + ["--abs-tol", "1e-300", "--rel-tol", "1e-300"])
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
-    assert re.fullmatch(rf"convergence error: {form} error bound \d\.\d{{3}}{size} exceeds "
+    assert re.fullmatch(rf"convergence error: {form} \d\.\d{{3}}{size} exceeds "
                         r"tolerance \d\.\d{3}e-300\n", err)
 
 
-def test_widths_next_to_beta_one_converge_at_depth_ten():
-    # their width integrals settle at max_depth 10, and f_2, f_3 take none
+@pytest.mark.parametrize("argv", [["table1"], ["crossover"], ["scan", "--quantity", "eff_angle"],
+                                  ["maxima", "--particle", "boson", "--s", "0", "--beta", "0.5"],
+                                  ["polarization", "--particle", "boson", "--beta", "0.5"]],
+                         ids=lambda argv: argv[0])
+def test_max_depth_is_refused_where_it_was_taken(argv):
+    # the subcommands that took --max-depth: a fixed rule has nothing for it
+    # to bound, so it is a usage error rather than an argument silently ignored
+    assert run(argv + ["--max-depth", "60"]) == (
+        1, "", _TOP_USAGE + "srq1: error: unrecognized arguments: --max-depth 60\n")
+
+
+def test_widths_next_to_beta_one_match_the_oracle():
+    # 1 - beta from 2e-6 to 1e-7, where the pieces grade toward pi/2 at 1/gamma
     argv = ["scan", "--quantity", "eff_angle", "--particle", "electron", "--s", "3",
-            "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10",
-            "--max-depth", "10"]
+            "--beta", "0.999998:0.9999999:4", "--abs-tol", "1e-10", "--rel-tol", "1e-10"]
     code, out, err = run(argv)
     assert (code, err) == (0, "")
     columns, rows = csv_rows(out)
     assert columns == ["beta", "delta"] and "# zeta=-1\n" in out
     rms_width = bench_module("oracle").rms_width
     want = [rms_width("electron", 3, -1, beta) for beta in parse_range(argv[8])]
-    assert [float(delta) for _, delta in rows] == pytest.approx(want, rel=1e-8, abs=0.0)
+    # delta is about 0.58, whose 9-digit print rounds by at most 8.7e-10 relative
+    assert [float(delta) for _, delta in rows] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_determinism_byte_identical():
@@ -354,8 +377,7 @@ _SCAN_USAGE = (
     "                 [--particle {boson,electron}] [--zeta {+1,-1,1}]\n"
     "                 [--s {0,1,-1,2,3}] [--beta BETA] [--theta THETA]\n"
     "                 [--format {csv,json}] [--angle-unit {rad,deg}]\n"
-    "                 [--abs-tol ABS_TOL] [--rel-tol REL_TOL]\n"
-    "                 [--max-depth MAX_DEPTH] [--help]\n")
+    "                 [--abs-tol ABS_TOL] [--rel-tol REL_TOL] [--help]\n")
 _SCAN_HELP = _SCAN_USAGE + """
 Evaluate one quantity over a beta grid (--beta, 0 if absent) or a theta grid
 (--theta, 0:pi:181 if absent).
@@ -374,8 +396,6 @@ options:
                         [default: rad]
   --abs-tol ABS_TOL     [default: 1e-10]
   --rel-tol REL_TOL     [default: 1e-10]
-  --max-depth MAX_DEPTH
-                        [default: 60]
   --help                Show this message and exit.
 """
 PARSER_BYTES = [
@@ -395,14 +415,14 @@ PARSER_BYTES = [
     (["maxima", "--s", "2", "--beta", "0.5"], 1, "",
      "usage: srq1 maxima --particle {boson,electron} --s {0,1,3} [--zeta {+1,-1,1}]\n"
      "                   --beta BETA [--format {csv,json}] [--angle-unit {rad,deg}]\n"
-     "                   [--abs-tol ABS_TOL] [--rel-tol REL_TOL]\n"
-     "                   [--max-depth MAX_DEPTH] [--help]\n"
+     "                   [--abs-tol ABS_TOL] [--rel-tol REL_TOL] [--help]\n"
      "srq1 maxima: error: argument --s: invalid choice: '2' (choose from '0', '1', '3')\n"),
     (["scan", "--help"], 0, _SCAN_HELP, ""),
     (["--version"], 0, "srq1, version 0.1.0\n", ""),
-    # argv that the fast reader leaves to the parser
-    (_POWER + ["--max-depth", "2.5"], 1, "", _SCAN_USAGE
-     + "srq1 scan: error: argument --max-depth: invalid int value: '2.5'\n"),
+    # argv that the fast reader leaves to the parser; --max-depth bounded the
+    # bisection of the adaptive quadrature that a fixed rule replaced
+    (_POWER + ["--max-depth", "2.5"], 1, "",
+     _TOP_USAGE + "srq1: error: unrecognized arguments: --max-depth 2.5\n"),
     (_POWER + ["--format", "xml", "--format", "csv"], 1, "", _SCAN_USAGE
      + "srq1 scan: error: argument --format: invalid choice: 'xml' (choose from 'csv', "
      "'json')\n"),
@@ -606,7 +626,7 @@ _CHOICES = {
     "--particle": ["boson", "electron"], "--zeta": ["+1", "-1", "1", "0"],
     "--s": ["0", "1", "-1", "2", "3", "4"], "--format": ["csv", "json", "xml"],
     "--angle-unit": ["rad", "deg"], "--abs-tol": ["1e-10", "1e-6", "0", "-1", "nan"],
-    "--rel-tol": ["1e-10", "1e-6", "0", "-1"], "--max-depth": ["10", "60", "9", "2.5"],
+    "--rel-tol": ["1e-10", "1e-6", "0", "-1"],
 }
 
 
@@ -680,7 +700,6 @@ _BAD_GRID = ["nan", "inf", "-inf", "", "0x1p-1", "1e999", "-4", "200", "x", "pi/
 _BAD_OPTION = {
     "--abs-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x", "1e300", "0.5"],
     "--rel-tol": ["nan", "inf", "-inf", "0", "-1e-10", "", "0x1p-1", "x", "1e300", "0.5"],
-    "--max-depth": ["9", "2.5", "nan", "inf", "", "0x10", "-1"],
     "--particle": ["muon", "", "Boson", "nan"], "--s": ["4", "-2", "", "nan", "0x1p-1"],
     "--zeta": ["0", "2", "", "inf"], "--format": ["xml", ""], "--angle-unit": ["grad", ""],
     "--quantity": ["nosuch", "", "crossover", "polarization"],

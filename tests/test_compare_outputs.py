@@ -153,6 +153,28 @@ def test_oracle_diff_reports_each_exists_flip_with_the_oracle_margin(tmp_path):
     assert code == 1 and "maxima: check fails: " in out
 
 
+POLARIZATION = ["polarization", "--particle", "electron", "--beta", "0.95"]
+
+
+def test_oracle_diff_leaves_an_identity_of_printed_cells_out_of_the_count(tmp_path):
+    # q_left = 0.0980433779 is 4.8e-11 from the oracle, and 0.098043378 (=
+    # 1 - q_right) 1.5e-10: the move to the first is closer, while the printed
+    # q_right + q_left moves from 1 to 1 - 1e-10, which q_right's rounding sets
+    exact = _stdout(POLARIZATION)
+    assert "\n0.95,0.901956622,0.0980433779," in exact
+    before = exact.replace("0.0980433779", "0.098043378")
+    code, out = _diff(_record(tmp_path, "before", {"pol": (POLARIZATION, 0, before)}),
+                      _record(tmp_path, "after", {"pol": (POLARIZATION, 0, exact)}),
+                      oracle=True)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(": ")[1] for line in lines if line.startswith("pol: q")] == [
+        "q_right + q_left at 0.95", "q_left at 0.95"]
+    assert ", identity, not judged against the oracle: " in lines[1]
+    assert ", closer: " in lines[2]
+    assert lines[-1].startswith("1 changed cells checked against the oracle; 0 invocations ")
+
+
 TIE = ["scan", "--quantity", "p", "--particle", "boson", "--s", "1", "--beta", "0.999999",
        "--theta", "2.049417967569301"]
 

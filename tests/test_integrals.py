@@ -293,7 +293,7 @@ def test_series_against_the_40_digit_yform(kernel, family):
 def test_series_bound_is_reported_with_its_estimate():
     # a tolerance below a pair's bound gives that pair a ConvergenceError with
     # the bound and the estimate, which lies within the bound of the exact sum
-    cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     xs = [0.0, 0.3, integrals.SERIES_X]
     for kernel, family in ((integrals.BOSON_KERNEL, "boson"),
                            (integrals.ELECTRON_KERNEL, "electron")):
@@ -331,7 +331,7 @@ def test_closed_form_against_the_40_digit_sform(kernel, family):
 def test_closed_form_bound_is_reported_with_its_estimate(kernel, family):
     # a tolerance below a pair's bound gives that pair a ConvergenceError with
     # the bound and the estimate, which lies within the bound of the exact f_k
-    cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for k in (2, 3):
         plain = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS)
         errors = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS, cfg)
@@ -345,19 +345,18 @@ def test_closed_form_bound_is_reported_with_its_estimate(kernel, family):
             assert abs(mpmath.mpf(value) - series.sform(family, k, x)) <= error.error_bound
 
 
-def test_no_f_k_pair_reaches_quad_batch(monkeypatch):
+def test_no_f_k_pair_reaches_the_quadrature(monkeypatch):
     # no f_k is integrated numerically: on every branch of both kernels, at
     # the default tolerance and at one below every bound
     def refuse(*args, **kwargs):
         raise AssertionError("an f_k pair reached the quadrature")
 
-    for name in ("quad_batch", "quad_adaptive"):
+    for name in ("nodes", "sums", "settled", "quad_adaptive"):
         monkeypatch.setattr(quadrature, name, refuse)
     monkeypatch.setattr(integrals, "quad_adaptive", refuse)
-    assert not hasattr(integrals, "quad_batch")
     xs = [0.0, 5e-5, 0.3, integrals.SERIES_X, math.nextafter(integrals.SERIES_X, 1.0), 0.9,
           1.0 - 1e-15, 1.0]
-    tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for cfg in (quadrature.DEFAULT_CONFIG, tight):
             got = integrals.f_values(kernel, [1, 2, 3] * len(xs),
@@ -376,7 +375,7 @@ def test_f_values_bits_do_not_depend_on_the_batch():
           1.0 - 1e-15, 1.0]
     pairs = [(int(k), xs[i]) for k, i in zip(rng.integers(1, 4, 2048),
                                                rng.integers(0, len(xs), 2048))]
-    tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_depth=10)
+    tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for cfg, sizes in ((quadrature.DEFAULT_CONFIG, (1, 2, 3, 7, 8, 9, 127, 128, 129, 256,
                                                         257, 1000, 2048)),
