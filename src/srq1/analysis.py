@@ -138,7 +138,7 @@ def crossover_beta(cfg: QuadratureConfig = DEFAULT_CONFIG) -> tuple[float, float
     boson (k(+1; beta0) = 1), the root of k(+1) - 1 on [0.5, 0.95] by
     ``_root`` to 1e-13, plus gamma0."""
     def f(_, betas):
-        return np.array([power_ratio(1, beta, cfg) - 1.0 for beta in betas.tolist()])
+        return power_ratio_rows(1, betas, cfg)[:, 1] - 1.0
 
     lo, hi = np.array([0.5]), np.array([0.95])
     f_lo, f_hi = f(None, lo), f(None, hi)

@@ -35,7 +35,7 @@ _TWO_E_MINUS_3 = 2.0 * math.e - 3.0
 
 ELECTRON = Family(
     xmap=(1.0, 1.0, 1.0), shape_power=1, power_const=(1.0, 6.0),
-    f=partial(integrals.f_values, integrals.ELECTRON_KERNEL), spin=True)
+    f=partial(integrals.f_columns, integrals.ELECTRON_KERNEL), spin=True)
 
 x0 = ELECTRON.x0
 spin_factor = ELECTRON.spin_factor

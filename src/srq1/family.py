@@ -17,7 +17,8 @@ live with their particles.  In exact arithmetic, with c = cos(theta):
 where d(+1) = x0 is the electron's spin-flip suppression and d(-1) = 1.
 ``spin`` marks the electron's column: a = x0, D(x) = 1 - x, and zeta
 selects phi_2/phi_3 and scales W_0; the boson ignores zeta.  A record
-reads its f_k through ``f`` (``integrals`` evaluates them).
+reads its f_k through ``f(ks, x, cfg)`` (``integrals.f_columns``): the (x,
+k) table of f_k at an array of x, and the error of each failed (x, k).
 
 Every beta-dependent term is a sum of terms of one sign (Higham, 2002,
 ch. 1): lead = A - B beta^2 = (A - B) + B (1 - beta)(1 + beta), r =
@@ -44,12 +45,12 @@ profiles of ``density_profiles``) is one array over its beta grid, built on
 first bad beta as a beta-by-beta check would (and zeta on an empty grid
 too), takes the x0 of every beta from the array form of the one-beta map
 (``_x1``), with its bits, and their f_k as an (n, k) array, from one call of
-``f`` per ``GRID_CHUNK`` betas, which bounds the memory of the integrals at
-any grid length.  q_s, f(beta) and W_0 are ufunc columns with the operands
-and order of the one-beta expressions.  A power is taken by C's pow,
-element by element, as Python's ``**`` takes it (``_pow``), since numpy's
-own power loop differs in the last bit.  So each row has the bits of its
-one-beta value, and a one-beta method reads row 0 of its table.  A table
+``f`` on the x0 of each ``GRID_CHUNK`` betas, which bounds the memory of the
+integrals at any grid length.  q_s, f(beta) and W_0 are ufunc columns with
+the operands and order of the one-beta expressions.  A power is taken by C's
+pow, element by element, as Python's ``**`` takes it (``_pow``), since
+numpy's own power loop differs in the last bit.  So each row has the bits of
+its one-beta value, and a one-beta method reads row 0 of its table.  A table
 checks every beta of its grid before any integral, as the CLI does, so a bad
 beta's DomainError comes first even where an earlier beta's f_k fail; then
 it raises the first failed f_k of the first beta with one, before any row is
@@ -91,7 +92,7 @@ class Family:
     xmap: tuple         # (A, B, sqrt(A)) of the deformation map
     shape_power: int    # m, the power of (1 + x0) in f(beta)
     power_const: tuple  # (num, den): W_0 = num d(zeta) A(beta) / den f(beta)
-    f: Callable         # (ks, xs, cfg) -> f_k(x) of each pair, or the error it raises
+    f: Callable         # (ks, x, cfg) -> (len(x), len(ks)) f_k(x), {(row, col): error}
     spin: bool          # spin 1/2: a = x0, D(x) = 1 - x, zeta selects and scales
 
     def at_limit(self, beta: float) -> bool:
@@ -305,15 +306,14 @@ class Family:
         ``_x1`` columns (B beta^2, lead, x0, 1 - x0), the (n, len(ks)) array
         of f_k(x0), nan where one failed, and per beta its first failed f_k,
         or None.  The integrals of GRID_CHUNK betas run as one call of ``f``."""
-        self.check_betas(betas, zeta)
         beta = np.array(betas, dtype=float)
+        self.check_betas(beta, zeta)
         x1 = self._x1(beta, sqrt=np.sqrt)
-        f, failed = np.empty((len(beta), len(ks))), []
+        f, failed = np.empty((len(beta), len(ks))), [None] * len(beta)
         for start in range(0, len(beta), GRID_CHUNK):
-            x0 = x1[2][start:start + GRID_CHUNK].tolist()
-            values = self.f(list(ks) * len(x0), [v for v in x0 for _ in ks], cfg)
-            f[start:start + len(x0)], errors = _f_table(values, len(x0), len(ks))
-            failed += errors
+            f[start:start + GRID_CHUNK], errors = self.f(ks, x1[2][start:start + GRID_CHUNK], cfg)
+            for i, j in sorted(errors, reverse=True):  # the first failed k of a row last
+                failed[start + i] = errors[i, j]
         return beta, x1, f, failed
 
     def half_plane_fractions_rows(self, zeta, betas, cfg=DEFAULT_CONFIG):
@@ -377,16 +377,3 @@ def _pow(base, exponent):
     takes it, by C's pow: numpy's power loop gives other last bits for about
     1 in 1000 squares and 1 in 20 sixth powers."""
     return np.array([b ** exponent for b in base.tolist()])
-
-
-def _f_table(values, n, k):
-    """The n x k values of a call of ``f`` as an (n, k) array, nan where one
-    failed, and per row its first failed value or None."""
-    try:
-        return np.array(values, dtype=float).reshape(n, k), [None] * n
-    except TypeError:  # an error among the values
-        rows = [values[i * k:(i + 1) * k] for i in range(n)]
-        errors = [next((v for v in row if isinstance(v, Exception)), None) for row in rows]
-        table = [math.nan if isinstance(v, Exception) else v for v in values]
-        return np.array(table).reshape(n, k), errors
-

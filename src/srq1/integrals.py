@@ -14,10 +14,9 @@ f_0 = f_2 + f_3.  At x = 1 the electron's exact limits f_1 = f_2 = f_3 =
 refused at x = 1.  No f_k is integrated numerically.
 
 f_1 is ((1 + x)^2 e^-x - 1)/x for the boson and (2 - (2 + x) e^-x)/x for the
-electron, written with expm1, and a series below x = 1e-4.  The f_1 pairs of
-a call at x >= 1e-4 are formed in one array step in numpy's extended
-precision (x87's 64-bit significand on x86-64); ``f1_b`` and ``f1_e`` are
-that step at one x.
+electron, written with expm1, and a series below x = 1e-4.  The f_1 of all x
+>= 1e-4 of a call are formed in one array step in numpy's extended
+precision (x87's 64-bit significand on x86-64).
 
 Up to x = 1/sqrt2 (``SERIES_X``, which holds every boson x and the
 electron's up to beta = 0.985) f_2 and f_3 are power series.  Expanded in x,
@@ -30,10 +29,7 @@ the first ``HEAD`` of them in extended precision, with c_n to 106 bits, the
 rest in doubles from the smallest term up, so that f_k is correctly rounded
 at all but rare x.  Its error bound is the tail, (|c_N| x^N + |c_{N+1}|
 x^{N+1}) / (1 - x^2) (each parity of |c_n| decreases from N on), plus the
-rounding of the sum, N eps sum |c_m x^m| (Higham, 2002, ch. 5).  The series
-pairs of a call run together, ``_BLOCK`` at a time, as (terms, pairs)
-arrays: every step is elementwise or a sum down a column, so each value has
-the bits of its one-pair call.
+rounding of the sum, N eps sum |c_m x^m| (Higham, 2002, ch. 5).
 
 Above 1/sqrt2 f_2 and f_3 are a closed form.  In s, with t = (1 - x)(1 + x)
 and J = sqrt(t + x^2 s^2), the weight 2 (1 + x y) e^{-x y} is the entire
@@ -68,16 +64,19 @@ K_{m+j}|, combined as f_2 and f_3 are from the sums S_j = sum_m w_m x^2
 K_{m+j} (each x^2 K_m, m < 24, is a sum of at most 24 terms whose sizes add
 up to less than 4 (m + 1) x^2 K_m).  It is below 3.6e-16, and about 500
 times the error measured above.  As for the series, a tolerance below it
-gives that pair a ConvergenceError with the bound.
-The distinct x of a call run together, ``_BLOCK`` at a time, as (terms, x)
-arrays, each step elementwise, a matrix product (numpy's own loop, which
-sums in the same order for any number of columns) or a sum down the
-columns, so again each value has the bits of its one-pair call.
+gives that f_k(x) a ConvergenceError with the bound.
 
-``f_values`` evaluates a list of (k, x) pairs of one family, each of its
-three array forms once per call.  A failed pair's entry is the error that
-evaluating it alone raises, so that callers can raise the first one in
-their own order.
+``f_columns`` evaluates one family at an array of x (the x0 of a
+``GRID_CHUNK`` of betas) for a few k.  Each branch (f_1's series and its
+extended step; the power series, the closed form and x = 1, each forming
+f_2 and f_3 of an x together) runs once, on all the x with no copy where
+they lie in it alone, else on one boolean selection, and writes its rows
+straight into the table.  Every step is elementwise, a matrix product
+(numpy's own loop, in the same order for any number of columns) or a sum
+down two or more columns (in order), so each value has the bits of its
+one-x call.  A failed f_k(x) is nan, and the error that evaluating it alone
+raises is returned per (x, k).  ``f_b``, ``f_e``, ``f1_b`` and ``f1_e``
+read row 0 of a one-x call.
 """
 
 from __future__ import annotations
@@ -105,29 +104,29 @@ SERIES_X = 1.0 / math.sqrt(2.0)
 HEAD = 8
 # eps, the spacing of doubles at 1
 _EPS = 2.0 ** -52
-# the series pairs, or the closed form's distinct x, evaluated at a time:
-# their arrays stay below 128 KiB, above which glibc's malloc maps fresh
-# pages at every call
+# the columns of an array step, f_2 and f_3 of _BLOCK/2 series x or the
+# closed form's _BLOCK x: their arrays stay below 128 KiB, above which
+# glibc's malloc maps fresh pages at every call
 _BLOCK = 160
 # the terms w_m G_m of the closed form, m < TERMS, from K_0 ... K_{TERMS+1}
 TERMS = 22
 _ROWS = TERMS + 2
 
 
-def _f1_series(electron, x):
-    """f_1 below _F1_SERIES_X, where the elementary forms cancel."""
-    if electron:
-        return 1.0 + x * x * (-1.0 / 6.0 + x / 12.0)
-    return 1.0 + x * (-0.5 + x * (-1.0 / 6.0 + x * 5.0 / 24.0))
+def _f1_below(kernel, x, cfg):
+    """f_1 (one row) at each x < _F1_SERIES_X of x, where the elementary forms cancel."""
+    if kernel.electron:
+        return [1.0 + x * x * (-1.0 / 6.0 + x / 12.0)], []
+    return [1.0 + x * (-0.5 + x * (-1.0 / 6.0 + x * 5.0 / 24.0))], []
 
 
-def _f1(electron, xs):
-    """f_1 at each x >= _F1_SERIES_X of xs, in one extended-precision array
-    step from m = expm1(-x): (m (2 + x) + x)/(-x) for the electron, and
-    (m (1 + x)^2 + x (2 + x))/x for the boson."""
-    x = np.array(xs, dtype=np.longdouble)
+def _f1_step(kernel, x, cfg):
+    """f_1 (one row) at each x >= _F1_SERIES_X of the array x, in one
+    extended-precision array step from m = expm1(-x): (m (2 + x) + x)/(-x)
+    for the electron, and (m (1 + x)^2 + x (2 + x))/x for the boson."""
+    x = x.astype(np.longdouble)
     m = np.expm1(-x)
-    if electron:
+    if kernel.electron:
         f = m * (2.0 + x)
         f += x
         f /= -x
@@ -135,28 +134,23 @@ def _f1(electron, xs):
         f = m * np.square(1.0 + x)
         f += x * (2.0 + x)
         f /= x
-    return f.astype(float).tolist()
+    return [f.astype(float)], []
 
 
-def f1_b(x: float) -> float:
-    """Elementary member of the boson family, ((1+x)^2 e^-x - 1)/x."""
-    return _f1_series(False, x) if x < _F1_SERIES_X else _f1(False, [x])[0]
-
-
-def f1_e(x: float) -> float:
-    """Elementary member of the electron family, (2 - (2+x) e^-x)/x."""
-    return _f1_series(True, x) if x < _F1_SERIES_X else _f1(True, [x])[0]
-
-
-def _refuse_unmet(values, bound, cfg, form):
-    """values, with a ConvergenceError in place of each whose error bound
-    exceeds its tolerance."""
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(np.array(values)))
-    for i in np.flatnonzero(~(bound <= tol)).tolist():
-        values[i] = ConvergenceError(
-            f"{form} error bound {bound[i]:.3e} exceeds tolerance {tol[i]:.3e}",
-            estimate=values[i], error_bound=float(bound[i]))
-    return values
+def _in_blocks(block, args, x, size, form, cfg):
+    """The (2, len(x)) values of block(*args, x), ``size`` x at a time, and the
+    [row, i, ConvergenceError] of each whose error bound (the block's second
+    array, None where all are met) exceeds its tolerance."""
+    parts = [block(*args, x[i:i + size]) for i in range(0, len(x), size)]
+    values = parts[0][0] if len(parts) == 1 else np.concatenate([v for v, _ in parts], axis=1)
+    if parts[0][1] is None:
+        return values, []
+    bound = np.concatenate([b for _, b in parts], axis=1)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(values))
+    return values, [[row, i, ConvergenceError(
+        f"{form} error bound {bound[row, i]:.3e} exceeds tolerance {tol[row, i]:.3e}",
+        estimate=values[row, i].item(), error_bound=bound[row, i].item())]
+        for row, i in np.argwhere(~(bound <= tol)).tolist()]
 
 
 def _running_powers(x, rows):
@@ -168,41 +162,37 @@ def _running_powers(x, rows):
     return np.multiply.accumulate(p, axis=0, out=p)
 
 
-def _tail_terms(terms, ks, x, low):
-    """c_m x^m of each pair for HEAD <= m < N + 2, from the x^i, i < HEAD, of
-    ``low``: x^(HEAD j + i) = x^(HEAD j) x^i."""
+def _tail_terms(terms, x, low):
+    """c_m x^m of f_2 and f_3 at each x for HEAD <= m < N + 2, a (terms, 2,
+    x) array, from the x^i, i < HEAD, of ``low``: x^(HEAD j + i) = x^(HEAD j) x^i."""
     high = _running_powers(low[HEAD - 1] * x, -(-len(terms) // HEAD))[1:]
-    t = (high[:, None] * low).reshape(-1, len(x))[:len(terms) - HEAD]
-    t *= terms[HEAD:, ks]
-    return t
+    return (high[:, None] * low).reshape(-1, len(x))[:len(terms) - HEAD, None] * terms[HEAD:]
 
 
-def _bound(terms, ks, x, low, t):
-    """The error bound of each pair's sum of N terms: the tail, (|c_N| x^N +
+def _bound(terms, x, low, t):
+    """The error bound of each sum of N terms: the tail, (|c_N| x^N +
     |c_{N+1}| x^{N+1}) / (1 - x^2), plus the rounding, N eps sum |c_m x^m|."""
     n = len(terms) - 2
     tail = (np.abs(t[-2]) + np.abs(t[-1])) / ((1.0 - x) * (1.0 + x))
-    size = (np.add.reduce(np.abs(terms[:HEAD, ks] * low), axis=0)
+    size = (np.add.reduce(np.abs(terms[:HEAD] * low[:, None]), axis=0)
             + np.add.reduce(np.abs(t[:n - HEAD]), axis=0))
     return tail + n * _EPS * size
 
 
 class _Series(NamedTuple):
-    terms: np.ndarray  # (N + 2, 4): c_0 ... c_{N+1} of f_k in column k, k = 2, 3
-    head: np.ndarray   # (HEAD, 4): their c_0 ... c_{HEAD-1} to 106 bits, in extended precision
-    worst: float       # the largest bound of a pair, that at SERIES_X
+    terms: np.ndarray  # (N + 2, 2, 1): c_0 ... c_{N+1} of f_2 and f_3
+    head: np.ndarray   # (HEAD, 2, 1): their c_0 ... c_{HEAD-1} to 106 bits, in extended precision
+    worst: float       # the largest bound of a value, that at SERIES_X
 
 
 def _series_table(f2, f3, f2_lo, f3_lo):
-    terms = np.zeros((len(f2), 4))
-    terms[:, 2], terms[:, 3] = f2, f3
+    terms = np.stack((f2, f3), axis=1)[:, :, None]
     head = terms[:HEAD].astype(np.longdouble)
-    head[:, 2] += f2_lo
-    head[:, 3] += f3_lo
+    head[:, :, 0] += np.stack((f2_lo, f3_lo), axis=1)
     # the bound grows with x
-    x = np.array([SERIES_X, SERIES_X])
+    x = np.array([SERIES_X])
     low = _running_powers(x, HEAD)
-    worst = _bound(terms, [2, 3], x, low, _tail_terms(terms, [2, 3], x, low)).max()
+    worst = _bound(terms, x, low, _tail_terms(terms, x, low)).max()
     return _Series(terms, head, float(worst))
 
 
@@ -219,28 +209,25 @@ ELECTRON_KERNEL = _Kernel(True, _series_table(
     coefficients.ELECTRON_F2_LO, coefficients.ELECTRON_F3_LO))
 
 
-def _series(kernel, ks, xs, cfg):
-    """f_k(x) of each pair (k = 2, 3 and x <= SERIES_X) from its power
-    series, or the ConvergenceError of a pair whose bound exceeds its
-    tolerance; every pair in one set of array steps."""
-    if len(xs) > _BLOCK:
-        return [v for i in range(0, len(xs), _BLOCK)
-                for v in _series(kernel, ks[i:i + _BLOCK], xs[i:i + _BLOCK], cfg)]
-    if len(xs) == 1:  # numpy sums a lone column pairwise, two or more in order
-        return _series(kernel, ks * 2, xs * 2, cfg)[:1]
-    terms, head, worst = kernel.series
-    x = np.array(xs, dtype=float)
+def _series_block(series, tight, x):
+    """f_2 and f_3 (rows) at each x of x from their power series, and with
+    ``tight`` their error bounds, else None."""
+    terms, head, _ = series
     low = _running_powers(x, HEAD)
-    t = _tail_terms(terms, ks, x, low)
-    top = _running_powers(x.astype(np.longdouble), HEAD)
-    top *= head[:, ks]
+    t = _tail_terms(terms, x, low)
+    top = _running_powers(x.astype(np.longdouble), HEAD)[:, None] * head
     # the terms from c_{N-1} down to c_HEAD in doubles, then the rest in
     # extended precision, each sum the smallest first
     top[-1] += np.add.reduce(t[-3::-1], axis=0)
-    values = np.add.reduce(top[::-1], axis=0).astype(float).tolist()
-    if worst <= cfg.abs_tol:  # so is every bound
-        return values
-    return _refuse_unmet(values, _bound(terms, ks, x, low, t), cfg, "power series")
+    values = np.add.reduce(top[::-1], axis=0).astype(float)
+    return values, _bound(terms, x, low, t) if tight else None
+
+
+def _series(kernel, x, cfg):
+    """f_2 and f_3 (rows) at each x <= SERIES_X of x from their power
+    series, with the refusals of ``_in_blocks``."""
+    tight = kernel.series.worst > cfg.abs_tol
+    return _in_blocks(_series_block, (kernel.series, tight), x, _BLOCK // 2, "power series", cfg)
 
 
 def _nearest(num, den):
@@ -277,25 +264,24 @@ _ROUND = 8 * (TERMS + _ROWS) * float(np.finfo(np.longdouble).eps) * np.arange(3.
 # each |w_m G_m| is below 1/20 of the last
 _TAIL = (2.0 / math.e * (TERMS - 2) / math.factorial(TERMS)
          * math.sqrt(2.0) / (2 * TERMS + 2) / 0.95)
-# the largest bound of a pair: f and every G_m are below sqrt2 int w <= 2 sqrt2,
+# the largest bound of a value: f and every G_m are below sqrt2 int w <= 2 sqrt2,
 # and |w_m| <= 2 (m + 2)/m!
 _CLOSED_WORST = (_TAIL + 2.0 ** -53 * 2.0 * math.sqrt(2.0) + math.sqrt(2.0) * sum(
     b * 2.0 * (m + 2) / math.factorial(m) for m, b in enumerate(_ROUND)))
 
 
-def _closed_sums(electron, xs, tight):
-    """f_2 and f_3 at each x of xs (in (SERIES_X, 1)) as a (2, len(xs))
-    extended-precision array, and with ``tight`` the same combination of the
-    sizes of their terms, else None: from S_j = sum_m w_m x^2 K_{m+j}, m <
-    TERMS, j = 0, 1 and for the boson 2, f_2 = r S_0 + S_1 and f_3 = S_1/x^2
-    for the electron, and f_2 = a^2 S_0 + 2a S_1 + S_2 and f_3 = r S_1 + S_2
-    for the boson, r = t/x^2 and a = (1 - x)/x."""
-    x = np.array(xs, dtype=np.longdouble)
+def _closed_sums(electron, tight, x):
+    """f_2 and f_3 (rows) at each x of x in closed form, and with ``tight``
+    their error bounds, else None: from S_j = sum_m w_m x^2 K_{m+j},
+    m < TERMS, j = 0, 1 and for the boson 2, f_2 = r S_0 + S_1 and f_3 =
+    S_1/x^2 for the electron, and f_2 = a^2 S_0 + 2a S_1 + S_2 and f_3 = r S_1
+    + S_2 for the boson, r = t/x^2 and a = (1 - x)/x."""
+    x = x.astype(np.longdouble)
     one_minus, one_plus = 1.0 - x, 1.0 + x
     xx = x * x
     r = one_minus * one_plus / xx
     # the powers r^l and 2 e^-x x^m/m!, each a product down its column
-    p = np.empty((2, _ROWS, len(xs)), np.longdouble)
+    p = np.empty((2, _ROWS, len(x)), np.longdouble)
     p[0, 0], p[0, 1:] = 1.0, r
     np.multiply(np.exp(-x), 2.0, out=p[1, 0])
     np.divide(x, _DIVISORS, out=p[1, 1:])
@@ -306,7 +292,7 @@ def _closed_sums(electron, xs, tight):
     powers *= x * np.arctanh(x)
     k += powers
     w *= one_plus - _M
-    g = np.empty((2 if electron else 3, TERMS, len(xs)), np.longdouble)
+    g = np.empty((2 if electron else 3, TERMS, len(x)), np.longdouble)
     for j, row in enumerate(g):
         np.multiply(k[j:j + TERMS], w, out=row)
     if electron:
@@ -318,75 +304,101 @@ def _closed_sums(electron, xs, tight):
         def f23(s):
             return np.array(((a * a) * s[0] + (2.0 * a) * s[1] + s[2], r * s[1] + s[2]))
 
-    return f23(_ONES @ g), f23(_ROUND @ np.abs(g)) if tight else None
+    sums = f23(_ONES @ g).astype(float)
+    if not tight:
+        return sums, None
+    return sums, _TAIL + 2.0 ** -53 * np.abs(sums) + f23(_ROUND @ np.abs(g)).astype(float)
 
 
-def _closed_form(kernel, ks, xs, cfg):
-    """f_k(x) of each pair (k = 2, 3 and SERIES_X < x < 1) in closed form, or
-    the ConvergenceError of a pair whose bound exceeds its tolerance; the
-    distinct x of all pairs in one set of array steps."""
-    distinct = list(dict.fromkeys(xs))
+def _closed_form(kernel, x, cfg):
+    """f_2 and f_3 (rows) at each x of x (SERIES_X < x < 1) in closed form,
+    with the refusals of ``_in_blocks``."""
     tight = cfg.abs_tol <= _CLOSED_WORST
-    f, bound = [], []
-    for i in range(0, len(distinct), _BLOCK):
-        sums, size = _closed_sums(kernel.electron, distinct[i:i + _BLOCK], tight)
-        sums = sums.astype(float)
-        f += sums.T.tolist()
-        if tight:
-            bound += (_TAIL + 2.0 ** -53 * np.abs(sums) + size.astype(float)).T.tolist()
-    f = dict(zip(distinct, f))
-    values = [f[x][k - 2] for k, x in zip(ks, xs)]
-    if not tight:  # every bound is met
-        return values
-    bound = dict(zip(distinct, bound))
-    return _refuse_unmet(values, np.array([bound[x][k - 2] for k, x in zip(ks, xs)]), cfg,
-                         "closed form")
+    return _in_blocks(_closed_sums, (kernel.electron, tight), x, _BLOCK, "closed form", cfg)
 
 
-def f_values(kernel, ks, xs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """f_k(x) of the family of ``kernel`` for each pair of ``ks`` (1, 2 or 3)
-    and ``xs`` (in [0, 1]): per pair the float, or the error that evaluating
-    it alone raises (a DomainError for a k or an x outside those ranges).
-    The f_1 of all pairs at x >= 1e-4, the series of all up to SERIES_X and
-    the closed form of all others each run as one array evaluation."""
-    values, f1, series, closed = [], [], [], []
-    for k, x in zip(ks, xs):
-        if k not in (1, 2, 3):
-            values.append(DomainError(f"integral index must be 1, 2 or 3, got {k}"))
-        elif not 0.0 <= x <= 1.0:
-            values.append(DomainError(f"argument must lie in [0, 1], got {x}"))
-        elif k == 1 and x < _F1_SERIES_X:
-            values.append(_f1_series(kernel.electron, x))
-        elif k == 1:
-            f1.append(len(values))
-            values.append(None)
-        elif x <= SERIES_X:
-            series.append(len(values))
-            values.append(None)
-        elif x == 1.0:
-            values.append(_F_AT_ONE_E if kernel.electron else DomainError(
-                "boson f_2, f_3 are evaluated in closed form only for x < 1"))
-        else:
-            closed.append(len(values))
-            values.append(None)
-    if f1:
-        for i, value in zip(f1, _f1(kernel.electron, [xs[i] for i in f1])):
-            values[i] = value
-    for pairs, evaluate in ((series, _series), (closed, _closed_form)):
-        if pairs:
-            done = evaluate(kernel, [ks[i] for i in pairs], [xs[i] for i in pairs], cfg)
-            for i, value in zip(pairs, done):
-                values[i] = value
-    return values
+def _at_one(kernel, x, cfg):
+    """f_2 and f_3 (rows) at x = 1: the electron's 2 - 3/e; the boson's fail."""
+    if kernel.electron:
+        return np.full((2, len(x)), _F_AT_ONE_E), []
+    return np.full((2, len(x)), math.nan), [[row, i, DomainError(
+        "boson f_2, f_3 are evaluated in closed form only for x < 1")]
+        for i in range(len(x)) for row in (0, 1)]
+
+
+# the forms of f_1 and of f_2, f_3 (rows 0 and 1), each with the closed
+# interval of x it serves, and per k its group and row
+_GROUPS = ((((0.0, math.nextafter(_F1_SERIES_X, 0.0)), _f1_below),
+            ((_F1_SERIES_X, 1.0), _f1_step)),
+           (((0.0, SERIES_X), _series),
+            ((math.nextafter(SERIES_X, 1.0), math.nextafter(1.0, 0.0)), _closed_form),
+            ((1.0, 1.0), _at_one)))
+_K_ROWS = {1: (0, 0), 2: (1, 0), 3: (1, 1)}
+
+
+def _rows(x, lo, hi, a, b):
+    """The x of x (extremes lo, hi) in [a, b]: None, all as a slice, or a mask."""
+    if hi < a or lo > b:
+        return None
+    if a <= lo and hi <= b:
+        return slice(None)
+    rows = (a <= x) & (x <= b)
+    return rows if rows.any() else None
+
+
+def f_columns(kernel, ks, x, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """The (len(x), len(ks)) table of f_k(x) of the family of ``kernel``, for
+    the float array x and each k of ks, nan where one failed, and {(row,
+    column): the error that evaluating that f_k(x) alone raises}."""
+    table, errors = np.empty((len(x), len(ks))), {}
+    if not len(x):
+        return table, errors
+    # numpy's reductions cost more than the rest of a branch test at one x
+    lo, hi = (x.item(),) * 2 if len(x) == 1 else (np.minimum.reduce(x), np.maximum.reduce(x))
+    runs, valid = [None, None], 0.0 <= lo and hi <= 1.0
+    for j, k in enumerate(ks):
+        if k not in _K_ROWS:
+            valid = False
+            continue
+        group, row = _K_ROWS[k]
+        if runs[group] is None:
+            runs[group] = [(rows, *form(kernel, x[rows], cfg)) for (a, b), form in _GROUPS[group]
+                           if (rows := _rows(x, lo, hi, a, b)) is not None]
+        for rows, values, failed in runs[group]:
+            table[rows, j] = values[row]
+            if failed:
+                index = range(len(x)) if isinstance(rows, slice) else np.flatnonzero(rows).tolist()
+                errors.update({(index[i], j): error for r, i, error in failed if r == row})
+    if not valid:  # a k outside 1, 2, 3 fails at every x, another k at each x outside [0, 1]
+        outside = np.flatnonzero(~((0.0 <= x) & (x <= 1.0))).tolist()
+        for j, k in enumerate(ks):
+            for i in outside if k in _K_ROWS else range(len(x)):
+                errors[i, j] = DomainError(
+                    f"argument must lie in [0, 1], got {x[i]}" if k in _K_ROWS
+                    else f"integral index must be 1, 2 or 3, got {k}")
+    for i, j in errors:
+        table[i, j] = math.nan
+    return table, errors
 
 
 def _f(kernel, k, x, cfg):
-    """f_k(x) of the family of ``kernel``."""
+    """f_k(x) of the family of ``kernel``, row 0 of ``f_columns``."""
     if k not in (0, 1, 2, 3):
         raise DomainError(f"integral index must be 0, 1, 2 or 3, got {k}")
     ks = (2, 3) if k == 0 else (k,)
-    values = checked(f_values(kernel, ks, (x,) * len(ks), cfg))
-    return values[0] + values[1] if k == 0 else values[0]
+    table, errors = f_columns(kernel, ks, np.array([x], dtype=float), cfg)
+    checked([errors.get((0, j)) for j in range(len(ks))])
+    return sum(table[0].tolist())  # f_k, or f_0 = f_2 + f_3
+
+
+def f1_b(x: float) -> float:
+    """Elementary member of the boson family, ((1+x)^2 e^-x - 1)/x."""
+    return _f(BOSON_KERNEL, 1, x, DEFAULT_CONFIG)
+
+
+def f1_e(x: float) -> float:
+    """Elementary member of the electron family, (2 - (2+x) e^-x)/x."""
+    return _f(ELECTRON_KERNEL, 1, x, DEFAULT_CONFIG)
 
 
 def f_b(k: int, x: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

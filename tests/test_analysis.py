@@ -40,12 +40,13 @@ def test_crossover_computes_each_ratio_once(monkeypatch):
     # the 2 bracket ends and 9 steps of the root finder, each at a beta of
     # its own (28 calls when bisected to 1e-8)
     calls = []
+    rows = analysis.power_ratio_rows
 
-    def counting(*args):
-        calls.append(args)
-        return power_ratio(*args)
+    def counting(zeta, betas, cfg):
+        calls.extend((zeta, beta) for beta in betas.tolist())
+        return rows(zeta, betas, cfg)
 
-    monkeypatch.setattr(analysis, "power_ratio", counting)
+    monkeypatch.setattr(analysis, "power_ratio_rows", counting)
     beta0, gamma0 = crossover_beta()
     assert len(calls) == len(set(calls)) == 11
     assert (beta0.hex(), gamma0.hex()) == ("0x1.a3d5e65fe9ef4p-1",

@@ -338,9 +338,9 @@ def test_body_keeps_the_bits_of_its_plain_expressions(s, fam, zeta):
     x0s = [float(_map_reference(fam, np.array([HALF_PI]), *row[:2])[4][0]) for row in rows0]
     assert x0s == [fam.x0(b) for b in betas]
     assert rows0 == [fam._row(b) for b in betas]
-    fks = fam.f((2, 3) * len(betas), [x0 for x0 in x0s for _ in (2, 3)], DEFAULT_CONFIG)
+    fks, _ = fam.f((2, 3), np.array(x0s), DEFAULT_CONFIG)
     params = np.array([(*row, (1.0 + x0) ** 2 * (f2 + f3))
-                       for row, x0, f2, f3 in zip(rows0, x0s, fks[::2], fks[1::2])])
+                       for row, x0, (f2, f3) in zip(rows0, x0s, fks.tolist())])
     profile, failed = fam.density_profiles(s, zeta, betas)
     assert failed == [None] * len(betas)
     # (n, k) rows and one (1, k) row broadcast against every beta

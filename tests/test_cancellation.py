@@ -53,7 +53,7 @@ def _reference(kind, zeta, beta, theta):
 
 def _norm(fam, beta):
     x0 = fam.x0(beta)
-    f2, f3 = fam.f((2, 3), (x0, x0), DEFAULT_CONFIG)
+    f2, f3 = fam.f((2, 3), np.array([x0]), DEFAULT_CONFIG)[0][0].tolist()
     return (1.0 + x0) ** 2 * (f2 + f3)
 
 

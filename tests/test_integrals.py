@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -9,8 +10,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from srq1 import integrals, quadrature, series_coefficients
+from srq1 import boson, electron, integrals, quadrature, series_coefficients
 from srq1.errors import ConvergenceError, DomainError
+from srq1.family import Family
 from srq1.integrals import f_b, f_e
 
 import oracles
@@ -162,16 +164,25 @@ def test_domain_errors():
             f_b(k, 1.0)
 
 
-def test_f_values_reports_domain_errors_per_pair():
-    got = integrals.f_values(integrals.BOSON_KERNEL, [0, 4, 2, 3, 1],
-                             [0.5, 0.5, 1.5, float("nan"), 0.5])
-    messages = [str(v) for v in got[:4]]
-    assert messages == ["integral index must be 1, 2 or 3, got 0",
-                        "integral index must be 1, 2 or 3, got 4",
-                        "argument must lie in [0, 1], got 1.5",
-                        "argument must lie in [0, 1], got nan"]
-    assert all(isinstance(v, DomainError) for v in got[:4])
-    assert got[4] == f_b(1, 0.5)
+def test_f_columns_reports_domain_errors_per_x_and_k():
+    # a k outside 1, 2, 3 fails at every x and an x outside [0, 1] at every
+    # k, each (x, k) with an error of its own; the other values are those of
+    # their one-x calls, and the boson's f_2, f_3 fail at x = 1 while its f_1
+    # is served there
+    table, errors = integrals.f_columns(integrals.BOSON_KERNEL, (0, 4, 2, 3, 1),
+                                        np.array([0.5, 1.5, float("nan"), 1.0]))
+    want = {(i, j): f"integral index must be 1, 2 or 3, got {k}"
+            for i in range(4) for j, k in ((0, 0), (1, 4))}
+    want.update({(i, j): f"argument must lie in [0, 1], got {x}"
+                 for i, x in ((1, 1.5), (2, float("nan"))) for j in (2, 3, 4)})
+    want.update({(3, j): "boson f_2, f_3 are evaluated in closed form only for x < 1"
+                 for j in (2, 3)})
+    assert {key: str(error) for key, error in errors.items()} == want
+    assert all(isinstance(error, DomainError) for error in errors.values())
+    assert len({id(error) for error in errors.values()}) == len(errors)
+    assert all(math.isnan(table[key]) for key in errors)
+    assert table[0, 2:].tolist() == [f_b(2, 0.5), f_b(3, 0.5), f_b(1, 0.5)]
+    assert table[3, 4] == f_b(1, 1.0)
 
 
 def _loads(module):
@@ -236,6 +247,50 @@ def test_f_k_bits_on_every_branch(name, k, x, want):
     assert getattr(integrals, name)(k, x).hex() == want
 
 
+class _AtX(Family):
+    """A family whose x0 is its beta, so that its ``f_table`` takes the x."""
+
+    def _x1(self, beta, cos2=None, sin2=None, sqrt=math.sqrt):
+        return beta, beta, beta, beta
+
+
+def _pin_xs(electron):
+    """1 974 seeded x (1 975 for the electron) on every branch of the f_k
+    evaluator: 0, [0, 1e-4) and 1e-4 with the doubles next to it, [1e-4,
+    SERIES_X], SERIES_X and two doubles on each side of it, (SERIES_X, 1),
+    1 - 10^-k for k = 1..15, and for the electron 1."""
+    rng = np.random.default_rng(37)
+    x = integrals.SERIES_X
+    below, above = math.nextafter(x, 0.0), math.nextafter(x, 1.0)
+    return [0.0, *rng.uniform(0.0, 1e-4, 300).tolist(),
+            *(10.0 ** rng.uniform(-300.0, -4.0, 100)).tolist(),
+            math.nextafter(1e-4, 0.0), 1e-4, math.nextafter(1e-4, 1.0),
+            *rng.uniform(1e-4, x, 700).tolist(),
+            math.nextafter(below, 0.0), below, x, above, math.nextafter(above, 1.0),
+            *rng.uniform(x, 1.0, 700).tolist(),
+            *(1.0 - 10.0 ** rng.uniform(-15.9, -1.0, 150)).tolist(),
+            *(1.0 - 10.0 ** -k for k in range(1, 16))] + ([1.0] if electron else [])
+
+
+def test_f_k_bits_are_pinned():
+    # f_1, f_2 and f_3 of both families at the x of _pin_xs, each through
+    # f_b or f_e and through the evaluator of Family.f_table, hashed in
+    # float.hex: the two agree bit for bit, and their sha256 is the one
+    # recorded when f_k were evaluated pair by pair
+    digest = hashlib.sha256()
+    for fam, one in ((boson.BOSON, integrals.f_b), (electron.ELECTRON, integrals.f_e)):
+        xs = _pin_xs(fam.spin)
+        alone = [one(k, x).hex() for x in xs for k in (1, 2, 3)]
+        _, _, table, failed = _AtX(**vars(fam)).f_table((1, 2, 3), xs,
+                                                        quadrature.DEFAULT_CONFIG)
+        assert failed == [None] * len(xs)
+        batch = [value.hex() for value in table.ravel().tolist()]
+        assert batch == alone
+        digest.update("\n".join(alone + batch).encode())
+    assert digest.hexdigest() == (
+        "e97984035cc249869469b4878f43dae8717f58d4e85957f140e1aff4f7f4ffd0")
+
+
 _TABLES = [("boson", 2, "BOSON_F2"), ("boson", 3, "BOSON_F3"),
            ("electron", 2, "ELECTRON_F2"), ("electron", 3, "ELECTRON_F3")]
 
@@ -284,29 +339,34 @@ def test_series_against_the_40_digit_yform(kernel, family):
     rng = np.random.default_rng(18)
     xs = [0.0, 1e-9, 5e-5, 0.3, integrals.SERIES_X,
           *rng.uniform(0.0, integrals.SERIES_X, 6).tolist()]
-    for k in (2, 3):
-        values = integrals.f_values(kernel, [k] * len(xs), xs)
+    table, errors = integrals.f_columns(kernel, (2, 3), np.array(xs))
+    assert errors == {}
+    for k, values in zip((2, 3), table.T.tolist()):
         for x, value in zip(xs, values):
             assert _ulps(value, series.yform(family, k, x)) <= 1.0, (k, x)
 
 
 def test_series_bound_is_reported_with_its_estimate():
-    # a tolerance below a pair's bound gives that pair a ConvergenceError with
-    # the bound and the estimate, which lies within the bound of the exact sum
+    # a tolerance below a value's bound gives that f_k(x) a ConvergenceError
+    # of its own with the bound and the estimate, which lies within the bound
+    # of the exact sum
     cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     xs = [0.0, 0.3, integrals.SERIES_X]
     for kernel, family in ((integrals.BOSON_KERNEL, "boson"),
                            (integrals.ELECTRON_KERNEL, "electron")):
-        for k in (2, 3):
-            plain = integrals.f_values(kernel, [k] * 3, xs)
-            for x, value, error in zip(xs, plain, integrals.f_values(kernel, [k] * 3, xs, cfg)):
-                assert isinstance(error, ConvergenceError)
-                assert error.estimate == value
-                assert 0.0 < error.error_bound <= kernel.series.worst
-                tol = max(1e-300, 1e-300 * abs(value))
-                assert str(error) == (f"power series error bound {error.error_bound:.3e} "
-                                      f"exceeds tolerance {tol:.3e}")
-                assert abs(value - series.value(family, k, x)) <= error.error_bound
+        plain, _ = integrals.f_columns(kernel, (2, 3), np.array(xs))
+        table, errors = integrals.f_columns(kernel, (2, 3), np.array(xs), cfg)
+        assert sorted(errors) == [(i, j) for i in range(3) for j in range(2)]
+        assert np.isnan(table).all()
+        for (i, j), error in errors.items():
+            value, k = plain[i, j].item(), j + 2
+            assert isinstance(error, ConvergenceError)
+            assert error.estimate == value
+            assert 0.0 < error.error_bound <= kernel.series.worst
+            tol = max(1e-300, 1e-300 * abs(value))
+            assert str(error) == (f"power series error bound {error.error_bound:.3e} "
+                                  f"exceeds tolerance {tol:.3e}")
+            assert abs(value - series.value(family, k, xs[i])) <= error.error_bound
 
 
 # 44 x from the first double above SERIES_X to 1 - 1e-15, evenly in ln(1 - x)
@@ -319,8 +379,9 @@ _CLOSED_XS = [math.nextafter(integrals.SERIES_X, 1.0),
 def test_closed_form_against_the_40_digit_sform(kernel, family):
     # above SERIES_X, against mpmath quadrature of the s-form at 40 digits,
     # graded toward s = 0: within 2e-16 relative
-    for k in (2, 3):
-        values = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS)
+    table, errors = integrals.f_columns(kernel, (2, 3), np.array(_CLOSED_XS))
+    assert errors == {}
+    for k, values in zip((2, 3), table.T.tolist()):
         for x, value in zip(_CLOSED_XS, values):
             exact = series.sform(family, k, x)
             assert abs(float((mpmath.mpf(value) - exact) / exact)) <= 2e-16, (k, x)
@@ -329,64 +390,67 @@ def test_closed_form_against_the_40_digit_sform(kernel, family):
 @pytest.mark.parametrize("kernel, family", [(integrals.BOSON_KERNEL, "boson"),
                                             (integrals.ELECTRON_KERNEL, "electron")])
 def test_closed_form_bound_is_reported_with_its_estimate(kernel, family):
-    # a tolerance below a pair's bound gives that pair a ConvergenceError with
-    # the bound and the estimate, which lies within the bound of the exact f_k
+    # a tolerance below a value's bound gives that f_k(x) a ConvergenceError
+    # of its own with the bound and the estimate, which lies within the bound
+    # of the exact f_k
     cfg = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
-    for k in (2, 3):
-        plain = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS)
-        errors = integrals.f_values(kernel, [k] * len(_CLOSED_XS), _CLOSED_XS, cfg)
-        for x, value, error in zip(_CLOSED_XS, plain, errors):
-            assert isinstance(error, ConvergenceError)
-            assert error.estimate == value
-            assert 0.0 < error.error_bound <= integrals._CLOSED_WORST
-            tol = max(1e-300, 1e-300 * abs(value))
-            assert str(error) == (f"closed form error bound {error.error_bound:.3e} "
-                                  f"exceeds tolerance {tol:.3e}")
-            assert abs(mpmath.mpf(value) - series.sform(family, k, x)) <= error.error_bound
+    plain, _ = integrals.f_columns(kernel, (2, 3), np.array(_CLOSED_XS))
+    _, errors = integrals.f_columns(kernel, (2, 3), np.array(_CLOSED_XS), cfg)
+    assert sorted(errors) == [(i, j) for i in range(len(_CLOSED_XS)) for j in range(2)]
+    for (i, j), error in errors.items():
+        value, k = plain[i, j].item(), j + 2
+        assert isinstance(error, ConvergenceError)
+        assert error.estimate == value
+        assert 0.0 < error.error_bound <= integrals._CLOSED_WORST
+        tol = max(1e-300, 1e-300 * abs(value))
+        assert str(error) == (f"closed form error bound {error.error_bound:.3e} "
+                              f"exceeds tolerance {tol:.3e}")
+        assert abs(mpmath.mpf(value) - series.sform(family, k, _CLOSED_XS[i])) <= error.error_bound
 
 
 def test_no_f_k_pair_reaches_the_quadrature(monkeypatch):
     # no f_k is integrated numerically: on every branch of both kernels, at
     # the default tolerance and at one below every bound
     def refuse(*args, **kwargs):
-        raise AssertionError("an f_k pair reached the quadrature")
+        raise AssertionError("an f_k reached the quadrature")
 
     for name in ("nodes", "sums", "settled", "quad_adaptive"):
         monkeypatch.setattr(quadrature, name, refuse)
     monkeypatch.setattr(integrals, "quad_adaptive", refuse)
-    xs = [0.0, 5e-5, 0.3, integrals.SERIES_X, math.nextafter(integrals.SERIES_X, 1.0), 0.9,
-          1.0 - 1e-15, 1.0]
+    xs = np.array([0.0, 5e-5, 0.3, integrals.SERIES_X, math.nextafter(integrals.SERIES_X, 1.0),
+                   0.9, 1.0 - 1e-15, 1.0])
     tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
         for cfg in (quadrature.DEFAULT_CONFIG, tight):
-            got = integrals.f_values(kernel, [1, 2, 3] * len(xs),
-                                     [x for x in xs for _ in range(3)], cfg)
-            assert len(got) == 3 * len(xs)
+            table, _ = integrals.f_columns(kernel, (1, 2, 3), xs, cfg)
+            assert table.shape == (len(xs), 3)
 
 
-def test_f_values_bits_do_not_depend_on_the_batch():
-    # each value of a batch has the bits of its one-pair call, in batches of
-    # 1 to 2048 pairs of mixed k, with x shared between pairs, on both sides
-    # of SERIES_X and up to 1; a failed pair's message too
+def test_f_columns_bits_do_not_depend_on_the_batch():
+    # each value of a batch has the bits of its one-x call, and each failed
+    # value its message, in batches of 1 to 2048 x, with x repeated, on both
+    # sides of SERIES_X and up to 1, for ks in any order
     rng = np.random.default_rng(32)
     above = math.nextafter(integrals.SERIES_X, 1.0)
-    xs = [0.0, integrals.SERIES_X, above, *rng.uniform(0.0, integrals.SERIES_X, 300).tolist(),
+    xs = [0.0, 5e-5, integrals.SERIES_X, above,
+          *rng.uniform(0.0, integrals.SERIES_X, 300).tolist(),
           *rng.uniform(above, 0.999, 40).tolist(), *(1.0 - rng.uniform(0.0, 1e-3, 20)).tolist(),
           1.0 - 1e-15, 1.0]
-    pairs = [(int(k), xs[i]) for k, i in zip(rng.integers(1, 4, 2048),
-                                               rng.integers(0, len(xs), 2048))]
+    pool = [xs[i] for i in rng.integers(0, len(xs), 2048)]
     tight = quadrature.QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300)
     for kernel in (integrals.BOSON_KERNEL, integrals.ELECTRON_KERNEL):
-        for cfg, sizes in ((quadrature.DEFAULT_CONFIG, (1, 2, 3, 7, 8, 9, 127, 128, 129, 256,
-                                                        257, 1000, 2048)),
-                           (tight, (1, 2, 129))):
-            pool = pairs
-            one = {p: _hex(integrals.f_values(kernel, [p[0]], [p[1]], cfg)[0]) for p in set(pool)}
-            for n in sizes:
-                got = integrals.f_values(kernel, [k for k, _ in pool[:n]],
-                                         [x for _, x in pool[:n]], cfg)
-                assert [_hex(v) for v in got] == [one[p] for p in pool[:n]], n
+        for cfg, sizes in ((quadrature.DEFAULT_CONFIG, (1, 2, 3, 7, 8, 9, 79, 80, 81, 127, 128,
+                                                        129, 160, 161, 256, 257, 1000, 2048)),
+                           (tight, (1, 2, 81, 161))):
+            one = {x: _cells(*integrals.f_columns(kernel, (1, 2, 3), np.array([x]), cfg))[0]
+                   for x in set(pool)}
+            for ks in ((1, 2, 3), (3, 1), (2,)):
+                for n in sizes:
+                    got = _cells(*integrals.f_columns(kernel, ks, np.array(pool[:n]), cfg))
+                    assert got == [[one[x][k - 1] for k in ks] for x in pool[:n]], (ks, n)
 
 
-def _hex(value):
-    return str(value) if isinstance(value, Exception) else value.hex()
+def _cells(table, errors):
+    """Each row of an f_columns table as float.hex, or the message of its error."""
+    return [[str(errors[i, j]) if (i, j) in errors else value.hex()
+             for j, value in enumerate(row)] for i, row in enumerate(table.tolist())]

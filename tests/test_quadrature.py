@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from srq1 import analysis, cli, quadrature
+from srq1 import analysis, cli, integrals, quadrature
 from srq1.family import GRID_CHUNK
 from srq1.figures import FIGURE_SCANS
 from srq1.errors import ConvergenceError, DomainError
@@ -295,6 +295,39 @@ def test_beta_sweep_quadrature_work_is_pinned(monkeypatch):
     # with the adaptive rule)
     work = _quadrature_work(monkeypatch, bench_module("workloads").beta_sweep(3))
     assert work == {"calls": 13, "pieces": 402, "values": 28140}
+
+
+def test_f_k_work_is_pinned(monkeypatch):
+    # the f_k forms over one seed-3 pass of the beta_sweep workload and over
+    # the FIGURE_SCANS: per form its calls and the x it evaluates, one call
+    # per GRID_CHUNK of a table.  The x are the distinct x that each form
+    # evaluated when f_k were taken pair by pair (an f_2, f_3 pair then took
+    # two series or closed-form columns), so no x is skipped.
+    work = {}
+
+    def counted(form):
+        def run(kernel, x, cfg):
+            calls, xs = work.get(form.__name__, (0, 0))
+            work[form.__name__] = (calls + 1, xs + len(x))
+            return form(kernel, x, cfg)
+        return run
+
+    groups = tuple(tuple((ab, counted(form)) for ab, form in group) for group in integrals._GROUPS)
+    monkeypatch.setattr(integrals, "_GROUPS", groups)
+    passes = {"beta_sweep": bench_module("workloads").beta_sweep(3),
+              "figures": [argv for _, group in sorted(FIGURE_SCANS.items()) for argv in group]}
+    done = {}
+    for name, argvs in passes.items():
+        work.clear()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in argvs:
+                cli.run_cli(argv)
+        done[name] = dict(work)
+    assert done == {
+        "beta_sweep": {"_f1_step": (40, 400), "_series": (77, 756), "_closed_form": (62, 392),
+                       "_at_one": (1, 1)},
+        "figures": {"_f1_below": (4, 18), "_f1_step": (4, 782), "_series": (44, 1056),
+                    "_closed_form": (14, 18), "_at_one": (3, 3)}}
 
 
 def test_figures_quadrature_work_is_pinned(monkeypatch):
